@@ -7,26 +7,16 @@ stabilized sequential variant whose test statistic admits a standard normal
 calibration even for very large p.
 """
 
-from .dataset import Coarsening, Observation, SurvivalDataset, ingest, read_csv
-from .censoring import (
-    KaplanMeierFit,
-    fit_km_censoring,
-    martingale_integral,
-    survival_at,
-    synthetic_response,
-)
+from .dataset import SurvivalDataset, ingest, read_csv
+from .censoring import KaplanMeierFit, survival_at, synthetic_response
 from .errors import DegeneracyError, InputError, SurvScreenError
-from .residual_life import ResidualLifeModel, fit_residual_life, residual_life_at
+from .residual_life import ResidualLifeModel
 from .onestep import (
     BonferroniResult,
     NuisanceBundle,
     OneStepResult,
     bonferroni_test,
     conservative_variance,
-    if_car,
-    if_ipw,
-    if_star,
-    ksv_slope,
     one_step,
     oracle_test,
 )
@@ -51,14 +41,12 @@ __version__ = "0.1.0"
 
 __all__ = [
     "BonferroniResult",
-    "Coarsening",
     "DegeneracyError",
     "InputError",
     "KaplanMeierFit",
     "MonteCarloReport",
     "MultiOrderingResult",
     "NuisanceBundle",
-    "Observation",
     "OneStepResult",
     "PrefixTrace",
     "ResidualLifeModel",
@@ -70,21 +58,13 @@ __all__ = [
     "calibrate_censoring_rate",
     "ci_pvalue",
     "conservative_variance",
-    "fit_km_censoring",
-    "fit_residual_life",
     "generate_scenario",
-    "if_car",
-    "if_ipw",
-    "if_star",
     "ingest",
-    "ksv_slope",
-    "martingale_integral",
     "monte_carlo_rejection",
     "multi_ordering_test",
     "one_step",
     "oracle_test",
     "read_csv",
-    "residual_life_at",
     "select_predictor",
     "stabilized_estimate",
     "survival_at",

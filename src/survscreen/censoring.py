@@ -7,16 +7,16 @@ G(t) = prod_{s < t} (1 - d(s)/Y(s)), so at equal times events precede
 censorings and G(X) stays well-defined for an event tied with a censoring.
 
 Cumulative-hazard increments are the counting-process ratios d(s)/Y(s)
-(not -log of the survival path); the martingale integral below is defined
-directly through those increments.
+(not -log of the survival path); the martingale integrals of the influence
+function are defined directly through those increments.
 """
 
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Optional
 
 import numpy as np
 
-from .dataset import Coarsening, Observation, SurvivalDataset
+from .dataset import SurvivalDataset
 from .errors import DegeneracyError, InputError
 
 EPS_G = 1e-10
@@ -42,12 +42,12 @@ class KaplanMeierFit:
 
 
 def fit_censoring_km(x: np.ndarray, delta: np.ndarray) -> KaplanMeierFit:
-    """Product-limit fit of G from one stratum of (x, delta) pairs."""
+    """Product-limit fit of G from (x, delta) pairs."""
     x = np.asarray(x, dtype=np.float64)
     delta = np.asarray(delta)
     n = len(x)
     if n == 0:
-        raise InputError("cannot fit a censoring distribution on an empty stratum")
+        raise InputError("cannot fit a censoring distribution on an empty sample")
     cens_times = x[delta == 0]
     if len(cens_times) == 0:
         empty = np.empty(0)
@@ -68,55 +68,16 @@ def survival_at(km: KaplanMeierFit, t) -> np.ndarray:
     return padded[idx]
 
 
-def hazard_before_or_at(km: KaplanMeierFit, t) -> np.ndarray:
-    """Number of hazard jumps with time <= t, per entry of t."""
-    return np.searchsorted(km.jump_times, np.asarray(t, dtype=np.float64), side="right")
-
-
-def fit_km_censoring(
-    data: SurvivalDataset,
-    strata: Optional[Coarsening] = None,
-    k: int = 0,
-) -> dict:
-    """Per-stratum censoring fits; the default coarsening is a single stratum.
-
-    ``k`` selects the predictor column the coarsening applies to.  Every
-    stratum must be nonempty and contain a subject still at risk at tau.
-    """
-    strata = strata or Coarsening()
-    codes = strata.labels(data.predictors[:, k])
-    fits = {}
-    for label in np.unique(codes):
-        mask = codes == label
-        if not np.any(mask):
-            raise InputError(f"stratum {label} is empty")
-        if np.max(data.x[mask]) < data.tau:
-            raise InputError(f"stratum {label} has no subject at risk at tau={data.tau}")
-        fits[int(label)] = fit_censoring_km(data.x[mask], data.delta[mask])
-    return {"codes": codes, "fits": fits}
-
-
-def synthetic_response(
-    data: SurvivalDataset,
-    km=None,
-    strata: Optional[Coarsening] = None,
-    k: int = 0,
-) -> np.ndarray:
+def synthetic_response(data: SurvivalDataset, km: Optional[KaplanMeierFit] = None) -> np.ndarray:
     """Inverse-probability-weighted responses y_i = delta_i * x_i / G(x_i).
 
-    Censored observations get 0.  Raises if an event's weight 1/G(x) blows
-    up past the floor, which signals that tau was chosen too large.
+    ``km`` defaults to the censoring fit of the whole dataset.  Censored
+    observations get 0.  Raises if an event's weight 1/G(x) blows up past
+    the floor, which signals that tau was chosen too large.
     """
     if km is None:
-        stratified = fit_km_censoring(data, strata, k)
-        codes, fits = stratified["codes"], stratified["fits"]
-        g = np.empty(data.n)
-        for label, fit in fits.items():
-            mask = codes == label
-            g[mask] = survival_at(fit, data.x[mask])
-    else:
-        g = survival_at(km, data.x)
-    return _weighted_response(data.x, data.delta, g)
+        km = fit_censoring_km(data.x, data.delta)
+    return _weighted_response(data.x, data.delta, survival_at(km, data.x))
 
 
 def _weighted_response(x: np.ndarray, delta: np.ndarray, g: np.ndarray) -> np.ndarray:
@@ -130,17 +91,3 @@ def _weighted_response(x: np.ndarray, delta: np.ndarray, g: np.ndarray) -> np.nd
     y = np.zeros(len(x))
     y[events] = x[events] / g[events]
     return y
-
-
-def martingale_integral(e: Callable, obs: Observation, km: KaplanMeierFit, u: float = 0.0) -> float:
-    """Integral of e(u, s) against the estimated censoring martingale of obs.
-
-    Equals e(u, X) if the observation is censored, minus the sum of
-    e(u, s) * dLambda(s) over hazard jumps with s <= X.
-    """
-    m = int(hazard_before_or_at(km, obs.x))
-    jump_sum = sum(
-        e(u, float(km.jump_times[i])) * float(km.hazard_increments[i]) for i in range(m)
-    )
-    first = e(u, obs.x) if obs.delta == 0 else 0.0
-    return float(first - jump_sum)

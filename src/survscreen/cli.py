@@ -41,6 +41,16 @@ def _qn_value(text: str):
         raise argparse.ArgumentTypeError(f"--qn must be an integer or 'half', got {text!r}")
 
 
+def _alpha_value(text: str) -> float:
+    try:
+        alpha = float(text)
+        if 0.0 < alpha < 1.0:
+            return alpha
+    except ValueError:
+        pass
+    raise argparse.ArgumentTypeError(f"--alpha must be a number in (0, 1), got {text!r}")
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="survscreen", description=__doc__)
     parser.add_argument("--version", action="version", version=f"survscreen {__version__}")
@@ -54,7 +64,7 @@ def build_parser() -> argparse.ArgumentParser:
                         help="smallest prefix size (integer or 'half')")
     screen.add_argument("--orderings", type=int, default=10, metavar="R",
                         help="random orderings for the stabilized method")
-    screen.add_argument("--alpha", type=float, default=0.05)
+    screen.add_argument("--alpha", type=_alpha_value, default=0.05)
     screen.add_argument("--variant", choices=("prefix", "full"), default="full")
     screen.add_argument("--tau", default="max", help="follow-up cap rule: max or q:<x>")
     screen.add_argument("--no-standardize", dest="standardize", action="store_false")
@@ -72,7 +82,7 @@ def build_parser() -> argparse.ArgumentParser:
     simulate.add_argument("--rho", type=float, default=0.75)
     simulate.add_argument("--method", choices=SIM_METHODS, default="stabilized_full")
     simulate.add_argument("--reps", type=int, default=100)
-    simulate.add_argument("--alpha", type=float, default=0.05)
+    simulate.add_argument("--alpha", type=_alpha_value, default=0.05)
     simulate.add_argument("--orderings", type=int, default=10)
     simulate.add_argument("--seed", type=int, default=None)
     simulate.add_argument("--parallelism", type=int, default=1)
@@ -82,7 +92,6 @@ def build_parser() -> argparse.ArgumentParser:
     bench.add_argument("--n", type=int, default=500)
     bench.add_argument("--p", type=int, default=10_000)
     bench.add_argument("--variant", choices=("prefix", "full"), default="full")
-    bench.add_argument("--threads", type=int, default=None)
     bench.add_argument("--seed", type=int, default=0)
     bench.add_argument("--no-header", dest="header", action="store_false")
 
@@ -150,7 +159,7 @@ def cmd_screen(args) -> int:
         })
     elif args.method == "bonferroni":
         outcome = bonferroni_test(data, alpha=args.alpha)
-        best = outcome.results[outcome.selected]
+        best = outcome.best
         report.update({
             "estimate": best.s_onestep,
             "ci": [best.ci_low, best.ci_high],
@@ -199,7 +208,6 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_bench(args) -> int:
-    threads = args.threads if args.threads is not None else _default_threads()
     spec = ScenarioSpec(model="N", error="independent", censoring="light",
                         n=args.n, p=args.p, seed=args.seed)
     data, _ = generate_scenario(spec)
@@ -207,8 +215,8 @@ def cmd_bench(args) -> int:
     stabilized_estimate(data, variant=args.variant)
     wall = time.perf_counter() - start
     if args.header:
-        print("n,p,variant,threads,qn,seed,wall_time_s")
-    print(f"{args.n},{args.p},{args.variant},{threads},{data.n // 2},{args.seed},{wall:.4f}")
+        print("n,p,variant,qn,seed,wall_time_s")
+    print(f"{args.n},{args.p},{args.variant},{data.n // 2},{args.seed},{wall:.4f}")
     return 0
 
 

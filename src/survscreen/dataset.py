@@ -14,7 +14,7 @@ import csv
 import gzip
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -22,34 +22,6 @@ from .errors import InputError
 
 CSV_TIME_COLUMN = "time"
 CSV_STATUS_COLUMN = "status"
-
-
-@dataclass(frozen=True)
-class Observation:
-    """One subject: capped follow-up time, event indicator, source row."""
-
-    x: float
-    delta: int
-    row_index: int
-
-
-@dataclass(frozen=True)
-class Coarsening:
-    """Finite stratification of a predictor for stratified censoring fits.
-
-    ``fn`` maps a predictor value to a stratum label; ``None`` is the default
-    degenerate coarsening that puts every subject in a single stratum.
-    """
-
-    fn: Optional[Callable[[float], object]] = None
-
-    def labels(self, values: np.ndarray) -> np.ndarray:
-        """Integer stratum codes, one per subject."""
-        if self.fn is None:
-            return np.zeros(len(values), dtype=np.intp)
-        raw = [self.fn(float(v)) for v in values]
-        _, codes = np.unique(np.asarray(raw, dtype=object), return_inverse=True)
-        return codes.astype(np.intp)
 
 
 @dataclass(frozen=True)
@@ -77,12 +49,6 @@ class SurvivalDataset:
     @property
     def p(self) -> int:
         return self.predictors.shape[1]
-
-    def observations(self) -> list:
-        return [
-            Observation(float(self.x[i]), int(self.delta[i]), int(self.row_index[i]))
-            for i in range(self.n)
-        ]
 
     def censoring_fraction(self) -> float:
         return float(np.mean(self.delta == 0))

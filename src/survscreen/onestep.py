@@ -1,4 +1,4 @@
-"""Influence functions and the one-step slope estimator for one predictor.
+"""Influence functions and the one-step slope estimator for a block of predictors.
 
 The target is the marginal slope cov(U, T) / var(U).  The plug-in estimate
 regresses the model-predicted response on U; the one-step estimate adds the
@@ -17,22 +17,31 @@ with matched divisors.
 Two algebraically equivalent forms of the estimator are always computed and
 cross-checked: (a) plug-in + mean influence, and (b) the simplified
 weighted-response form  mean((U - ubar) Y) / V - mean(car).
+
+Every function here works on an (m x b) column block of predictors: one
+predictor is a block of one, and ``bonferroni_test`` walks the predictor
+matrix in blocks of ``BLOCK_COLUMNS``.  Column means are taken over
+Fortran-ordered arrays, so each column is summed in the same (pairwise)
+order as a 1-D array and a column's results do not depend on its block.
 """
 
 import math
 from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 from scipy.stats import norm
 
 from .censoring import KaplanMeierFit, _weighted_response, fit_censoring_km, survival_at
-from .dataset import Observation, SurvivalDataset
+from .dataset import SurvivalDataset
 from .errors import DegeneracyError, SurvScreenError
 from .residual_life import EPS_VAR, ResidualLifeModel, fit_residual_life_arrays
 
 EPS_SIGMA = 1e-8
 DUAL_FORM_TOL = 1e-8
+
+# Predictors per block in bonferroni_test: at n=500 each n x b temporary is 1 MB.
+BLOCK_COLUMNS = 256
 
 # The 95% normal quantile is used as the literal constant 1.96; other levels
 # go through the exact quantile function.
@@ -45,123 +54,160 @@ def z_value(alpha: float) -> float:
     return float(norm.ppf(1.0 - alpha / 2.0))
 
 
-def two_sided_p(z: float) -> float:
-    return float(2.0 * norm.sf(abs(z)))
+def two_sided_p(z):
+    return 2.0 * norm.sf(np.abs(z))
+
+
+def _colmean(a: np.ndarray) -> np.ndarray:
+    """Column means, each summed like a 1-D array whatever the block width."""
+    return np.asfortranarray(a).mean(axis=0)
 
 
 @dataclass(frozen=True)
 class NuisanceBundle:
-    """Fitted nuisances for one predictor over one declared sample.
+    """Fitted nuisances for a block of predictors over one declared sample.
 
     ``km`` is the censoring fit the synthetic responses and martingale terms
     are taken against; it may come from a larger sample than the regression
-    moments (``full_km``), which is recorded explicitly.
+    moments.  The moments are arrays with one entry per block column.
     """
 
-    k: int
     km: KaplanMeierFit
-    y: np.ndarray
     rl: ResidualLifeModel
-    u_mean: float
-    u_var: float
-    e_mean: float
-    cov_u_e: float
-    sample_size: int
-    full_km: bool
+    u_mean: np.ndarray
+    u_var: np.ndarray
+    e_mean: np.ndarray
+    cov_u_e: np.ndarray
 
 
-def make_bundle(u, x, delta, y, km: KaplanMeierFit, k: int = 0, full_km: bool = False) -> NuisanceBundle:
-    """Fit the residual-life model and predictor moments on one sample."""
-    u = np.asarray(u, dtype=np.float64)
-    rl = fit_residual_life_arrays(x, delta, y, u)
-    e_vals = rl.intercepts[0] + rl.slopes[0] * (u - rl.u_centers[0])
-    u_mean = float(u.mean())
-    u_var = float((u * u).mean() - u_mean * u_mean)
-    if u_var < EPS_VAR:
-        raise DegeneracyError(f"predictor {k} has sample variance {u_var:.3g} below {EPS_VAR}")
-    e_mean = float(e_vals.mean())
-    cov_u_e = float((u * e_vals).mean() - u_mean * e_mean)
-    return NuisanceBundle(
-        k=k, km=km, y=np.asarray(y, dtype=np.float64), rl=rl,
-        u_mean=u_mean, u_var=u_var, e_mean=e_mean, cov_u_e=cov_u_e,
-        sample_size=len(u), full_km=full_km,
-    )
+def make_bundle(U, x, delta, y, km: KaplanMeierFit) -> NuisanceBundle:
+    """Fit the residual-life model and predictor moments of an (m x b) block."""
+    U = np.asarray(U, dtype=np.float64)
+    rl = fit_residual_life_arrays(x, delta, y, U)
+    e_vals = rl.intercepts[0] + rl.slopes[0] * (U - rl.u_centers[0])
+    u_mean = _colmean(U)
+    u_var = _colmean(U * U) - u_mean * u_mean
+    e_mean = _colmean(e_vals)
+    cov_u_e = _colmean(U * e_vals) - u_mean * e_mean
+    return NuisanceBundle(km=km, rl=rl, u_mean=u_mean, u_var=u_var, e_mean=e_mean, cov_u_e=cov_u_e)
 
 
-def plugin_slope(bundle: NuisanceBundle) -> float:
+def plugin_slope(bundle: NuisanceBundle) -> np.ndarray:
     return bundle.cov_u_e / bundle.u_var
 
 
-def martingale_values(rl: ResidualLifeModel, km: KaplanMeierFit, u, x, delta) -> np.ndarray:
-    """Integral of the residual-life prediction against dM, one value per row.
+def martingale_values(rl: ResidualLifeModel, km: KaplanMeierFit, U, x, delta) -> np.ndarray:
+    """Integral of the residual-life prediction against dM, one value per row
+    and block column.
 
     For row i this is E(u_i, x_i) if censored, minus the sum of
     E(u_i, s) * dLambda(s) over hazard jumps s <= x_i.
     """
-    u = np.asarray(u, dtype=np.float64)
+    U = np.asarray(U, dtype=np.float64)
     x = np.asarray(x, dtype=np.float64)
     delta = np.asarray(delta)
     jt = km.jump_times
     if len(jt) == 0:
-        return np.zeros(len(x))
+        return np.zeros(U.shape)
     rows = rl.coefficient_rows(jt)
+    hazard = km.hazard_increments[:, None]
     a_eff = rl.intercepts - rl.slopes * rl.u_centers
-    cum_a = np.concatenate(([0.0], np.cumsum(a_eff[rows] * km.hazard_increments)))
-    cum_b = np.concatenate(([0.0], np.cumsum(rl.slopes[rows] * km.hazard_increments)))
+    zero = np.zeros((1, U.shape[1]))
+    cum_a = np.concatenate((zero, np.cumsum(a_eff[rows] * hazard, axis=0)))
+    cum_b = np.concatenate((zero, np.cumsum(rl.slopes[rows] * hazard, axis=0)))
     n_jumps = np.searchsorted(jt, x, side="right")
-    jump_sum = cum_a[n_jumps] + cum_b[n_jumps] * u
+    jump_sum = cum_a[n_jumps] + cum_b[n_jumps] * U
     rx = rl.coefficient_rows(x)
-    at_x = (rl.intercepts[rx] - rl.slopes[rx] * rl.u_centers[rx]) + rl.slopes[rx] * u
-    return np.where(delta == 0, at_x, 0.0) - jump_sum
+    at_x = a_eff[rx] + rl.slopes[rx] * U
+    return np.where(delta[:, None] == 0, at_x, 0.0) - jump_sum
 
 
-def influence_values(bundle: NuisanceBundle, u, x, delta, y):
-    """(ipw, car) influence arrays for the given evaluation rows."""
-    u = np.asarray(u, dtype=np.float64)
-    y = np.asarray(y, dtype=np.float64)
-    cu = u - bundle.u_mean
+def influence_values(bundle: NuisanceBundle, U, x, delta, y):
+    """(ipw, car) influence arrays for the given evaluation rows of the block."""
+    U = np.asarray(U, dtype=np.float64)
+    y = np.asarray(y, dtype=np.float64)[:, None]
+    cu = U - bundle.u_mean
     v = bundle.u_var
     ipw = cu * (y - bundle.e_mean) / v - bundle.cov_u_e * cu * cu / (v * v)
-    car = cu / v * martingale_values(bundle.rl, bundle.km, u, x, delta)
+    car = cu / v * martingale_values(bundle.rl, bundle.km, U, x, delta)
     return ipw, car
 
 
-def if_ipw(u: float, y_i: float, bundle: NuisanceBundle) -> float:
-    """Inverse-weighting influence term for one observation."""
-    cu = u - bundle.u_mean
-    v = bundle.u_var
-    return float(cu * (y_i - bundle.e_mean) / v - bundle.cov_u_e * cu * cu / (v * v))
+def _raise_first(ks, *checks):
+    """Raise what a per-predictor loop would raise first: the earliest column
+    failing any check, with the first check it fails.  A check is a pair
+    (mask over block columns, function building the error for column c)."""
+    failing = np.logical_or.reduce([bad for bad, _ in checks])
+    if failing.any():
+        c = int(np.argmax(failing))
+        raise next(error(c) for bad, error in checks if bad[c])
 
 
-def if_car(obs: Observation, u: float, bundle: NuisanceBundle) -> float:
-    """Censoring-martingale influence term for one observation."""
-    ipw, car = influence_values(
-        bundle, np.array([u]), np.array([obs.x]), np.array([obs.delta]), np.array([0.0])
+def _variance_floor(bundle: NuisanceBundle, ks):
+    return bundle.u_var < EPS_VAR, lambda c: DegeneracyError(
+        f"predictor {ks[c]} has sample variance {bundle.u_var[c]:.3g} below {EPS_VAR}"
     )
-    return float(car[0])
 
 
-def if_star(obs: Observation, u: float, y_i: float, bundle: NuisanceBundle) -> float:
-    """Efficient influence value: if_ipw - if_car."""
-    return if_ipw(u, y_i, bundle) - if_car(obs, u, bundle)
+def influence_block(U, x, delta, y, km: KaplanMeierFit, ks, fit_rows: Optional[int] = None):
+    """Nuisances fitted on the first ``fit_rows`` rows (default all) of an
+    (m x b) block, and (ipw, car) at every row.
+
+    ``ks`` names the block's predictors in the variance-floor error.
+    Returns (bundle, ipw, car).
+    """
+    f = len(x) if fit_rows is None else fit_rows
+    bundle = make_bundle(U[:f], x[:f], delta[:f], y[:f], km)
+    _raise_first(ks, _variance_floor(bundle, ks))
+    ipw, car = influence_values(bundle, U, x, delta, y)
+    return bundle, ipw, car
 
 
-def ksv_slope(data: SurvivalDataset, y, k: int, j: Optional[int] = None) -> float:
-    """Weighted-response slope cov(U_k, Y) / var(U_k) over the first j rows."""
-    j = data.n if j is None else j
-    if j < 2:
-        raise SurvScreenError("need at least 2 observations for a slope")
-    return slope_of(data.predictors[:j, k], np.asarray(y)[:j])
+class _OneStepBlock(NamedTuple):
+    psi: np.ndarray
+    s_onestep: np.ndarray
+    if_values: np.ndarray
+    sigma: np.ndarray
+    ci_low: np.ndarray
+    ci_high: np.ndarray
+    statistic: np.ndarray
+    p_value: np.ndarray
 
 
-def slope_of(u: np.ndarray, y: np.ndarray) -> float:
-    u = np.asarray(u, dtype=np.float64)
+def _one_step_block(U, x, delta, y, km: KaplanMeierFit, ks, alpha: float) -> _OneStepBlock:
+    """One-step inference for every column of an (m x b) block.
+
+    Both forms of the estimator are computed and must agree; the simplified
+    form is returned.  A failing column raises the error that testing the
+    block's predictors one at a time, in order, would raise.
+    """
+    m = len(x)
     y = np.asarray(y, dtype=np.float64)
-    um = u.mean()
-    var = (u * u).mean() - um * um
-    if var <= EPS_VAR:
-        raise DegeneracyError(f"predictor variance {var:.3g} at or below {EPS_VAR}")
-    return float(((u * y).mean() - um * y.mean()) / var)
+    bundle = make_bundle(U, x, delta, y, km)
+    with np.errstate(divide="ignore", invalid="ignore"):  # floored columns raise below
+        ipw, car = influence_values(bundle, U, x, delta, y)
+        if_values = ipw - car
+        psi = plugin_slope(bundle)
+        form_a = psi + _colmean(if_values)
+        cu = U - bundle.u_mean
+        form_b = _colmean(cu * y[:, None]) / bundle.u_var - _colmean(car)
+        gap = np.abs(form_a - form_b)
+        sigma = np.sqrt(_colmean(if_values * if_values))
+    _raise_first(
+        ks,
+        _variance_floor(bundle, ks),
+        (gap > DUAL_FORM_TOL, lambda c: SurvScreenError(
+            f"one-step forms disagree by {gap[c]:.3g} for predictor {ks[c]}")),
+        (sigma < EPS_SIGMA, lambda c: DegeneracyError(
+            f"influence second moment below floor for predictor {ks[c]}")),
+    )
+    half = z_value(alpha) * sigma / math.sqrt(m)
+    statistic = math.sqrt(m) * form_b / sigma
+    return _OneStepBlock(
+        psi=psi, s_onestep=form_b, if_values=if_values, sigma=sigma,
+        ci_low=form_b - half, ci_high=form_b + half,
+        statistic=statistic, p_value=two_sided_p(statistic),
+    )
 
 
 @dataclass(frozen=True)
@@ -198,14 +244,12 @@ def one_step(
 ) -> OneStepResult:
     """One-step estimate for predictor k over the first j rows (default all).
 
-    Both forms of the estimator are computed and must agree; the simplified
-    form is returned.  ``km``/``y`` may be passed to share the censoring fit
-    and weighted responses across predictors.
+    ``km``/``y`` may be passed to share the censoring fit and weighted
+    responses across predictors.
     """
     j = data.n if j is None else j
     x = data.x[:j]
     delta = data.delta[:j]
-    u = data.predictors[:j, k]
     if km is None:
         km = fit_censoring_km(x, delta)
     if y is None:
@@ -213,40 +257,27 @@ def one_step(
     else:
         y = np.asarray(y, dtype=np.float64)[:j]
 
-    bundle = make_bundle(u, x, delta, y, km, k=k)
-    ipw, car = influence_values(bundle, u, x, delta, y)
-    if_values = ipw - car
-    psi = plugin_slope(bundle)
-
-    form_a = psi + float(if_values.mean())
-    cu = u - bundle.u_mean
-    form_b = float((cu * y).mean() / bundle.u_var - car.mean())
-    if abs(form_a - form_b) > DUAL_FORM_TOL:
-        raise SurvScreenError(
-            f"one-step forms disagree by {abs(form_a - form_b):.3g} for predictor {k}"
-        )
-
-    sigma = math.sqrt(float((if_values * if_values).mean()))
-    if sigma < EPS_SIGMA:
-        raise DegeneracyError(f"influence second moment below floor for predictor {k}")
-    half = z_value(alpha) * sigma / math.sqrt(j)
-    p = two_sided_p(math.sqrt(j) * form_b / sigma)
+    block = _one_step_block(data.predictors[:j, [k]], x, delta, y, km, (k,), alpha)
     return OneStepResult(
-        k=k, psi_plugin=psi, s_onestep=form_b, if_values=if_values,
-        sigma_hat=sigma, ci_low=form_b - half, ci_high=form_b + half,
-        p_value=p, n_used=j, alpha=alpha,
+        k=k, psi_plugin=float(block.psi[0]), s_onestep=float(block.s_onestep[0]),
+        if_values=block.if_values[:, 0], sigma_hat=float(block.sigma[0]),
+        ci_low=float(block.ci_low[0]), ci_high=float(block.ci_high[0]),
+        p_value=float(block.p_value[0]), n_used=j, alpha=alpha,
     )
 
 
 @dataclass(frozen=True)
 class BonferroniResult:
-    """Marginal one-step tests over all predictors with Bonferroni control."""
+    """Marginal one-step tests over all predictors with Bonferroni control.
 
-    results: tuple
+    ``best`` is the full result for the selected (smallest-p) predictor.
+    """
+
     p_values: np.ndarray
     statistics: np.ndarray
-    min_p: float
     selected: int
+    best: OneStepResult
+    min_p: float
     alpha: float
     reject: bool
 
@@ -263,15 +294,21 @@ def bonferroni_test(data: SurvivalDataset, alpha: float = 0.05) -> BonferroniRes
     """Test every predictor marginally; reject if min p < alpha / p."""
     km = fit_censoring_km(data.x, data.delta)
     y = _weighted_response(data.x, data.delta, survival_at(km, data.x))
-    results = tuple(one_step(data, k, alpha=alpha, km=km, y=y) for k in range(data.p))
-    p_values = np.array([r.p_value for r in results])
-    statistics = np.array([r.statistic for r in results])
+    p_values = np.empty(data.p)
+    statistics = np.empty(data.p)
+    for start in range(0, data.p, BLOCK_COLUMNS):
+        cols = range(start, min(start + BLOCK_COLUMNS, data.p))
+        block = _one_step_block(
+            data.predictors[:, cols.start:cols.stop], data.x, data.delta, y, km, cols, alpha
+        )
+        p_values[cols.start:cols.stop] = block.p_value
+        statistics[cols.start:cols.stop] = block.statistic
     selected = int(np.argmin(p_values))
     min_p = float(p_values[selected])
     return BonferroniResult(
-        results=results, p_values=p_values, statistics=statistics,
-        min_p=min_p, selected=selected, alpha=alpha,
-        reject=bool(min_p < alpha / data.p),
+        p_values=p_values, statistics=statistics, selected=selected,
+        best=one_step(data, selected, alpha=alpha, km=km, y=y),
+        min_p=min_p, alpha=alpha, reject=bool(min_p < alpha / data.p),
     )
 
 
@@ -300,19 +337,20 @@ def conservative_variance(
         raise SurvScreenError(f"grid_size must be >= 2, got {grid_size}")
     km = fit_censoring_km(data.x, data.delta)
     y = _weighted_response(data.x, data.delta, survival_at(km, data.x))
-    u = data.predictors[:, k]
-    bundle = make_bundle(u, data.x, data.delta, y, km, k=k)
-    ipw, car = influence_values(bundle, u, data.x, data.delta, y)
-    star = ipw - car
+    U = data.predictors[:, [k]]
+    bundle, ipw, car = influence_block(U, data.x, data.delta, y, km, (k,))
+    star = (ipw - car)[:, 0]
     if m_bound is None:
-        e_vals = bundle.rl.intercepts[0] + bundle.rl.slopes[0] * (u - bundle.rl.u_centers[0])
-        m_bound = 4.0 * float(e_vals.std())
+        rl = bundle.rl
+        e_vals = rl.intercepts[0] + rl.slopes[0] * (U - rl.u_centers[0])
+        m_bound = 4.0 * float(e_vals[:, 0].std())
     if m_bound <= 0.0:
         raise SurvScreenError(f"m_bound must be positive, got {m_bound}")
-    cu = u - bundle.u_mean
-    base = (cu * cu - bundle.u_var) / (bundle.u_var * bundle.u_var)
+    cu = U[:, 0] - bundle.u_mean[0]
+    v = bundle.u_var[0]
+    base = (cu * cu - v) / (v * v)
     best = -np.inf
     for m in np.linspace(-m_bound, m_bound, grid_size):
-        vals = star + (bundle.cov_u_e - m) * base
+        vals = star + (bundle.cov_u_e[0] - m) * base
         best = max(best, float((vals * vals).mean()))
     return best

@@ -1,8 +1,9 @@
-"""At-risk linear regression of the weighted response on one predictor.
+"""At-risk linear regression of the weighted response on a block of predictors.
 
-For a time s, the conditional residual-life value at u is the linear
-prediction a(s) + b(s) * (u - ubar(s)) where all moments are indicator-
-weighted over the *whole* fitting sample (zeros included, divisor n):
+For a time s and predictor column u, the conditional residual-life value at
+u is the linear prediction a(s) + b(s) * (u - ubar(s)) where all moments are
+indicator-weighted over the *whole* fitting sample (zeros included, divisor
+n):
 
     a(s)    = mean(y * 1(x >= s))
     b(s)    = cov(u * 1(x >= s), y * 1(x >= s)) / var(u * 1(x >= s))
@@ -10,35 +11,36 @@ weighted over the *whole* fitting sample (zeros included, divisor n):
 
 Coefficients are cached at s = -inf and at each distinct censoring time of
 the fitting sample; the martingale integrals that consume the model only
-probe those times, so the cache is exact there.  Evaluation at any other s
-falls back to the largest cached time <= s.  When the indicator-weighted
+probe those times, so the cache is exact there.  When the indicator-weighted
 predictor variance drops below the floor, the slope is set to 0 and the
 intercept-only fit is returned.
+
+One fit serves an (m x b) column block: the sort by x and the knots are
+shared, and each column costs three suffix cumulative sums.
 """
 
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
-
-from .dataset import SurvivalDataset
 
 EPS_VAR = 1e-8
 
 
 @dataclass(frozen=True)
 class ResidualLifeModel:
-    """Piecewise-constant (in s) linear coefficients; row 0 is s = -inf."""
+    """Piecewise-constant (in s) linear coefficients; row 0 is s = -inf.
+
+    ``intercepts`` is a (K+1, 1) column shared by every predictor of the
+    block; ``slopes`` and ``u_centers`` are (K+1, b), one column each.
+    """
 
     knot_times: np.ndarray
     intercepts: np.ndarray
     slopes: np.ndarray
     u_centers: np.ndarray
-    var_floor_used: np.ndarray
 
     def __post_init__(self):
-        for arr in (self.knot_times, self.intercepts, self.slopes,
-                    self.u_centers, self.var_floor_used):
+        for arr in (self.knot_times, self.intercepts, self.slopes, self.u_centers):
             arr.flags.writeable = False
 
     def coefficient_rows(self, s) -> np.ndarray:
@@ -47,80 +49,37 @@ class ResidualLifeModel:
 
 
 def fit_residual_life_arrays(
-    x: np.ndarray, delta: np.ndarray, y: np.ndarray, u: np.ndarray
+    x: np.ndarray, delta: np.ndarray, y: np.ndarray, U: np.ndarray
 ) -> ResidualLifeModel:
-    """Fit from raw arrays; knots are the sample's distinct censoring times."""
+    """Fit an (m x b) predictor block; knots are the sample's distinct censoring times."""
     x = np.asarray(x, dtype=np.float64)
     delta = np.asarray(delta)
     y = np.asarray(y, dtype=np.float64)
-    u = np.asarray(u, dtype=np.float64)
+    U = np.asarray(U, dtype=np.float64)
     n = len(x)
 
     order = np.argsort(x, kind="stable")
     xs = x[order]
     ys = y[order]
-    us = u[order]
+    us = U[order]
 
     def suffix(v):
-        # suffix[i] = sum of v[i:]; one trailing 0 so start == n is valid
-        return np.concatenate((np.cumsum(v[::-1])[::-1], [0.0]))
+        # suffix[i] = sum of v[i:] down axis 0; one trailing 0 row so start == n is valid
+        return np.concatenate((np.cumsum(v[::-1], axis=0)[::-1], np.zeros((1,) + v.shape[1:])))
 
     s_y = suffix(ys)
     s_u = suffix(us)
     s_uu = suffix(us * us)
-    s_uy = suffix(us * ys)
+    s_uy = suffix(us * ys[:, None])
 
     knots = np.unique(x[delta == 0])
     starts = np.concatenate(([0], np.searchsorted(xs, knots, side="left")))
 
-    a = s_y[starts] / n
+    a = (s_y[starts] / n)[:, None]
     ubar = s_u[starts] / n
     var = s_uu[starts] / n - ubar * ubar
     cov = s_uy[starts] / n - ubar * a
     floored = var < EPS_VAR
     slope = np.where(floored, 0.0, cov / np.where(floored, 1.0, var))
 
-    return ResidualLifeModel(knots, a, slope, ubar, floored)
-
-
-def fit_residual_life(
-    data: SurvivalDataset, y: np.ndarray, k: int, j: Optional[int] = None
-) -> ResidualLifeModel:
-    """Fit on the first j observations (default: all) for predictor k."""
-    j = data.n if j is None else j
-    return fit_residual_life_arrays(
-        data.x[:j], data.delta[:j], np.asarray(y)[:j], data.predictors[:j, k]
-    )
-
-
-def evaluate(model: ResidualLifeModel, u: float, s: float) -> float:
-    """Predicted residual life at (u, s) from the cached coefficients."""
-    idx = int(model.coefficient_rows(s))
-    return float(model.intercepts[idx] + model.slopes[idx] * (u - model.u_centers[idx]))
-
-
-def evaluate_many(model: ResidualLifeModel, u: np.ndarray, s: np.ndarray) -> np.ndarray:
-    """Vectorized ``evaluate`` over paired (u, s) arrays."""
-    idx = model.coefficient_rows(s)
-    return model.intercepts[idx] + model.slopes[idx] * (np.asarray(u) - model.u_centers[idx])
-
-
-def residual_life_at(x, y, u, u0: float, s: float) -> float:
-    """Direct (uncached) at-risk regression prediction at a single (u0, s).
-
-    This is the exact defining formula at arbitrary s, useful for audits and
-    tests; the cached model agrees with it at every cached time.
-    """
-    x = np.asarray(x, dtype=np.float64)
-    y = np.asarray(y, dtype=np.float64)
-    u = np.asarray(u, dtype=np.float64)
-    w = (x >= s).astype(np.float64)
-    uw = u * w
-    yw = y * w
-    a = yw.mean()
-    ubar = uw.mean()
-    var = (uw * uw).mean() - ubar * ubar
-    if var < EPS_VAR:
-        return float(a)
-    cov = (uw * yw).mean() - ubar * a
-    return float(a + (cov / var) * (u0 - ubar))
+    return ResidualLifeModel(knots, a, slope, ubar)

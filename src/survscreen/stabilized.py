@@ -27,14 +27,7 @@ from ._rng import stream
 from .censoring import _weighted_response, fit_censoring_km, survival_at
 from .dataset import SurvivalDataset
 from .errors import DegeneracyError, InputError
-from .onestep import (
-    EPS_SIGMA,
-    influence_values,
-    make_bundle,
-    plugin_slope,
-    two_sided_p,
-    z_value,
-)
+from .onestep import EPS_SIGMA, influence_block, plugin_slope, two_sided_p, z_value
 from .residual_life import EPS_VAR
 
 VARIANTS = ("prefix", "full")
@@ -153,10 +146,10 @@ class FullSampleCache:
         ent = self._entries.get(k)
         if ent is None:
             d = self.data
-            u = d.predictors[:, k]
-            bundle = make_bundle(u, d.x, d.delta, self.y, self.km, k=k, full_km=True)
-            ipw, car = influence_values(bundle, u, d.x, d.delta, self.y)
-            ent = (plugin_slope(bundle), ipw - car)
+            bundle, ipw, car = influence_block(
+                d.predictors[:, [k]], d.x, d.delta, self.y, self.km, (k,)
+            )
+            ent = (float(plugin_slope(bundle)[0]), (ipw - car)[:, 0])
             self._entries[k] = ent
         return ent
 
@@ -222,14 +215,12 @@ def stabilized_estimate(
         yp = _weighted_response(xp, dp, survival_at(km_full, xp))
 
         def step_nuisances(k, j):
-            bundle = make_bundle(U[:j, k], xp[:j], dp[:j], yp[:j], km_full, k=k, full_km=True)
-            ipw, car = influence_values(bundle, U[:j, k], xp[:j], dp[:j], yp[:j])
-            prefix_if = ipw - car
-            sig2 = float(prefix_if.var())
-            ipw1, car1 = influence_values(
-                bundle, U[j : j + 1, k], xp[j : j + 1], dp[j : j + 1], yp[j : j + 1]
+            # nuisances from the first j rows, influence values there and at row j
+            bundle, ipw, car = influence_block(
+                U[: j + 1, [k]], xp[: j + 1], dp[: j + 1], yp[: j + 1], km_full, (k,), fit_rows=j
             )
-            return sig2, plugin_slope(bundle) + float(ipw1[0] - car1[0])
+            if_values = (ipw - car)[:, 0]
+            return float(if_values[:j].var()), float(plugin_slope(bundle)[0]) + float(if_values[j])
 
     steps = n - q
     ks = np.empty(steps, dtype=np.intp)
@@ -275,7 +266,7 @@ def stabilized_estimate(
 
 def _interval(s_star: float, sigma_bar: float, n_terms: int, alpha: float):
     half = z_value(alpha) * sigma_bar / math.sqrt(n_terms)
-    p = two_sided_p(math.sqrt(n_terms) * s_star / sigma_bar)
+    p = float(two_sided_p(math.sqrt(n_terms) * s_star / sigma_bar))
     return s_star - half, s_star + half, p
 
 

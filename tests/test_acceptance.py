@@ -19,7 +19,7 @@ from survscreen import one_step, stabilized_estimate
 from survscreen.censoring import fit_censoring_km, synthetic_response
 from survscreen.errors import DegeneracyError
 from survscreen.cli import main
-from survscreen.onestep import influence_values, make_bundle
+from survscreen.onestep import influence_block
 from survscreen.simulate import ScenarioSpec, generate_scenario, monte_carlo_rejection
 from survscreen._rng import stream
 
@@ -114,9 +114,7 @@ def test_criterion_3_mean_zero_identity():
         k = int(rng.integers(0, data.p))
         km = fit_censoring_km(data.x, data.delta)
         y = synthetic_response(data, km)
-        u = data.predictors[:, k]
-        bundle = make_bundle(u, data.x, data.delta, y, km, k=k)
-        ipw, _ = influence_values(bundle, u, data.x, data.delta, y)
+        _, ipw, _ = influence_block(data.predictors[:, [k]], data.x, data.delta, y, km, (k,))
         worst = max(worst, abs(float(ipw.mean())))
     assert worst < 1e-10
     report(3, f"1000 instances; max |mean inverse-weighting influence| = {worst:.2e}")

@@ -2,10 +2,12 @@ import numpy as np
 import pytest
 
 import oracles
-from survscreen import Observation, martingale_integral, survival_at, synthetic_response
-from survscreen.censoring import KaplanMeierFit, fit_censoring_km, fit_km_censoring
-from survscreen.dataset import Coarsening, ingest
-from survscreen.errors import DegeneracyError, InputError
+from survscreen import survival_at, synthetic_response
+from survscreen.censoring import KaplanMeierFit, fit_censoring_km
+from survscreen.dataset import ingest
+from survscreen.errors import DegeneracyError
+from survscreen.onestep import martingale_values
+from survscreen.residual_life import ResidualLifeModel
 from survscreen.simulate import ScenarioSpec, generate_scenario
 
 from conftest import random_dataset
@@ -67,26 +69,6 @@ class TestCensoringFit:
                 survival_at(km_full, probes), survival_at(km_capped, probes), atol=1e-14
             )
 
-    def test_stratified_fit_and_empty_checks(self):
-        # q:0.5 caps tau at 2, so both strata keep a subject at risk there
-        data = ingest(
-            [[1, 0, -1.0], [2, 1, -0.5], [3, 1, 1.0], [4, 0, 2.0]],
-            tau_rule="q:0.5",
-            standardize=False,
-        )
-        out = fit_km_censoring(data, Coarsening(lambda v: v > 0))
-        assert set(out["fits"]) == {0, 1}
-        assert sum((out["codes"] == c).sum() for c in (0, 1)) == data.n
-
-        # a stratum whose observations all fall short of tau must be rejected
-        low = ingest(
-            [[1, 1, -1.0], [1.5, 1, -0.5], [2, 1, 1.0], [4, 0, 2.0]],
-            tau_rule="q:0.75",
-            standardize=False,
-        )
-        with pytest.raises(InputError, match="at risk"):
-            fit_km_censoring(low, Coarsening(lambda v: v > 0))
-
 
 class TestSyntheticResponse:
     def test_censored_rows_get_zero_and_unit_weights_passthrough(self):
@@ -125,19 +107,38 @@ class TestSyntheticResponse:
         assert hits >= 19
 
 
+def integrand_model(km, e):
+    """The residual-life model whose prediction at a censoring jump s is
+    e(u, s) = e(0, s) + e_u * u, for an integrand e linear in u; the
+    martingale integral only evaluates it at those jumps, never at the
+    s = -inf row."""
+    t = km.jump_times
+    at_zero = np.array([[0.0]] + [[e(0.0, float(s))] for s in t])
+    slope = e(1.0, 0.0) - e(0.0, 0.0)
+    return ResidualLifeModel(t, at_zero, np.full(at_zero.shape, slope), np.zeros(at_zero.shape))
+
+
+def integrate(e, km, u, x, delta):
+    """The kernel's martingale integrals of e, one per observation."""
+    u = np.broadcast_to(np.asarray(u, dtype=np.float64), np.shape(x))
+    return martingale_values(
+        integrand_model(km, e), km, u[:, None], np.asarray(x, dtype=np.float64), np.asarray(delta)
+    )[:, 0]
+
+
 class TestMartingaleIntegral:
     def test_no_censoring_vanishes(self):
         km = fit_censoring_km(np.array([1.0, 2.0]), np.array([1, 1]))
-        for obs in (Observation(1.0, 1, 0), Observation(2.0, 1, 1)):
-            assert martingale_integral(lambda u, s: 3.3, obs, km) == 0.0
+        got = integrate(lambda u, s: 3.3, km, 0.0, [1.0, 2.0], [1, 1])
+        assert np.all(got == 0.0)
 
     def test_single_censored_observation_cancels(self):
         km = fit_censoring_km(np.array([1.0]), np.array([0]))
-        assert martingale_integral(lambda u, s: 5.0, Observation(1.0, 0, 0), km) == 0.0
+        assert integrate(lambda u, s: 5.0, km, 0.0, [1.0], [0])[0] == 0.0
 
     def test_two_observation_example(self):
         km = fit_censoring_km(np.array([1.0, 2.0]), np.array([0, 1]))
-        got = martingale_integral(lambda u, s: 1.0, Observation(2.0, 1, 1), km)
+        got = integrate(lambda u, s: 1.0, km, 0.0, [2.0], [1])[0]
         assert got == pytest.approx(-0.5, abs=1e-15)
 
     def test_matches_double_loop_oracle(self, rng):
@@ -150,11 +151,11 @@ class TestMartingaleIntegral:
             def e(u, s):
                 return coef[0] + coef[1] * u + coef[2] * s
 
-            for i, obs in enumerate(data.observations()):
-                u = float(data.predictors[i, 0])
-                got = martingale_integral(e, obs, km, u=u)
-                want = oracles.mart_integral(e, u, obs.x, obs.delta, oracle_km)
-                assert got == pytest.approx(want, abs=1e-12)
+            u = data.predictors[:, 0]
+            got = integrate(e, km, u, data.x, data.delta)
+            for i in range(data.n):
+                want = oracles.mart_integral(e, float(u[i]), data.x[i], data.delta[i], oracle_km)
+                assert got[i] == pytest.approx(want, abs=1e-12)
 
     def test_time_only_integrand_sums_to_zero(self, rng):
         # risk-set weighting makes the summed residuals vanish identically
@@ -166,7 +167,5 @@ class TestMartingaleIntegral:
             def e(u, s):
                 return coef[0] + coef[1] * s
 
-            total = sum(
-                martingale_integral(e, obs, km) for obs in data.observations()
-            )
+            total = integrate(e, km, 0.0, data.x, data.delta).sum()
             assert total == pytest.approx(0.0, abs=1e-10)

@@ -139,6 +139,17 @@ class TestScreen:
         assert rc == 2
 
 
+class TestAlphaOption:
+    @pytest.mark.parametrize("command", ["screen", "simulate"])
+    @pytest.mark.parametrize("alpha", ["0", "1", "-0.1", "1.5"])
+    def test_alpha_outside_unit_interval_exits_2(self, capsys, command, alpha):
+        argv = [command, TOY] if command == "screen" else [command]
+        with pytest.raises(SystemExit) as exc:
+            main(argv + ["--alpha", alpha, "--seed", "1"])
+        assert exc.value.code == 2
+        assert "--alpha must be a number in (0, 1)" in capsys.readouterr().err
+
+
 class TestSimulateCommand:
     def test_smoke_runs_emit_wellformed_csv(self, capsys):
         scenarios = [
@@ -170,6 +181,7 @@ class TestBenchCommand:
         header, row = out.strip().splitlines()
         record = dict(zip(header.split(","), row.split(",")))
         assert record["n"] == "60" and record["p"] == "40"
+        assert "threads" not in record
         assert float(record["wall_time_s"]) > 0.0
 
     def test_thousand_predictor_screen_budget(self, capsys):

@@ -78,12 +78,6 @@ def test_dataset_is_immutable():
         data.predictors[0, 0] = 5.0
 
 
-def test_observations_view():
-    data = ingest([[1, 1, 0.5], [2, 0, -0.1]], standardize=False)
-    obs = data.observations()
-    assert (obs[1].x, obs[1].delta, obs[1].row_index) == (2.0, 0, 1)
-
-
 def test_column_resolution():
     data = ingest([[1, 1, 0.5, 1.0], [2, 0, -0.1, 2.0]], standardize=False, names=["age", "dose"])
     assert data.column("dose") == 1

@@ -7,21 +7,16 @@ from scipy.stats import norm
 import oracles
 from survscreen import (
     NuisanceBundle,
-    Observation,
     bonferroni_test,
     conservative_variance,
-    if_car,
-    if_ipw,
-    if_star,
-    ksv_slope,
     one_step,
     oracle_test,
 )
 from survscreen.censoring import fit_censoring_km, synthetic_response
 from survscreen.dataset import ingest
 from survscreen.errors import DegeneracyError
-from survscreen.onestep import influence_values, make_bundle, slope_of
-from survscreen.residual_life import ResidualLifeModel
+from survscreen.onestep import BLOCK_COLUMNS, influence_block, influence_values
+from survscreen.residual_life import ResidualLifeModel, fit_residual_life_arrays
 from survscreen.simulate import ScenarioSpec, generate_scenario, monte_carlo_rejection
 
 from conftest import random_dataset
@@ -29,63 +24,83 @@ from conftest import random_dataset
 
 def constant_model(value):
     return ResidualLifeModel(
-        np.array([]), np.array([value]), np.array([0.0]), np.array([0.0]), np.array([False])
+        np.array([]), np.array([[value]]), np.array([[0.0]]), np.array([[0.0]])
     )
 
 
 def toy_bundle(km, u_mean=0.0, u_var=1.0, e_mean=1.0, cov_u_e=0.5, model=None):
     return NuisanceBundle(
-        k=0, km=km, y=np.array([]), rl=model or constant_model(1.0),
-        u_mean=u_mean, u_var=u_var, e_mean=e_mean, cov_u_e=cov_u_e,
-        sample_size=2, full_km=False,
+        km=km, rl=model or constant_model(1.0), u_mean=np.array([u_mean]),
+        u_var=np.array([u_var]), e_mean=np.array([e_mean]), cov_u_e=np.array([cov_u_e]),
     )
+
+
+def pieces(bundle, u, x, delta, y=0.0):
+    """(ipw, car) of the block kernel for one observation of a one-column block."""
+    ipw, car = influence_values(
+        bundle, np.array([[u]]), np.array([x]), np.array([delta]), np.array([y])
+    )
+    return float(ipw[0, 0]), float(car[0, 0])
+
+
+def column_bundle(data, k=0):
+    """Full-sample nuisances and (ipw, car) for column k as a block of one."""
+    km = fit_censoring_km(data.x, data.delta)
+    y = synthetic_response(data, km)
+    bundle, ipw, car = influence_block(data.predictors[:, [k]], data.x, data.delta, y, km, (k,))
+    return bundle, ipw[:, 0], car[:, 0], y
+
+
+def ksv_slope(u, y):
+    """cov(U, Y) / var(U) as the residual-life kernel's slope at s = -inf."""
+    n = len(u)
+    model = fit_residual_life_arrays(np.zeros(n), np.ones(n), y, np.asarray(u)[:, None])
+    return float(model.slopes[0, 0])
 
 
 class TestInfluencePieces:
     def test_ipw_hand_value(self):
         km = fit_censoring_km(np.array([1.0, 2.0]), np.array([1, 1]))
         bundle = toy_bundle(km)
-        assert if_ipw(1.0, 3.0, bundle) == pytest.approx(1.5, abs=1e-14)
+        assert pieces(bundle, 1.0, 2.0, 1, 3.0)[0] == pytest.approx(1.5, abs=1e-14)
 
     def test_ipw_vanishes_at_mean(self):
         km = fit_censoring_km(np.array([1.0, 2.0]), np.array([1, 1]))
         bundle = toy_bundle(km)
-        assert if_ipw(0.0, 3.7, bundle) == 0.0
+        assert pieces(bundle, 0.0, 2.0, 1, 3.7)[0] == 0.0
 
     def test_car_no_censoring_vanishes(self):
         km = fit_censoring_km(np.array([1.0, 2.0]), np.array([1, 1]))
         bundle = toy_bundle(km)
-        assert if_car(Observation(2.0, 1, 1), 1.3, bundle) == 0.0
+        assert pieces(bundle, 1.3, 2.0, 1)[1] == 0.0
 
     def test_car_vanishes_at_mean(self):
         km = fit_censoring_km(np.array([1.0, 2.0]), np.array([0, 1]))
         bundle = toy_bundle(km)
-        assert if_car(Observation(2.0, 1, 1), 0.0, bundle) == 0.0
+        assert pieces(bundle, 0.0, 2.0, 1)[1] == 0.0
 
     def test_car_two_observation_composition(self):
         # constant prediction 1; event observation with (u - ubar) / var = 2
         km = fit_censoring_km(np.array([1.0, 2.0]), np.array([0, 1]))
         bundle = toy_bundle(km)
-        assert if_car(Observation(2.0, 1, 1), 2.0, bundle) == pytest.approx(-1.0, abs=1e-14)
+        assert pieces(bundle, 2.0, 2.0, 1)[1] == pytest.approx(-1.0, abs=1e-14)
 
-    def test_star_is_difference(self):
+    def test_star_is_difference(self, rng):
+        # one_step's influence values are the kernel's ipw - car, and match the oracle
+        for _ in range(20):
+            data = random_dataset(rng)
+            _, ipw, car, _ = column_bundle(data)
+            assert np.array_equal(one_step(data, 0).if_values, ipw - car)
+            want = oracles.one_step(list(data.x), list(data.delta), list(data.predictors[:, 0]))
+            assert np.allclose(ipw - car, want["if_values"], atol=1e-12)
         km = fit_censoring_km(np.array([1.0, 2.0]), np.array([0, 1]))
-        bundle = toy_bundle(km)
-        obs = Observation(2.0, 1, 1)
-        for u, y in ((1.0, 3.0), (2.0, -0.5), (0.0, 9.9)):
-            assert if_star(obs, u, y, bundle) == pytest.approx(
-                if_ipw(u, y, bundle) - if_car(obs, u, bundle), abs=1e-14
-            )
-        assert if_star(obs, 0.0, 4.2, bundle) == 0.0  # u at the mean
+        assert pieces(toy_bundle(km), 0.0, 2.0, 1, 4.2) == (0.0, 0.0)  # u at the mean
 
     def test_star_equals_ipw_on_uncensored_data(self, rng):
         data = random_dataset(rng, censor=0.0)
-        km = fit_censoring_km(data.x, data.delta)
-        y = synthetic_response(data, km)
-        bundle = make_bundle(data.predictors[:, 0], data.x, data.delta, y, km)
-        obs = data.observations()[0]
-        u0 = float(data.predictors[0, 0])
-        assert if_star(obs, u0, float(y[0]), bundle) == if_ipw(float(u0), float(y[0]), bundle)
+        _, ipw, car, _ = column_bundle(data)
+        assert np.all(car == 0.0)
+        assert np.array_equal(ipw - car, ipw)
 
 
 class TestSlope:
@@ -93,17 +108,21 @@ class TestSlope:
         t = np.array([0.3, 1.0, 2.0, 4.0])
         data = ingest(np.column_stack((t, np.ones(4), t)), standardize=False)
         y = synthetic_response(data)
-        assert ksv_slope(data, y, 0) == pytest.approx(1.0, abs=1e-14)
+        assert ksv_slope(data.predictors[:, 0], y) == pytest.approx(1.0, abs=1e-14)
 
     def test_hand_slope(self):
-        assert slope_of(np.array([0.0, 1.0]), np.array([0.0, 2.0])) == pytest.approx(2.0)
+        assert ksv_slope(np.array([0.0, 1.0]), np.array([0.0, 2.0])) == pytest.approx(2.0)
 
     def test_constant_response(self):
-        assert slope_of(np.array([0.0, 1.0, 2.0]), np.full(3, 4.4)) == pytest.approx(0.0)
+        assert ksv_slope(np.array([0.0, 1.0, 2.0]), np.full(3, 4.4)) == pytest.approx(0.0)
 
     def test_variance_floor(self):
-        with pytest.raises(DegeneracyError):
-            slope_of(np.full(3, 2.0), np.array([1.0, 2.0, 3.0]))
+        x = np.array([1.0, 2.0, 3.0])
+        delta = np.array([1, 1, 1])
+        km = fit_censoring_km(x, delta)
+        U = np.column_stack((np.array([0.0, 1.0, 2.0]), np.full(3, 2.0)))
+        with pytest.raises(DegeneracyError, match="predictor 7 "):
+            influence_block(U, x, delta, x, km, (6, 7))
 
 
 class TestOneStep:
@@ -138,11 +157,7 @@ class TestOneStep:
     def test_mean_zero_identity(self, rng):
         for _ in range(100):
             data = random_dataset(rng)
-            km = fit_censoring_km(data.x, data.delta)
-            y = synthetic_response(data, km)
-            u = data.predictors[:, 0]
-            bundle = make_bundle(u, data.x, data.delta, y, km)
-            ipw, _ = influence_values(bundle, u, data.x, data.delta, y)
+            _, ipw, _, _ = column_bundle(data)
             assert abs(ipw.mean()) < 1e-10
 
     def test_location_invariance_of_mean_zero_identity(self, rng):
@@ -150,11 +165,7 @@ class TestOneStep:
         shifted = ingest(
             np.column_stack((data.x + 7.5, data.delta, data.predictors)), standardize=False
         )
-        km = fit_censoring_km(shifted.x, shifted.delta)
-        y = synthetic_response(shifted, km)
-        u = shifted.predictors[:, 0]
-        bundle = make_bundle(u, shifted.x, shifted.delta, y, km)
-        ipw, _ = influence_values(bundle, u, shifted.x, shifted.delta, y)
+        _, ipw, _, _ = column_bundle(shifted)
         assert abs(ipw.mean()) < 1e-10
 
     def test_sign_equivariance(self, rng):
@@ -229,6 +240,64 @@ class TestBonferroni:
         b = bonferroni_test(data, alpha=0.05)
         assert b.reject == (b.min_p < 0.05 / 3)
 
+    @staticmethod
+    def wide_heavy_dataset(near_constant=None):
+        """More than two blocks of predictors under heavy censoring; columns
+        B-1 | B and 2B-1 | 2B are duplicated pairs straddling the block
+        boundaries, the first pair the only active predictor."""
+        b = BLOCK_COLUMNS
+        rng = np.random.default_rng(3)
+        n, p = 200, 2 * b + 40
+        U = rng.standard_normal((n, p))
+        U[:, b] = U[:, b - 1]
+        U[:, 2 * b] = U[:, 2 * b - 1]
+        t = U[:, b - 1] + rng.standard_normal(n)
+        c = rng.standard_normal(n) + np.quantile(t, 0.6)
+        if near_constant is not None:
+            U[:, near_constant] = 1.0 + 1e-6 * U[:, near_constant]
+        table = np.column_stack((np.minimum(t, c), (t <= c).astype(float), U))
+        return ingest(table, standardize=False)
+
+    def test_matches_one_step_across_block_boundaries(self):
+        data = self.wide_heavy_dataset()
+        assert data.p > 2 * BLOCK_COLUMNS and data.censoring_fraction() > 0.2
+        b = bonferroni_test(data)
+        for k in range(data.p):
+            r = one_step(data, k)
+            assert b.p_values[k] == r.p_value, k
+            assert b.statistics[k] == r.statistic, k
+        best = one_step(data, b.selected)
+        assert (b.best.s_onestep, b.best.ci_low, b.best.ci_high) == (
+            best.s_onestep, best.ci_low, best.ci_high)
+
+    def test_duplicate_pairs_across_block_boundaries(self):
+        data = self.wide_heavy_dataset()
+        b = bonferroni_test(data)
+        for lo in (BLOCK_COLUMNS - 1, 2 * BLOCK_COLUMNS - 1):
+            assert b.statistics[lo] == b.statistics[lo + 1]
+            assert b.p_values[lo] == b.p_values[lo + 1]
+        assert b.selected == BLOCK_COLUMNS - 1
+        assert b.best.k == BLOCK_COLUMNS - 1
+
+    def test_near_constant_column_in_second_block_is_named(self):
+        k = BLOCK_COLUMNS + 10
+        data = self.wide_heavy_dataset(near_constant=k)
+        with pytest.raises(DegeneracyError, match=f"predictor {k} "):
+            bonferroni_test(data)
+
+    def test_errors_follow_predictor_order_within_a_block(self, rng):
+        # all censored: every predictor fails the dispersion floor, and the
+        # near-constant column 2 also fails the variance floor; testing one
+        # predictor at a time reports predictor 0 first
+        u = rng.standard_normal((12, 4))
+        u[:, 2] = 1.0 + 1e-6 * u[:, 2]
+        data = ingest(np.column_stack((rng.exponential(1.0, 12), np.zeros(12), u)),
+                      standardize=False)
+        with pytest.raises(DegeneracyError, match="second moment below floor for predictor 0$"):
+            bonferroni_test(data)
+        with pytest.raises(DegeneracyError, match="predictor 2 has sample variance"):
+            one_step(data, 2)
+
     def test_family_wise_error_control_model_n(self):
         spec = ScenarioSpec(model="N", n=500, p=100, seed=31)
         report = monte_carlo_rejection(spec, "bonferroni", reps=500, parallelism=2)
@@ -258,10 +327,8 @@ class TestConservativeVariance:
     def test_dominates_plain_variance_when_grid_hits_cov(self, rng):
         data = random_dataset(rng)
         r = one_step(data, 0)
-        km = fit_censoring_km(data.x, data.delta)
-        y = synthetic_response(data, km)
-        bundle = make_bundle(data.predictors[:, 0], data.x, data.delta, y, km)
-        m_bound = 2.0 * abs(bundle.cov_u_e)
+        bundle, _, _, _ = column_bundle(data)
+        m_bound = 2.0 * abs(float(bundle.cov_u_e[0]))
         got = conservative_variance(data, 0, m_bound=m_bound, grid_size=5)
         assert got >= r.sigma_hat ** 2 - 1e-12
 

@@ -2,9 +2,9 @@ import numpy as np
 import pytest
 
 import oracles
-from survscreen import fit_residual_life, residual_life_at, synthetic_response
+from survscreen import synthetic_response
 from survscreen.dataset import ingest
-from survscreen.residual_life import EPS_VAR, evaluate, evaluate_many, fit_residual_life_arrays
+from survscreen.residual_life import EPS_VAR, fit_residual_life_arrays
 
 from conftest import random_dataset
 
@@ -14,27 +14,51 @@ def ols_line(u, y):
     return y.mean() + b * (u - u.mean())
 
 
+def fit(data, y, k=0):
+    return fit_residual_life_arrays(data.x, data.delta, y, data.predictors[:, [k]])
+
+
+def predict(model, u, s, c=0):
+    """The fitted block's prediction for column c at paired (u, s), read from
+    the cached coefficient row that covers each s."""
+    idx = model.coefficient_rows(s)
+    centered = np.asarray(u) - model.u_centers[idx, c]
+    return model.intercepts[idx, 0] + model.slopes[idx, c] * centered
+
+
+def oracle_at(x, y, u, u0, s):
+    """Defining at-risk regression prediction at (u0, s)."""
+    a, b, center = oracles.residual_coeffs(list(x), list(y), list(u), s)
+    return a + b * (u0 - center)
+
+
 class TestExactFormula:
     def test_hand_example_at_interior_time(self):
-        x = [1.0, 2.0, 3.0]
-        y = [1.0, 2.0, 3.0]
-        u = [0.0, 1.0, 2.0]
-        assert residual_life_at(x, y, u, 0.0, 1.5) == pytest.approx(1.0 / 6.0, abs=1e-12)
-        assert residual_life_at(x, y, u, 2.0, 1.5) == pytest.approx(19.0 / 6.0, abs=1e-12)
+        # the censoring at 2 puts a knot there; its risk set {2, 3} is the one of s = 1.5
+        x = np.array([1.0, 2.0, 3.0])
+        y = np.array([1.0, 2.0, 3.0])
+        u = np.array([0.0, 1.0, 2.0])
+        model = fit_residual_life_arrays(x, np.array([1, 0, 1]), y, u[:, None])
+        assert predict(model, 0.0, 2.0) == pytest.approx(1.0 / 6.0, abs=1e-12)
+        assert predict(model, 2.0, 2.0) == pytest.approx(19.0 / 6.0, abs=1e-12)
+        assert oracle_at(x, y, u, 0.0, 1.5) == pytest.approx(1.0 / 6.0, abs=1e-12)
 
     def test_minus_inf_is_ols(self, rng):
         u = rng.standard_normal(30)
         y = 2.0 * u + rng.standard_normal(30)
         x = rng.exponential(1.0, 30)
-        got = [residual_life_at(x, y, u, v, -np.inf) for v in u]
+        delta = (rng.uniform(size=30) > 0.3).astype(int)
+        model = fit_residual_life_arrays(x, delta, y, u[:, None])
+        got = predict(model, u, np.full(30, -np.inf))
         assert np.allclose(got, ols_line(u, y), atol=1e-12)
 
     def test_degenerate_risk_set_returns_intercept(self):
         # identical u on the full risk set floors the variance
-        x = [1.0, 2.0, 3.0]
-        y = [1.0, 4.0, 7.0]
-        u = [5.0, 5.0, 5.0]
-        assert residual_life_at(x, y, u, 99.0, 0.5) == pytest.approx(4.0)
+        x = np.array([1.0, 2.0, 3.0])
+        y = np.array([1.0, 4.0, 7.0])
+        u = np.array([5.0, 5.0, 5.0])
+        model = fit_residual_life_arrays(x, np.array([1, 1, 1]), y, u[:, None])
+        assert predict(model, 99.0, 0.5) == pytest.approx(4.0)
 
 
 class TestCachedModel:
@@ -43,11 +67,11 @@ class TestCachedModel:
             [[1, 0, 0.5], [2, 1, -1.0], [2, 0, 0.3], [4, 1, 1.2]], standardize=False
         )
         y = synthetic_response(data)
-        model = fit_residual_life(data, y, k=0)
+        model = fit(data, y)
         assert np.array_equal(model.knot_times, [1.0, 2.0])
         u = data.predictors[:, 0]
         assert np.allclose(
-            evaluate_many(model, u, np.full(data.n, -np.inf)), ols_line(u, y), atol=1e-12
+            predict(model, u, np.full(data.n, -np.inf)), ols_line(u, y), atol=1e-12
         )
 
     def test_cache_exact_at_knots_and_below(self, rng):
@@ -55,22 +79,22 @@ class TestCachedModel:
             data = random_dataset(rng)
             y = synthetic_response(data)
             u = data.predictors[:, 0]
-            model = fit_residual_life(data, y, k=0)
+            model = fit(data, y)
             below = (data.x.min() if len(model.knot_times) == 0 else model.knot_times[0]) - 1.0
             for u0 in rng.standard_normal(3):
-                want_ols = residual_life_at(data.x, y, u, u0, -np.inf)
-                assert evaluate(model, u0, -np.inf) == pytest.approx(want_ols, abs=1e-11)
-                assert evaluate(model, u0, below) == pytest.approx(want_ols, abs=1e-11)
+                want_ols = oracle_at(data.x, y, u, u0, -np.inf)
+                assert predict(model, u0, -np.inf) == pytest.approx(want_ols, abs=1e-11)
+                assert predict(model, u0, below) == pytest.approx(want_ols, abs=1e-11)
                 for s in model.knot_times:
-                    assert evaluate(model, u0, s) == pytest.approx(
-                        residual_life_at(data.x, y, u, u0, s), abs=1e-11
+                    assert predict(model, u0, s) == pytest.approx(
+                        oracle_at(data.x, y, u, u0, s), abs=1e-11
                     )
 
     def test_piecewise_constant_between_knots(self, rng):
         for _ in range(10):
             data = random_dataset(rng, n=20)
             y = synthetic_response(data)
-            model = fit_residual_life(data, y, k=0)
+            model = fit(data, y)
             if len(model.knot_times) == 0:
                 continue
             edges = np.concatenate((model.knot_times, [model.knot_times[-1] + 1.0]))
@@ -79,52 +103,62 @@ class TestCachedModel:
                 lo, hi = edges[seg], edges[seg + 1]
                 s1, s2 = rng.uniform(lo, hi, 2)
                 u0 = float(rng.standard_normal())
-                assert evaluate(model, u0, s1) == evaluate(model, u0, s2)
+                assert predict(model, u0, s1) == predict(model, u0, s2)
 
     def test_matches_oracle_rows(self, rng):
         for _ in range(25):
             data = random_dataset(rng)
             y = synthetic_response(data)
             u = data.predictors[:, 0]
-            model = fit_residual_life(data, y, k=0)
+            model = fit(data, y)
             rows = oracles.residual_model(list(data.x), list(data.delta), list(y), list(u))
             probes = np.concatenate((model.knot_times, rng.uniform(data.x.min() - 1, data.x.max() + 1, 10)))
             for s in probes:
                 for u0 in (-0.7, 1.3):
-                    assert evaluate(model, u0, float(s)) == pytest.approx(
+                    assert predict(model, u0, float(s)) == pytest.approx(
                         oracles.residual_eval(rows, u0, float(s)), abs=1e-11
                     )
+
+    def test_block_columns_match_single_column_fits(self, rng):
+        for _ in range(10):
+            data = random_dataset(rng, p=5)
+            y = synthetic_response(data)
+            block = fit_residual_life_arrays(data.x, data.delta, y, data.predictors)
+            for k in range(data.p):
+                single = fit(data, y, k)
+                assert np.array_equal(block.intercepts, single.intercepts)
+                assert np.array_equal(block.slopes[:, k], single.slopes[:, 0])
+                assert np.array_equal(block.u_centers[:, k], single.u_centers[:, 0])
 
     def test_uniform_boundedness(self, rng):
         for _ in range(20):
             data = random_dataset(rng)
             y = synthetic_response(data)
             u = data.predictors[:, 0]
-            model = fit_residual_life(data, y, k=0)
+            model = fit(data, y)
             bound = np.abs(y).max() * (1.0 + 2.0 * np.abs(u).max() / EPS_VAR)
             grid_u = rng.uniform(u.min(), u.max(), 15)
             grid_s = rng.uniform(data.x.min() - 1, data.x.max() + 1, 15)
-            vals = evaluate_many(model, grid_u, grid_s)
+            vals = predict(model, grid_u, grid_s)
             assert np.all(np.isfinite(vals))
             assert np.all(np.abs(vals) <= bound)
 
     def test_fit_is_pure(self, rng):
         data = random_dataset(rng)
         y = synthetic_response(data)
-        m1 = fit_residual_life(data, y, k=0)
-        m2 = fit_residual_life(data, y, k=0)
+        m1 = fit(data, y)
+        m2 = fit(data, y)
         assert np.array_equal(m1.intercepts, m2.intercepts)
         assert np.array_equal(m1.slopes, m2.slopes)
-        assert evaluate(m1, 0.3, 1.0) == evaluate(m2, 0.3, 1.0)
+        assert predict(m1, 0.3, 1.0) == predict(m2, 0.3, 1.0)
 
     def test_variance_floor_flag(self):
         model = fit_residual_life_arrays(
             np.array([1.0, 2.0, 3.0]),
             np.array([1, 0, 1]),
             np.array([1.0, 0.0, 3.0]),
-            np.array([4.0, 4.0, 4.0]),
+            np.array([[4.0], [4.0], [4.0]]),
         )
-        assert bool(model.var_floor_used[0])
-        assert model.slopes[0] == 0.0
+        assert model.slopes[0, 0] == 0.0
         # intercept-only: prediction is the indicator mean of y
-        assert evaluate(model, 123.0, -np.inf) == pytest.approx(4.0 / 3.0)
+        assert predict(model, 123.0, -np.inf) == pytest.approx(4.0 / 3.0)
