@@ -2,8 +2,9 @@
 
 Every source of randomness in the package is a Philox generator keyed by
 ``(seed, stream_index)``.  Streams are independent for distinct indices, can
-be created in any order, and never share state, so replicates and random
-orderings parallelize with output that does not depend on the thread count.
+be created in any order, and never share state, so replicates spread over
+worker processes and orderings screened together give the same output as
+one at a time.
 
 Stream-index conventions used elsewhere:
 

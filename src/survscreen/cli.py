@@ -10,7 +10,6 @@ numerical-degeneracy errors.
 
 import argparse
 import json
-import os
 import secrets
 import sys
 import time
@@ -22,14 +21,6 @@ from .onestep import bonferroni_test, one_step
 from .simulate import METHODS as SIM_METHODS
 from .simulate import MonteCarloReport, ScenarioSpec, generate_scenario, monte_carlo_rejection
 from .stabilized import multi_ordering_test, stabilized_estimate
-
-
-def _default_threads() -> int:
-    env = os.environ.get("SURVSCREEN_THREADS", "")
-    try:
-        return max(1, int(env))
-    except ValueError:
-        return 1
 
 
 def _qn_value(text: str):
@@ -69,7 +60,6 @@ def build_parser() -> argparse.ArgumentParser:
     screen.add_argument("--tau", default="max", help="follow-up cap rule: max or q:<x>")
     screen.add_argument("--no-standardize", dest="standardize", action="store_false")
     screen.add_argument("--seed", type=int, default=None)
-    screen.add_argument("--threads", type=int, default=None)
     screen.add_argument("--oracle-k", default=None, metavar="NAME",
                         help="predictor name (or 1-based index) for --method oracle")
 
@@ -104,7 +94,6 @@ def _auto_seed(seed):
 
 def cmd_screen(args) -> int:
     seed = _auto_seed(args.seed)
-    threads = args.threads if args.threads is not None else _default_threads()
     start = time.perf_counter()
     data = read_csv(args.csv, tau_rule=args.tau, standardize=args.standardize)
     qn = data.n // 2 if args.qn == "half" else args.qn
@@ -118,7 +107,6 @@ def cmd_screen(args) -> int:
         "seed": seed,
         "standardize": args.standardize,
         "tau": args.tau,
-        "threads": threads,
         "variant": args.variant,
     }
     report = {
@@ -135,7 +123,7 @@ def cmd_screen(args) -> int:
     if args.method == "stabilized":
         outcome = multi_ordering_test(
             data, orderings=args.orderings, q_n=qn, variant=args.variant,
-            alpha=args.alpha, seed=seed, threads=threads,
+            alpha=args.alpha, seed=seed,
         )
         best = outcome.best
         selected = best.modal_k()

@@ -6,14 +6,16 @@ follow-up time ``x`` (log scale), an event indicator ``delta`` (1 = event,
 ``tau``: rows observed beyond the cap are administratively censored at it.
 
 The predictor matrix is stored column-major (each predictor contiguous)
-because the screening kernel repeatedly takes one weighted dot product per
-predictor over a growing row prefix.
+because the kernels read it by columns: the stabilized selection streams it
+once per screen in blocks of adjacent columns, each block one contiguous
+slab, and the one-step kernel sums each column in one contiguous pass, so a
+column's results do not depend on the block it is evaluated in.
 """
 
 import csv
 import gzip
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
@@ -34,12 +36,9 @@ class SurvivalDataset:
     predictor_names: tuple
     tau: float
     standardized: bool
-    row_index: np.ndarray = field(repr=False, default=None)
 
     def __post_init__(self):
-        if self.row_index is None:
-            object.__setattr__(self, "row_index", np.arange(len(self.x)))
-        for arr in (self.x, self.delta, self.predictors, self.row_index):
+        for arr in (self.x, self.delta, self.predictors):
             arr.flags.writeable = False
 
     @property

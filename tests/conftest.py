@@ -1,7 +1,14 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from survscreen.dataset import ingest
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def random_dataset(rng, n=None, p=None, censor=0.2, standardize=False):
@@ -25,3 +32,15 @@ def random_dataset(rng, n=None, p=None, censor=0.2, standardize=False):
 @pytest.fixture
 def rng():
     return np.random.default_rng(20260808)
+
+
+def run_python(args, blas_threads, cwd=None):
+    """Standard output of ``python *args`` importing survscreen from this
+    checkout, with the BLAS pool pinned to ``blas_threads`` threads."""
+    path = [str(SRC)] + ([os.environ["PYTHONPATH"]] if os.environ.get("PYTHONPATH") else [])
+    env = dict(os.environ, OPENBLAS_NUM_THREADS=str(blas_threads),
+               PYTHONPATH=os.pathsep.join(path))
+    done = subprocess.run([sys.executable, *args], env=env, cwd=cwd, capture_output=True,
+                          text=True, timeout=300)
+    assert done.returncode == 0, done.stderr
+    return done.stdout

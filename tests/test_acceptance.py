@@ -18,12 +18,13 @@ import oracles
 from survscreen import one_step, stabilized_estimate
 from survscreen.censoring import fit_censoring_km, synthetic_response
 from survscreen.errors import DegeneracyError
-from survscreen.cli import main
 from survscreen.onestep import influence_block
 from survscreen.simulate import ScenarioSpec, generate_scenario, monte_carlo_rejection
 from survscreen._rng import stream
 
-from conftest import random_dataset
+from conftest import SRC, random_dataset, run_python
+
+ROOT = SRC.parent
 
 PARALLELISM = 2
 
@@ -174,19 +175,15 @@ def test_criterion_9_throughput():
     report(9, f"n=500, p=100000 full screen in {elapsed:.1f} s (< 600 s budget)")
 
 
-def test_criterion_10_deterministic_reports(capsys, tmp_path):
-    src = "tests/data/toy_screen.csv"
+def test_criterion_10_deterministic_reports():
+    argv = [
+        "-m", "survscreen.cli", "screen", "tests/data/toy_screen.csv", "--method", "stabilized",
+        "--orderings", "4", "--seed", "31415",
+    ]
     outputs = []
-    for threads in ("1", "2"):
-        rc = main([
-            "screen", src, "--method", "stabilized", "--orderings", "4",
-            "--seed", "31415", "--threads", threads,
-        ])
-        assert rc == 0
-        text = capsys.readouterr().out
-        text = re.sub(r'"timing_ms": [0-9.eE+-]+', '"timing_ms": 0', text)
-        text = re.sub(r'"threads": \d+', '"threads": 0', text)
-        outputs.append(text)
+    for threads in (1, 2):
+        text = run_python(argv, blas_threads=threads, cwd=ROOT)
+        outputs.append(re.sub(r'"timing_ms": [0-9.eE+-]+', '"timing_ms": 0', text))
     assert outputs[0] == outputs[1]
     assert json.loads(outputs[0])["seed"] == 31415
-    report(10, "JSON reports byte-identical across thread counts (timing masked)")
+    report(10, "JSON reports byte-identical across BLAS thread counts (timing masked)")

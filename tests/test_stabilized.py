@@ -11,11 +11,14 @@ from survscreen import (
     select_predictor,
     stabilized_estimate,
 )
+from survscreen import censoring
+from survscreen._rng import stream
+from survscreen.censoring import _weighted_response, fit_censoring_km, survival_at
 from survscreen.dataset import ingest
 from survscreen.errors import DegeneracyError, InputError
-from survscreen.stabilized import StabilizedResult, default_qn
+from survscreen.stabilized import SELECT_BLOCK, StabilizedResult, _selection_weights, default_qn
 
-from conftest import random_dataset
+from conftest import random_dataset, run_python
 
 
 def fixed_example():
@@ -250,10 +253,143 @@ class TestMultiOrdering:
         assert a.p_values == b.p_values
         assert a.best.s_star == b.best.s_star
 
-    def test_thread_count_does_not_change_results(self, rng):
-        data = random_dataset(rng, n=22, p=3)
-        a = multi_ordering_test(data, orderings=4, seed=5, threads=1)
-        b = multi_ordering_test(data, orderings=4, seed=5, threads=2)
-        assert a.p_values == b.p_values
-        assert a.best.s_star == b.best.s_star
-        assert [t.k for t in a.best.traces] == [t.k for t in b.best.traces]
+    def test_thread_count_does_not_change_results(self, rng, tmp_path):
+        # p spans three selection blocks, so the products are large enough
+        # for the BLAS pool to split them
+        data = random_dataset(rng, n=80, p=600)
+        table = tmp_path / "table.npy"
+        np.save(table, np.column_stack((data.x, data.delta, data.predictors)))
+        script = (
+            "import sys, numpy as np\n"
+            "from survscreen import ingest, multi_ordering_test\n"
+            "data = ingest(np.load(sys.argv[1]), standardize=False)\n"
+            "out = multi_ordering_test(data, orderings=4, seed=5)\n"
+            "print(repr(out.p_values), repr(out.best.s_star))\n"
+            "print([[(t.k, t.m, t.sigma, t.increment) for t in r.traces] for r in out.results])\n"
+        )
+        one = run_python(["-c", script, str(table)], blas_threads=1)
+        two = run_python(["-c", script, str(table)], blas_threads=2)
+        assert one == two
+
+    @pytest.mark.parametrize("variant", ["full", "prefix"])
+    def test_each_ordering_equals_single_ordering_run(self, rng, variant):
+        data = random_dataset(rng, n=40, p=300, censor=0.4)
+        out = multi_ordering_test(data, orderings=3, q_n=15, variant=variant, seed=11)
+        for r, got in enumerate(out.results):
+            want = stabilized_estimate(
+                data, q_n=15, variant=variant, ordering=stream(11, r).permutation(40),
+                ordering_seed=r,
+            )
+            assert got == want
+
+
+def signal_with_noise_columns(rng, n, p, columns):
+    """Survival times driven exactly by one signal v, written into the given
+    columns (v, or -v for a negative index); every other column is noise
+    with 100 times the variance, so its slope is far smaller."""
+    v = rng.standard_normal(n)
+    t = np.exp(v)
+    c = np.exp(rng.standard_normal(n) + 1.0)
+    u = 100.0 * rng.standard_normal((n, p))
+    for col in columns:
+        u[:, abs(col)] = v if col >= 0 else -v
+    return ingest(
+        np.column_stack((np.minimum(t, c), (t <= c).astype(float), u)), standardize=False
+    )
+
+
+class TestBlockedSelection:
+    @pytest.mark.parametrize("pair,sign", [((255, 256), 1), ((511, -512), 1), ((-511, 512), -1)])
+    def test_tied_pairs_across_block_boundaries_select_lower_index(self, rng, pair, sign):
+        assert 2 * SELECT_BLOCK < 600
+        data = signal_with_noise_columns(rng, 50, 600, pair)
+        low = min(abs(c) for c in pair)
+        out = multi_ordering_test(data, orderings=2, seed=3)
+        for result in out.results:
+            assert [(t.k, t.m) for t in result.traces] == [(low, sign)] * len(result.traces)
+        for j in (3, 25, 50):
+            assert select_predictor(data, j) == (low, sign)
+
+    def test_near_constant_column_in_third_block_is_never_selected(self, rng):
+        n, p, k = 50, 600, 2 * SELECT_BLOCK + 7
+        data = signal_with_noise_columns(rng, n, p, (40,))
+        table = np.column_stack((data.x, data.delta, data.predictors))
+        # variance of order 1e-12, below the 1e-8 floor: its unfloored slope
+        # would be of order 1e6 and win every step
+        table[:, 2 + k] = 1e-6 * (data.x + rng.standard_normal(n))
+        near_constant = ingest(table, standardize=False)
+        result = stabilized_estimate(near_constant, q_n=5, variant="full")
+        assert all(t.k == 40 for t in result.traces)
+        for j in (5, 30, 50):
+            assert select_predictor(near_constant, j) == oracles.select(
+                list(near_constant.x), list(near_constant.delta),
+                [list(r) for r in near_constant.predictors], j,
+            )
+
+
+class TestPrefixWeights:
+    @staticmethod
+    def loop_weights(x, delta, perm, first, last):
+        xp, dp = x[perm], delta[perm]
+        w = np.zeros((len(x), last - first + 1))
+        for i, j in enumerate(range(first, last + 1)):
+            km = fit_censoring_km(xp[:j], dp[:j])
+            yj = _weighted_response(xp[:j], dp[:j], survival_at(km, xp[:j]))
+            w[perm[:j], i] = (yj - yj.mean()) / j
+        return w
+
+    @pytest.mark.parametrize("case", ["light", "heavy", "none", "all", "ties"])
+    def test_equal_to_refit_loop_bitwise(self, rng, case):
+        for _ in range(10):
+            n = int(rng.integers(5, 60))
+            x = rng.exponential(1.0, n)
+            delta = (rng.random(n) < {"light": 0.8, "heavy": 0.3}.get(case, 0.6)).astype(np.int64)
+            if case == "none":
+                delta[:] = 1
+            elif case == "all":
+                delta[:] = 0
+            elif case == "ties":
+                x = np.round(x, 1)
+            perm = rng.permutation(n)
+            first = int(rng.integers(2, n))
+            got, failure = _selection_weights(x, delta, perm, first, n)
+            assert failure is None
+            assert np.array_equal(got, self.loop_weights(x, delta, perm, first, n))
+
+
+class TestErrorPrecedence:
+    """With the censoring floor raised to 0.9, the censored row at position 2
+    makes the prefix of size 3 fail its EPS_G check (G = 2/3), while the
+    full-sample fit (G = 42/43) passes."""
+
+    @staticmethod
+    def dataset(rng, duplicate_head):
+        x = np.concatenate(([3.0, 3.0 if duplicate_head else 2.5, 1.0],
+                            1.5 + 3.0 * rng.random(40)))
+        delta = np.ones(43)
+        delta[2] = 0.0
+        u = rng.standard_normal((43, 2))
+        if duplicate_head:
+            u[1] = u[0]
+        return ingest(np.column_stack((x, delta, u)), standardize=False)
+
+    @pytest.mark.parametrize("variant,message", [
+        ("full", "dispersion 0 below .* prefix size 2"),
+        ("prefix", "predictor 0 has sample variance 0"),
+    ])
+    def test_earlier_dispersion_failure_wins(self, rng, monkeypatch, variant, message):
+        monkeypatch.setattr(censoring, "EPS_G", 0.9)
+        # two identical rows: the step at prefix size 2 fails its nuisance
+        # checks (zero dispersion, or a zero-variance prefix fit)
+        data = self.dataset(rng, duplicate_head=True)
+        with pytest.raises(DegeneracyError, match=message):
+            stabilized_estimate(data, q_n=2, variant=variant)
+
+    @pytest.mark.parametrize("variant", ["full", "prefix"])
+    def test_earlier_censoring_failure_wins(self, rng, monkeypatch, variant):
+        monkeypatch.setattr(censoring, "EPS_G", 0.9)
+        data = self.dataset(rng, duplicate_head=False)
+        with pytest.raises(DegeneracyError, match="censoring survival 0.667"):
+            stabilized_estimate(data, q_n=2, variant=variant)
+        with pytest.raises(DegeneracyError, match="censoring survival 0.667"):
+            select_predictor(data, 3)
