@@ -436,10 +436,9 @@ def multi_ordering_test(
     """
     if orderings < 1:
         raise InputError(f"orderings must be >= 1, got {orderings}")
-    cache = FullSampleCache(data) if variant == "full" else None
     q = _check_settings(data.n, q_n, variant)
     perms = [stream(seed, r).permutation(data.n) for r in range(orderings)]
-    results = _screen(data, q, variant, perms, alpha, range(orderings), cache)
+    results = _screen(data, q, variant, perms, alpha, range(orderings), None)
 
     p_values = tuple(r.p_value for r in results)
     best_index = int(np.argmin(p_values))
