@@ -133,7 +133,7 @@ def influence_values(bundle: NuisanceBundle, U, x, delta, y):
     return ipw, car
 
 
-def _raise_first(ks, *checks):
+def _raise_first(*checks):
     """Raise what a per-predictor loop would raise first: the earliest column
     failing any check, with the first check it fails.  A check is a pair
     (mask over block columns, function building the error for column c)."""
@@ -143,22 +143,20 @@ def _raise_first(ks, *checks):
         raise next(error(c) for bad, error in checks if bad[c])
 
 
-def _variance_floor(bundle: NuisanceBundle, ks):
-    return bundle.u_var < EPS_VAR, lambda c: DegeneracyError(
-        f"predictor {ks[c]} has sample variance {bundle.u_var[c]:.3g} below {EPS_VAR}"
+def _variance_floor(u_var, ks):
+    return u_var < EPS_VAR, lambda c: DegeneracyError(
+        f"predictor {ks[c]} has sample variance {u_var[c]:.3g} below {EPS_VAR}"
     )
 
 
-def influence_block(U, x, delta, y, km: KaplanMeierFit, ks, fit_rows: Optional[int] = None):
-    """Nuisances fitted on the first ``fit_rows`` rows (default all) of an
-    (m x b) block, and (ipw, car) at every row.
+def influence_block(U, x, delta, y, km: KaplanMeierFit, ks):
+    """Nuisances of an (m x b) block and (ipw, car) at its rows.
 
     ``ks`` names the block's predictors in the variance-floor error.
     Returns (bundle, ipw, car).
     """
-    f = len(x) if fit_rows is None else fit_rows
-    bundle = make_bundle(U[:f], x[:f], delta[:f], y[:f], km)
-    _raise_first(ks, _variance_floor(bundle, ks))
+    bundle = make_bundle(U, x, delta, y, km)
+    _raise_first(_variance_floor(bundle.u_var, ks))
     ipw, car = influence_values(bundle, U, x, delta, y)
     return bundle, ipw, car
 
@@ -194,8 +192,7 @@ def _one_step_block(U, x, delta, y, km: KaplanMeierFit, ks, alpha: float) -> _On
         gap = np.abs(form_a - form_b)
         sigma = np.sqrt(_colmean(if_values * if_values))
     _raise_first(
-        ks,
-        _variance_floor(bundle, ks),
+        _variance_floor(bundle.u_var, ks),
         (gap > DUAL_FORM_TOL, lambda c: SurvScreenError(
             f"one-step forms disagree by {gap[c]:.3g} for predictor {ks[c]}")),
         (sigma < EPS_SIGMA, lambda c: DegeneracyError(

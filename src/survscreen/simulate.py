@@ -71,6 +71,8 @@ class ScenarioSpec:
             raise InputError(f"rho must be in [0, 1), got {self.rho}")
         if self.n < 2:
             raise InputError(f"n must be >= 2, got {self.n}")
+        if self.p < 1:
+            raise InputError(f"p must be >= 1, got {self.p}")
 
 
 def model_betas(spec: ScenarioSpec) -> np.ndarray:
@@ -238,10 +240,8 @@ def _run_replicate(args) -> tuple:
             raise InputError(f"method must be one of {METHODS}, got {method!r}")
         ms = (time.perf_counter() - start) * 1000.0
         return rejected, covered, ms
-    except SurvScreenError as exc:
-        raise SurvScreenError(
-            f"replicate {rep} (seed {spec.seed}) failed: {exc}"
-        ) from exc
+    except SurvScreenError as exc:  # keeps its class, so the CLI exit code stays right
+        raise type(exc)(f"replicate {rep} (seed {spec.seed}) failed: {exc}") from exc
 
 
 def monte_carlo_rejection(
@@ -257,6 +257,8 @@ def monte_carlo_rejection(
         raise InputError(f"reps must be >= 1, got {reps}")
     if method not in METHODS:
         raise InputError(f"method must be one of {METHODS}, got {method!r}")
+    if parallelism < 1:
+        raise InputError(f"parallelism must be >= 1, got {parallelism}")
     # warm the calibration cache before forking workers
     if spec.censoring != "none":
         calibrate_censoring_rate(spec.model, spec.error, CENSORING_TARGETS[spec.censoring])

@@ -7,19 +7,18 @@ observation, and the increments are combined with inverse-dispersion
 weights.  The resulting statistic admits a standard normal calibration,
 which is what makes screens over very large predictor counts feasible.
 
-Selection touches the predictors only through the p weighted-response
-slopes of each prefix.  Their weights w_j = (y_j - mean(y_j)) / j depend on
-the ordering and the prefix censoring fit, never on the predictors, so the
-weights of every prefix step of an ordering form one n x (n - q_n) matrix,
-built from all prefix Kaplan-Meier fits at once.  Selection for every step
-of every ordering is then one pass over the predictor matrix in column
-blocks: per block and ordering, one matrix-matrix product gives the slope
-numerators of all steps, cumulative sums over the permuted block give the
-prefix moments, and a running maximum per step carries the selection from
-block to block.  The censoring fit used for selection is always the prefix
-fit; the nuisances entering the increments use the full-sample censoring
-fit, and either prefix ("prefix" variant) or full-sample ("full" variant)
-regression moments.
+Every per-step quantity is an array.  The selection weights
+w_j = (y_j - mean(y_j)) / j depend on the ordering and the prefix censoring
+fit, never on the predictors, so an ordering's weights are one
+n x (n - q_n) matrix built from all prefix Kaplan-Meier fits at once, and
+selection for every step of every ordering is one pass over the predictors
+in column blocks (one matrix product per block and ordering, cumulative
+prefix moments, a running maximum per step).  The increments use the
+full-sample censoring fit and either prefix ("prefix" variant, refitted at
+each step) or full-sample ("full" variant) regression moments.  With
+full-sample moments each distinct selected predictor is fitted once, in
+column blocks, and a step reads its fixed influence values: their
+dispersion over the prefix by cumulative sums, and the value at the next row.
 """
 
 import math
@@ -28,11 +27,13 @@ from typing import Optional
 
 import numpy as np
 
+from . import censoring
 from ._rng import stream
 from .censoring import _weighted_response, fit_censoring_km, survival_at
 from .dataset import SurvivalDataset
 from .errors import DegeneracyError, InputError
-from .onestep import EPS_SIGMA, influence_block, plugin_slope, two_sided_p, z_value
+from .onestep import (BLOCK_COLUMNS, EPS_SIGMA, _raise_first, _variance_floor, influence_values,
+                      make_bundle, plugin_slope, two_sided_p, z_value)
 from .residual_life import EPS_VAR
 
 VARIANTS = ("prefix", "full")
@@ -117,14 +118,23 @@ def _selection_weights(x, delta, perm, first, last):
     np.cumprod(1.0 - hazard, axis=1, out=survival[:, 1:])
     g = survival[:, np.searchsorted(times, xp, side="left")]
 
+    inside = np.arange(len(x)) <= ends[:, None]  # row i: the rows of prefix i
+    events = inside & (dp == 1)
+    failing = np.flatnonzero((events & (g < censoring.EPS_G)).any(axis=1))
+    stop = int(failing[0]) if len(failing) else len(ends)
+    y = np.divide(xp, g[:stop], out=np.zeros(g[:stop].shape), where=events[:stop])
+    # one 1-D sum per prefix: numpy's pairwise summation depends on the length
+    sizes = ends[:stop, None] + 1
+    means = np.array([row[:j].sum() for row, j in zip(y, sizes[:, 0])])[:, None] / sizes
     weights = np.zeros((len(x), len(ends)), order="F")
-    for i, j in enumerate(range(first, last + 1)):
-        try:
-            yj = _weighted_response(xp[:j], dp[:j], g[i, :j])
-        except DegeneracyError as exc:
-            return weights, (i, exc)
-        weights[perm[:j], i] = (yj - yj.mean()) / j
-    return weights, None
+    weights[perm, :stop] = np.divide(y - means, sizes, out=np.zeros(y.shape), where=inside[:stop]).T
+    if stop == len(ends):
+        return weights, None
+    j = first + stop
+    try:
+        _weighted_response(xp[:j], dp[:j], g[stop, :j])  # raises the check's own error
+    except DegeneracyError as exc:
+        return weights, (stop, exc)
 
 
 class _RunningSelection:
@@ -239,30 +249,6 @@ def select_predictor(data: SurvivalDataset, j: Optional[int] = None):
     return int(ks[0]), int(ms[0])
 
 
-class FullSampleCache:
-    """Full-sample per-predictor nuisances, shareable across orderings.
-
-    Entries are stored in data order and permuted per ordering.
-    """
-
-    def __init__(self, data: SurvivalDataset):
-        self.data = data
-        self.km = fit_censoring_km(data.x, data.delta)
-        self.y = _weighted_response(data.x, data.delta, survival_at(self.km, data.x))
-        self._entries = {}
-
-    def entry(self, k: int):
-        ent = self._entries.get(k)
-        if ent is None:
-            d = self.data
-            bundle, ipw, car = influence_block(
-                d.predictors[:, [k]], d.x, d.delta, self.y, self.km, (k,)
-            )
-            ent = (float(plugin_slope(bundle)[0]), (ipw - car)[:, 0])
-            self._entries[k] = ent
-        return ent
-
-
 def _check_settings(n: int, q_n: Optional[int], variant: str) -> int:
     q = default_qn(n) if q_n is None else int(q_n)
     if not 2 <= q <= n - 1:
@@ -279,13 +265,10 @@ def stabilized_estimate(
     ordering: Optional[np.ndarray] = None,
     alpha: float = 0.05,
     ordering_seed: Optional[int] = None,
-    cache: Optional[FullSampleCache] = None,
 ) -> StabilizedResult:
     """Run the sequential screen under one ordering of the data.
 
-    ``ordering`` is a permutation of 0..n-1 (default: identity).  ``cache``
-    may carry full-sample nuisances shared across orderings of the same
-    dataset ("full" variant only).
+    ``ordering`` is a permutation of 0..n-1 (default: identity).
     """
     n = data.n
     q = _check_settings(n, q_n, variant)
@@ -295,82 +278,100 @@ def stabilized_estimate(
         perm = np.asarray(ordering, dtype=np.intp)
         if len(perm) != n or not np.array_equal(np.sort(perm), np.arange(n)):
             raise InputError("ordering must be a permutation of 0..n-1")
-    return _screen(data, q, variant, [perm], alpha, [ordering_seed], cache)[0]
+    return _screen(data, q, variant, [perm], alpha, [ordering_seed])[0]
 
 
-def _screen(data, q, variant, perms, alpha, seeds, cache):
-    """Selection for every ordering in one pass over U, then each ordering's
-    step loop.  Errors surface in the order of a step-by-step run: ordering
-    by ordering, step by step, a step's EPS_G check before its dispersion
-    check."""
+def _screen(data, q, variant, perms, alpha, seeds):
+    """Selection for every ordering in one pass over U, the nuisances of every
+    step as arrays, then each ordering's checks and aggregate.  Errors surface
+    as in a step-by-step run: ordering by ordering, step by step (variance
+    floor, then dispersion), an ordering's EPS_G failure after earlier steps."""
     n = data.n
+    km = fit_censoring_km(data.x, data.delta)
     if variant == "full":
-        if cache is None:
-            cache = FullSampleCache(data)
-        elif cache.data is not data:
-            raise InputError("cache was built for a different dataset")
-        km_full = cache.km
-    else:
-        km_full = fit_censoring_km(data.x, data.delta)
+        y = _weighted_response(data.x, data.delta, survival_at(km, data.x))
 
     weights, failures = zip(*(_selection_weights(data.x, data.delta, perm, q, n - 1)
                               for perm in perms))
     selections = _select_steps(data.predictors, perms, weights, q)
+    # the selected predictors of the steps before each ordering's EPS_G failure
+    heads = [ks[:n - q if failure is None else failure[0]]
+             for (ks, _), failure in zip(selections, failures)]
+    if variant == "full":
+        steps = _full_sample_steps(data, km, y, perms, heads, q)
+    else:  # lazily, so an ordering's responses are checked after the earlier orderings
+        steps = (_prefix_steps(data, km, perm, ks, q) for perm, ks in zip(perms, heads))
     return tuple(
-        _ordering_estimate(data, q, variant, perm, ks, ms, failure, km_full, cache, alpha, seed)
-        for perm, (ks, ms), failure, seed in zip(perms, selections, failures, seeds)
+        _ordering_result(q, variant, n, alpha, seed, ks, ms, failure, *step)
+        for (ks, ms), failure, step, seed in zip(selections, failures, steps, seeds)
     )
 
 
-def _ordering_estimate(data, q, variant, perm, ks, ms, failure, km_full, cache, alpha, seed):
-    n = data.n
-    if variant == "full":
-        # per-ordering views of the cached entries: (psi, if values, cumsums)
-        local = {}
+def _full_sample_steps(data, km, y, perms, heads, q):
+    """(sig2, raw, u_var) of every ordering's steps from full-sample nuisances:
+    each distinct selected predictor is fitted once, in column blocks, and a
+    step at prefix size j reads its fixed influence values in the ordering,
+    their second central moment over rows :j by cumulative sums and row j."""
+    distinct = np.unique(np.concatenate(heads))
+    if_values = np.empty((data.n, len(distinct)))
+    psi, u_var = np.empty(len(distinct)), np.empty(len(distinct))
+    with np.errstate(all="ignore"):  # a floored column is raised at its first step
+        for c0 in range(0, len(distinct), BLOCK_COLUMNS):
+            cols = slice(c0, c0 + BLOCK_COLUMNS)
+            U = data.predictors[:, distinct[cols]]
+            bundle = make_bundle(U, data.x, data.delta, y, km)
+            ipw, car = influence_values(bundle, U, data.x, data.delta, y)
+            if_values[:, cols] = ipw - car
+            psi[cols] = plugin_slope(bundle)
+            u_var[cols] = bundle.u_var
 
-        def step_nuisances(k, j):
-            ent = local.get(k)
-            if ent is None:
-                psi, if_data = cache.entry(k)
-                if_perm = if_data[perm]
-                cs = np.concatenate(([0.0], np.cumsum(if_perm)))
-                csq = np.concatenate(([0.0], np.cumsum(if_perm * if_perm)))
-                ent = (psi, if_perm, cs, csq)
-                local[k] = ent
-            psi, if_perm, cs, csq = ent
-            sig2 = csq[j] / j - (cs[j] / j) ** 2
-            return sig2, psi + if_perm[j]
+    steps = []
+    for perm, ks in zip(perms, heads):
+        col = np.searchsorted(distinct, ks)
+        own, local = np.unique(col, return_inverse=True)
+        values = if_values[np.ix_(perm, own)]
+        cs = np.cumsum(values, axis=0)
+        csq = np.cumsum(values * values, axis=0)
+        j = np.arange(q, q + len(ks))
+        # float_power squares with C pow, as a float64 scalar's ** 2 does; an
+        # array's ** 2 is a multiply, which can differ in the last bit
+        sig2 = csq[j - 1, local] / j - np.float_power(cs[j - 1, local] / j, 2)
+        steps.append((sig2, psi[col] + values[j, local], u_var[col]))
+    return steps
 
-    else:
-        xp = data.x[perm]
-        dp = data.delta[perm]
-        yp = _weighted_response(xp, dp, survival_at(km_full, xp))
 
-        def step_nuisances(k, j):
-            # nuisances from the first j rows, influence values there and at row j
-            bundle, ipw, car = influence_block(
-                data.predictors[perm[: j + 1], k:k + 1], xp[: j + 1], dp[: j + 1], yp[: j + 1],
-                km_full, (k,), fit_rows=j,
-            )
+def _prefix_steps(data, km, perm, ks, q):
+    """(sig2, raw, u_var) of one ordering's steps: at prefix size j, the
+    selected predictor's nuisances fitted on the first j rows, its influence
+    values there and at row j."""
+    xp, dp = data.x[perm], data.delta[perm]
+    yp = _weighted_response(xp, dp, survival_at(km, xp))
+    steps = []
+    with np.errstate(all="ignore"):  # a floored fit is raised by the caller
+        for j, k in enumerate(ks, start=q):
+            u = data.predictors[perm[:j + 1], k:k + 1]
+            bundle = make_bundle(u[:j], xp[:j], dp[:j], yp[:j], km)
+            ipw, car = influence_values(bundle, u, xp[:j + 1], dp[:j + 1], yp[:j + 1])
             if_values = (ipw - car)[:, 0]
-            return float(if_values[:j].var()), float(plugin_slope(bundle)[0]) + float(if_values[j])
+            raw = float(plugin_slope(bundle)[0]) + float(if_values[j])
+            steps.append((if_values[:j].var(), raw, bundle.u_var[0]))
+    return np.reshape(steps, (-1, 3)).T
 
-    steps = n - q
-    sigmas = np.empty(steps)
-    raws = np.empty(steps)
-    for i in range(steps if failure is None else failure[0]):
-        j, k = q + i, int(ks[i])
-        sig2, raw = step_nuisances(k, j)
-        sigma = math.sqrt(max(sig2, 0.0))
-        if sigma < EPS_SIGMA:
-            raise DegeneracyError(
-                f"influence dispersion {sigma:.3g} below {EPS_SIGMA} at prefix size {j} "
-                f"(predictor {k})"
-            )
-        sigmas[i], raws[i] = sigma, raw
+
+def _ordering_result(q, variant, n, alpha, seed, ks, ms, failure, sig2, raws, u_var):
+    """Checks of the steps before the ordering's EPS_G failure, in step order,
+    then that failure, then the inverse-dispersion aggregate."""
+    sigmas = np.sqrt(np.maximum(sig2, 0.0))
+    _raise_first(
+        _variance_floor(u_var, ks),
+        (sigmas < EPS_SIGMA, lambda i: DegeneracyError(
+            f"influence dispersion {sigmas[i]:.3g} below {EPS_SIGMA} at prefix size {q + i} "
+            f"(predictor {ks[i]})")),
+    )
     if failure is not None:
         raise failure[1]
 
+    steps = n - q
     sigma_bar = steps / float(np.sum(1.0 / sigmas))
     weights = sigma_bar / sigmas
     increments = weights * ms * raws
@@ -378,11 +379,8 @@ def _ordering_estimate(data, q, variant, perm, ks, ms, failure, km_full, cache, 
     ci_low, ci_high, p = _interval(s_star, sigma_bar, steps, alpha)
 
     traces = tuple(
-        PrefixTrace(
-            j=int(q + i), k=int(ks[i]), m=int(ms[i]),
-            sigma=float(sigmas[i]), weight=float(weights[i]), increment=float(increments[i]),
-        )
-        for i in range(steps)
+        PrefixTrace(j, int(k), int(m), float(s), float(w), float(inc))
+        for j, k, m, s, w, inc in zip(range(q, n), ks, ms, sigmas, weights, increments)
     )
     return StabilizedResult(
         s_star=s_star, sigma_bar=sigma_bar, traces=traces,
@@ -438,7 +436,7 @@ def multi_ordering_test(
         raise InputError(f"orderings must be >= 1, got {orderings}")
     q = _check_settings(data.n, q_n, variant)
     perms = [stream(seed, r).permutation(data.n) for r in range(orderings)]
-    results = _screen(data, q, variant, perms, alpha, range(orderings), None)
+    results = _screen(data, q, variant, perms, alpha, range(orderings))
 
     p_values = tuple(r.p_value for r in results)
     best_index = int(np.argmin(p_values))

@@ -1,9 +1,9 @@
 """Acceptance suite: one test per release criterion, at fixed tolerances.
 
-Each test prints a single PASS line with the measured quantity once its
-assertions hold, so `pytest tests/test_acceptance.py -v -s` reads as a
-checklist.  Monte-Carlo criteria use fixed study seeds and 2-way replicate
-parallelism.
+Each test prints a single PASS line with the measured quantity and its
+runtime once its assertions hold, so `pytest tests/test_acceptance.py -v -s`
+reads as a checklist.  Monte-Carlo criteria use fixed study seeds and 2-way
+replicate parallelism.
 """
 
 import json
@@ -29,20 +29,40 @@ ROOT = SRC.parent
 PARALLELISM = 2
 
 
-def report(n, text):
-    print(f"PASS criterion {n}: {text}")
+# start of the running test, and seconds spent in each shared study fixture
+_clock = {}
+
+
+@pytest.fixture(autouse=True)
+def _start_clock():
+    _clock["test"] = time.perf_counter()
+
+
+def report(n, text, studies=()):
+    """Print the PASS line with the test's runtime; ``studies`` names the
+    shared module fixtures it used, whose runtime is not in the test's."""
+    runtime = f"{time.perf_counter() - _clock['test']:.1f} s"
+    for name in studies:
+        runtime += f" + {_clock[name]:.1f} s shared study {name}"
+    print(f"PASS criterion {n}: {text} [{runtime}]")
+
+
+def a1_study(method):
+    start = time.perf_counter()
+    spec = ScenarioSpec(model="A1", censoring="light", n=500, p=100, seed=12)
+    study = monte_carlo_rejection(spec, method, 500, parallelism=PARALLELISM)
+    _clock[f"A1 {method}"] = time.perf_counter() - start
+    return study
 
 
 @pytest.fixture(scope="module")
 def a1_stabilized_report():
-    spec = ScenarioSpec(model="A1", censoring="light", n=500, p=100, seed=12)
-    return monte_carlo_rejection(spec, "stabilized_full", 500, parallelism=PARALLELISM)
+    return a1_study("stabilized_full")
 
 
 @pytest.fixture(scope="module")
 def a1_oracle_report():
-    spec = ScenarioSpec(model="A1", censoring="light", n=500, p=100, seed=12)
-    return monte_carlo_rejection(spec, "oracle", 500, parallelism=PARALLELISM)
+    return a1_study("oracle")
 
 
 def normalized_gap(a, b):
@@ -146,13 +166,15 @@ def test_criterion_6_power(a1_stabilized_report, a1_oracle_report):
     orac = a1_oracle_report.rejection_rate
     assert stab >= 0.5
     assert orac >= stab - 0.05
-    report(6, f"power: stabilized {stab:.3f} >= 0.5, oracle {orac:.3f} >= stabilized - 0.05")
+    report(6, f"power: stabilized {stab:.3f} >= 0.5, oracle {orac:.3f} >= stabilized - 0.05",
+           studies=("A1 stabilized_full", "A1 oracle"))
 
 
 def test_criterion_7_ci_coverage(a1_oracle_report):
     cov = a1_oracle_report.coverage
     assert 0.92 <= cov <= 0.98
-    report(7, f"oracle 95% CI coverage of the true slope: {cov:.3f} in [0.92, 0.98]")
+    report(7, f"oracle 95% CI coverage of the true slope: {cov:.3f} in [0.92, 0.98]",
+           studies=("A1 oracle",))
 
 
 def test_criterion_8_multi_ordering_conservativeness():

@@ -174,6 +174,20 @@ class TestSimulateCommand:
             main(screen_args(**{"--threads": "2"}))
         assert exc.value.code == 2
 
+    @pytest.mark.parametrize("argv,code,message", [
+        (["--method", "stabilized_multiR", "--orderings", "0", "--n", "40", "--p", "5"], 2,
+         "error: replicate 0 (seed 1) failed: orderings must be >= 1"),
+        (["--method", "oracle", "--n", "2", "--p", "2"], 3,
+         "numerical degeneracy: replicate 0 (seed 1) failed"),
+        (["--p", "0"], 2, "error: p must be >= 1"),
+        (["--parallelism", "-2", "--n", "40", "--p", "3"], 2, "error: parallelism must be >= 1"),
+    ])
+    def test_failures_map_to_exit_codes(self, capsys, argv, code, message):
+        rc, out, err = run_cli(capsys, ["simulate", "--reps", "1", "--seed", "1"] + argv)
+        assert rc == code
+        assert out == ""
+        assert message in err
+
     def test_unknown_model_exits_2(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["simulate", "--model", "Q"])

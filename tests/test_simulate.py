@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from survscreen import one_step
-from survscreen.errors import InputError, SurvScreenError
+from survscreen.errors import DegeneracyError, InputError, SurvScreenError
 from survscreen.simulate import (
     CENSORING_TARGETS,
     MonteCarloReport,
@@ -28,6 +28,8 @@ class TestSpecValidation:
             ScenarioSpec(rho=1.0)
         with pytest.raises(InputError):
             ScenarioSpec(censoring="medium")
+        with pytest.raises(InputError, match="p must be >= 1"):
+            ScenarioSpec(p=0)
 
 
 class TestTruth:
@@ -148,6 +150,20 @@ class TestMonteCarlo:
         spec = ScenarioSpec(model="N", n=3, p=2, seed=12)  # q_n=1 is invalid
         with pytest.raises(SurvScreenError, match="replicate 0 .seed 12."):
             monte_carlo_rejection(spec, "stabilized_full", reps=2)
+
+    def test_failed_replicate_keeps_error_class(self):
+        spec = ScenarioSpec(model="N", n=40, p=5, seed=1)
+        with pytest.raises(InputError, match="replicate 0 .seed 1. failed: orderings"):
+            monte_carlo_rejection(spec, "stabilized_multiR", reps=1, orderings=0)
+        spec = ScenarioSpec(model="N", n=2, p=2, seed=1)
+        with pytest.raises(DegeneracyError, match="replicate 0 .seed 1. failed"):
+            monte_carlo_rejection(spec, "oracle", reps=1)
+
+    @pytest.mark.parametrize("parallelism", [0, -2])
+    def test_parallelism_below_one_rejected(self, parallelism):
+        spec = ScenarioSpec(n=20, p=2)
+        with pytest.raises(InputError, match="parallelism must be >= 1"):
+            monte_carlo_rejection(spec, "oracle", reps=1, parallelism=parallelism)
 
     def test_unknown_method_rejected(self):
         spec = ScenarioSpec(n=20, p=2)

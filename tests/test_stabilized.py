@@ -11,11 +11,12 @@ from survscreen import (
     select_predictor,
     stabilized_estimate,
 )
-from survscreen import censoring
+from survscreen import censoring, stabilized
 from survscreen._rng import stream
 from survscreen.censoring import _weighted_response, fit_censoring_km, survival_at
 from survscreen.dataset import ingest
 from survscreen.errors import DegeneracyError, InputError
+from survscreen.onestep import influence_block, plugin_slope
 from survscreen.stabilized import SELECT_BLOCK, StabilizedResult, _selection_weights, default_qn
 
 from conftest import random_dataset, run_python
@@ -355,6 +356,75 @@ class TestPrefixWeights:
             got, failure = _selection_weights(x, delta, perm, first, n)
             assert failure is None
             assert np.array_equal(got, self.loop_weights(x, delta, perm, first, n))
+
+
+def near_duplicate_head(rng, n=400, head=300, p=30):
+    """Null data whose first ``head`` rows are near-copies of one row.  At a
+    prefix inside them a predictor's influence values share a mean far above
+    their spread, so the last bit of the squared mean shows in the step's
+    dispersion."""
+    u = rng.standard_normal((n, p))
+    t, c = rng.standard_normal(n), rng.standard_normal(n) + 0.5
+    x, status = np.minimum(t, c), (t <= c).astype(float)
+    u[:head] = 2.0 + 1e-3 * rng.standard_normal((head, p))
+    x[:head], status[:head] = 1.0 + 1e-3 * rng.standard_normal(head), 1.0
+    return ingest(np.column_stack((x, status, u)), standardize=False)
+
+
+class TestFullSampleSteps:
+    @staticmethod
+    def loop_steps(data, result, perm, influence):
+        """(sigmas, increments) of a full-variant result recomputed one step
+        at a time from single-column influence values, with float64 scalar
+        arithmetic; ``influence`` memoizes (psi, influence values) per k."""
+        km = fit_censoring_km(data.x, data.delta)
+        y = _weighted_response(data.x, data.delta, survival_at(km, data.x))
+        sigmas, raws = [], []
+        for t in result.traces:
+            if t.k not in influence:
+                bundle, ipw, car = influence_block(
+                    data.predictors[:, [t.k]], data.x, data.delta, y, km, (t.k,))
+                influence[t.k] = (float(plugin_slope(bundle)[0]), (ipw - car)[:, 0])
+            psi, values = influence[t.k]
+            values = values[perm]
+            cs = np.concatenate(([0.0], np.cumsum(values)))
+            csq = np.concatenate(([0.0], np.cumsum(values * values)))
+            sig2 = csq[t.j] / t.j - (cs[t.j] / t.j) ** 2  # a float64 scalar: C pow
+            sigmas.append(math.sqrt(max(sig2, 0.0)))
+            raws.append(psi + values[t.j])
+        sigmas = np.array(sigmas)
+        weights = len(sigmas) / float(np.sum(1.0 / sigmas)) / sigmas
+        increments = weights * np.array([t.m for t in result.traces]) * np.array(raws)
+        return list(sigmas), list(increments)
+
+    def test_equal_to_step_loop_bitwise(self, rng, monkeypatch):
+        # several nuisance blocks per screen; about one ordering in eight
+        # differs from the loop if the squared mean is an array multiply
+        monkeypatch.setattr(stabilized, "BLOCK_COLUMNS", 7)
+        head = 300
+        data = near_duplicate_head(rng, head=head)
+        out = multi_ordering_test(data, orderings=4, q_n=2, seed=17)
+        runs = [(r, stream(17, i).permutation(data.n)) for i, r in enumerate(out.results)]
+        assert len({t.k for r in out.results for t in r.traces}) > 3 * 7
+        for _ in range(48):
+            perm = np.concatenate((rng.permutation(head), head + rng.permutation(data.n - head)))
+            runs.append((stabilized_estimate(data, q_n=2, ordering=perm), perm))
+        influence = {}
+        for result, perm in runs:
+            sigmas, increments = self.loop_steps(data, result, perm, influence)
+            assert [t.sigma for t in result.traces] == sigmas
+            assert [t.increment for t in result.traces] == increments
+
+    def test_fallback_to_near_constant_predictor_hits_variance_floor(self, rng):
+        # every row censored: every weight is 0 and each step falls back to (0, +1)
+        n = 20
+        table = np.column_stack((rng.exponential(1.0, n), np.zeros(n),
+                                 1e-6 * rng.standard_normal(n), rng.standard_normal((n, 3))))
+        data = ingest(table, standardize=False)
+        with pytest.raises(DegeneracyError, match="predictor 0 has sample variance .* below"):
+            stabilized_estimate(data, variant="full")
+        with pytest.raises(DegeneracyError, match="predictor 0 has sample variance .* below"):
+            multi_ordering_test(data, orderings=2, variant="full")
 
 
 class TestErrorPrecedence:
