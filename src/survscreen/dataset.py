@@ -14,7 +14,9 @@ column's results do not depend on the block it is evaluated in.
 
 import csv
 import gzip
+import itertools
 import math
+import warnings
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -88,6 +90,10 @@ def parse_tau_rule(rule: str) -> tuple:
     raise InputError(f"bad tau rule {rule!r}; expected 'max' or 'q:<x>'")
 
 
+def _row(index: int) -> str:
+    return f"row {index + 1}"
+
+
 def ingest(
     rows,
     tau_rule: str = "max",
@@ -98,62 +104,67 @@ def ingest(
 
     Rows observed past the follow-up cap are administratively censored at it
     (x <- tau, delta <- 0).  With ``standardize`` each predictor column is
-    rescaled to sample mean 0 and variance 1 (divisor n).
+    rescaled to sample mean 0 and variance 1 (divisor n).  The records are
+    copied, never written or aliased.
     """
     table = np.asarray(rows, dtype=np.float64)
     if table.ndim != 2 or table.shape[1] < 3:
         raise InputError("need columns (time, status, u1, ...) with at least one predictor")
-    n = table.shape[0]
-    p = table.shape[1] - 2
+    return _build(table[:, 0], table[:, 1], table[:, 2:], tau_rule, standardize, names)
+
+
+def _build(time, status, predictors, tau_rule, standardize, names, locate=_row) -> SurvivalDataset:
+    """The dataset of one table split into time, status and predictor columns.
+
+    The caller's arrays are only read.  The one n x p array built here is the
+    column-major copy of the predictors, standardized in place.  ``locate``
+    names a data row (by 0-based index) in error messages.
+    """
+    n, p = predictors.shape
     if n < 2:
         raise InputError(f"need at least 2 observations, got {n}")
-
-    time = table[:, 0].copy()
-    status = table[:, 1]
-    predictors = table[:, 2:]
+    if names is None:
+        names = tuple(f"u{k + 1}" for k in range(p))
+    elif len(names) != p:
+        raise InputError(f"{len(names)} predictor names for {p} columns")
+    names = tuple(names)
 
     if not np.all(np.isfinite(time)):
         bad = int(np.flatnonzero(~np.isfinite(time))[0])
-        raise InputError(f"non-finite time in row {bad + 1}")
+        raise InputError(f"non-finite time in {locate(bad)}")
     bad_status = (status != 0.0) & (status != 1.0)
     if np.any(bad_status):
         bad = int(np.flatnonzero(bad_status)[0])
-        raise InputError(f"non-binary status {status[bad]!r} in row {bad + 1}")
+        raise InputError(f"non-binary status {float(status[bad])} in {locate(bad)}")
     if not np.all(np.isfinite(predictors)):
         bad_row, bad_col = np.argwhere(~np.isfinite(predictors))[0]
-        raise InputError(f"non-finite predictor value in row {bad_row + 1}, column {bad_col + 1}")
-
-    delta = status.astype(np.int64)
+        raise InputError(f"non-finite predictor value in {locate(int(bad_row))}, "
+                         f"column {bad_col + 1} ({names[bad_col]!r})")
 
     kind, q = parse_tau_rule(tau_rule)
+    time = time.copy()
+    delta = status.astype(np.int64)
     tau = float(np.max(time)) if kind == "max" else lower_quantile(time, q)
     over = time > tau
     time[over] = tau
     delta[over] = 0
 
+    # In the caller's layout (row by row for a C-order table).  Its n x p
+    # temporary is freed before the copy below is made.
     variances = predictors.var(axis=0)
     if np.any(variances <= 0.0):
         bad = int(np.flatnonzero(variances <= 0.0)[0])
-        name = names[bad] if names else f"u{bad + 1}"
-        raise InputError(f"predictor column {name!r} (index {bad + 1}) has zero variance")
+        raise InputError(f"predictor column {names[bad]!r} (index {bad + 1}) has zero variance")
 
-    predictors = np.asfortranarray(predictors)
+    u = np.array(predictors, order="F")  # always a copy, even of F-order input
     if standardize:
-        predictors = np.asfortranarray(
-            (predictors - predictors.mean(axis=0)) / np.sqrt(variances)
-        )
-
-    if names is None:
-        names = tuple(f"u{k + 1}" for k in range(p))
-    else:
-        if len(names) != p:
-            raise InputError(f"{len(names)} predictor names for {p} columns")
-        names = tuple(names)
+        u -= u.mean(axis=0)
+        u /= np.sqrt(variances)
 
     return SurvivalDataset(
         x=time,
         delta=delta,
-        predictors=predictors,
+        predictors=u,
         predictor_names=names,
         tau=tau,
         standardized=standardize,
@@ -166,37 +177,67 @@ def _open_text(path: str):
     return open(path, "r", encoding="utf-8")
 
 
+def _records(path: str):
+    """(row number, fields) of each non-blank data record.  Rows are numbered
+    as in read_csv's messages: the header is row 1, and blank rows count."""
+    with _open_text(path) as fh:
+        reader = csv.reader(fh)
+        next(reader, None)
+        for lineno, row in enumerate(reader, start=2):
+            if row:
+                yield lineno, row
+
+
+def _parse_error(path: str, width: int, detail) -> InputError:
+    """The error for the first malformed record, found by re-scanning the text."""
+    for lineno, row in _records(path):
+        if len(row) != width:
+            return InputError(f"{path}: row {lineno} has {len(row)} fields, expected {width}")
+        for value in row:
+            try:
+                float(value)
+            except ValueError as exc:
+                return InputError(f"{path}: row {lineno}: {exc}")
+    return InputError(f"{path}: {detail}")
+
+
 def read_csv(path: str, tau_rule: str = "max", standardize: bool = True) -> SurvivalDataset:
-    """Read the `time,status,u1,...,up` CSV schema (optionally gzipped)."""
+    """Read the `time,status,u1,...,up` CSV schema (optionally gzipped).
+
+    numpy's C parser reads the body into one float array; the text is
+    re-scanned only to locate an error.
+    """
     try:
         fh = _open_text(path)
     except OSError as exc:
         raise InputError(f"cannot open {path}: {exc}") from exc
     with fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise InputError(f"{path}: empty file") from None
+        header = next(csv.reader(fh), None)
+        if header is None:
+            raise InputError(f"{path}: empty file")
         header = [h.strip() for h in header]
         if len(header) < 3 or header[0] != CSV_TIME_COLUMN or header[1] != CSV_STATUS_COLUMN:
             raise InputError(
                 f"{path}: header must be '{CSV_TIME_COLUMN},{CSV_STATUS_COLUMN},u1,...'"
             )
-        names = header[2:]
-        rows = []
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != len(header):
-                raise InputError(f"{path}: row {lineno} has {len(row)} fields, expected {len(header)}")
+        # comments=None: a row starting with '#' is malformed, not skipped
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)  # no data rows, reported below
             try:
-                rows.append([float(v) for v in row])
+                table = np.loadtxt(fh, delimiter=",", comments=None, quotechar='"', ndmin=2)
             except ValueError as exc:
-                raise InputError(f"{path}: row {lineno}: {exc}") from None
-    if not rows:
+                raise _parse_error(path, len(header), exc) from None
+    if len(table) == 0:
         raise InputError(f"{path}: no data rows")
+    if table.shape[1] != len(header):
+        raise _parse_error(path, len(header), f"{table.shape[1]} fields per row")
+
+    def locate(index: int) -> str:
+        lineno, _ = next(itertools.islice(_records(path), index, None))
+        return f"row {index + 1} (line {lineno})"
+
     try:
-        return ingest(rows, tau_rule=tau_rule, standardize=standardize, names=names)
+        return _build(table[:, 0], table[:, 1], table[:, 2:], tau_rule, standardize,
+                      header[2:], locate)
     except InputError as exc:
         raise InputError(f"{path}: {exc}") from None

@@ -27,7 +27,7 @@ from typing import Optional
 import numpy as np
 
 from ._rng import stream
-from .dataset import ingest
+from .dataset import _build
 from .errors import DegeneracyError, InputError, SurvScreenError
 from .onestep import bonferroni_test, oracle_test
 from .stabilized import multi_ordering_test, stabilized_estimate
@@ -104,8 +104,10 @@ def _noise_sd(error: str, u1: np.ndarray) -> np.ndarray:
 def _survival_times(rng, spec: ScenarioSpec, n: int, p: int) -> tuple:
     """(U, T) draws; draw order is fixed: factor, idiosyncratic, noise."""
     z0 = rng.standard_normal(n)
-    z = rng.standard_normal((n, p))
-    u = math.sqrt(spec.rho) * z0[:, None] + math.sqrt(1.0 - spec.rho) * z
+    u = rng.standard_normal((n, p))
+    # sqrt(rho) z0 + sqrt(1 - rho) z, built in the draw's own array
+    np.multiply(u, math.sqrt(1.0 - spec.rho), out=u)
+    u += math.sqrt(spec.rho) * z0[:, None]
     eps = rng.standard_normal(n) * _noise_sd(spec.error, u[:, 0])
     if spec.model == "N":
         t = eps
@@ -175,8 +177,7 @@ def generate_scenario(spec: ScenarioSpec, rep: int = 0):
         c = np.log(rng.exponential(1.0, spec.n)) - math.log(rate)
         x = np.minimum(t, c)
         status = (t <= c).astype(np.float64)
-    table = np.column_stack((x, status, u))
-    data = ingest(table, tau_rule="max", standardize=True)
+    data = _build(x, status, u, tau_rule="max", standardize=True, names=None)
     return data, marginal_slopes(spec)
 
 
@@ -259,6 +260,8 @@ def monte_carlo_rejection(
         raise InputError(f"method must be one of {METHODS}, got {method!r}")
     if parallelism < 1:
         raise InputError(f"parallelism must be >= 1, got {parallelism}")
+    if orderings < 1:
+        raise InputError(f"orderings must be >= 1, got {orderings}")
     # warm the calibration cache before forking workers
     if spec.censoring != "none":
         calibrate_censoring_rate(spec.model, spec.error, CENSORING_TARGETS[spec.censoring])

@@ -29,6 +29,32 @@ def random_dataset(rng, n=None, p=None, censor=0.2, standardize=False):
     return ingest(np.column_stack((x, status, u)), standardize=standardize)
 
 
+def ingest_out_of_place(rows, tau_rule="max", standardize=True):
+    """(x, delta, U, tau) of ``ingest`` by its formulas written out of place:
+    the predictor view's variance, a Fortran copy, then (U - mean) / sd."""
+    table = np.asarray(rows, dtype=np.float64)
+    x = table[:, 0].copy()
+    delta = table[:, 1].astype(np.int64)
+    predictors = table[:, 2:]
+    if tau_rule == "max":
+        tau = float(np.max(x))
+    else:
+        q = float(tau_rule.split(":")[1])
+        tau = float(np.sort(x)[max(0, int(np.ceil(len(x) * q)) - 1)])
+    delta[x > tau] = 0
+    x[x > tau] = tau
+    variances = predictors.var(axis=0)
+    u = np.asfortranarray(predictors)
+    if standardize:
+        u = np.asfortranarray((u - u.mean(axis=0)) / np.sqrt(variances))
+    return x, delta, u, tau
+
+
+def same_bits(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
 @pytest.fixture
 def rng():
     return np.random.default_rng(20260808)

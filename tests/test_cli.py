@@ -175,12 +175,16 @@ class TestSimulateCommand:
         assert exc.value.code == 2
 
     @pytest.mark.parametrize("argv,code,message", [
-        (["--method", "stabilized_multiR", "--orderings", "0", "--n", "40", "--p", "5"], 2,
-         "error: replicate 0 (seed 1) failed: orderings must be >= 1"),
+        (["--method", "stabilized_full", "--n", "3", "--p", "2"], 2,
+         "error: replicate 0 (seed 1) failed: q_n must be in [2, n-1]"),
         (["--method", "oracle", "--n", "2", "--p", "2"], 3,
          "numerical degeneracy: replicate 0 (seed 1) failed"),
         (["--p", "0"], 2, "error: p must be >= 1"),
         (["--parallelism", "-2", "--n", "40", "--p", "3"], 2, "error: parallelism must be >= 1"),
+        (["--method", "oracle", "--orderings", "0", "--n", "40", "--p", "5"], 2,
+         "error: orderings must be >= 1, got 0"),
+        (["--method", "stabilized_multiR", "--orderings", "-5", "--n", "40", "--p", "5"], 2,
+         "error: orderings must be >= 1, got -5"),
     ])
     def test_failures_map_to_exit_codes(self, capsys, argv, code, message):
         rc, out, err = run_cli(capsys, ["simulate", "--reps", "1", "--seed", "1"] + argv)

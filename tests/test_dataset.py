@@ -6,6 +6,8 @@ import pytest
 from survscreen.dataset import ingest, lower_quantile, parse_tau_rule, read_csv
 from survscreen.errors import InputError
 
+from conftest import ingest_out_of_place, run_python, same_bits
+
 
 def test_max_rule_is_noop():
     data = ingest([[1, 1, 0.5], [2, 1, -0.1], [3, 1, 0.7]], tau_rule="max", standardize=False)
@@ -37,6 +39,16 @@ def test_constant_column_rejected_by_name():
 def test_non_binary_status_rejected_with_row():
     with pytest.raises(InputError, match="row 2"):
         ingest([[1, 1, 0.5], [2, 2, -0.1]])
+
+
+def test_non_binary_status_printed_as_plain_number():
+    with pytest.raises(InputError, match=r"^non-binary status 2\.0 in row 2$"):
+        ingest([[1, 1, 0.5], [2, 2, -0.1]])
+
+
+def test_non_finite_predictor_named():
+    with pytest.raises(InputError, match=r"^non-finite predictor value in row 2, column 2 \('dose'\)$"):
+        ingest([[1, 1, 0.5, 1.0], [2, 0, -0.1, np.nan]], names=["age", "dose"])
 
 
 def test_nan_rejected():
@@ -121,3 +133,87 @@ def test_read_csv_schema_errors(tmp_path):
 
     with pytest.raises(InputError, match="cannot open"):
         read_csv(str(tmp_path / "missing.csv"))
+
+
+def _table(rng, n, p):
+    return np.column_stack((rng.exponential(1.0, n), rng.random(n) < 0.7,
+                            rng.normal(3.0, 9.0, (n, p))))
+
+
+@pytest.mark.parametrize("p", [1, 2, 257])
+@pytest.mark.parametrize("layout", ["C", "F", "list"])
+@pytest.mark.parametrize("standardize", [True, False])
+@pytest.mark.parametrize("tau_rule", ["max", "q:0.8"])
+def test_ingest_bitwise_equal_to_out_of_place_formulas(p, layout, standardize, tau_rule):
+    table = _table(np.random.default_rng(p), 301, p)
+    rows = {"C": table, "F": np.asfortranarray(table), "list": table.tolist()}[layout]
+    data = ingest(rows, tau_rule=tau_rule, standardize=standardize)
+    x, delta, u, tau = ingest_out_of_place(rows, tau_rule, standardize)
+    assert same_bits(data.x, x) and same_bits(data.delta, delta)
+    assert same_bits(data.predictors, u) and data.tau == tau
+    assert data.predictors.flags.f_contiguous
+
+
+@pytest.mark.parametrize("standardize", [True, False])
+def test_ingest_never_writes_or_aliases_the_table(standardize):
+    table = np.asfortranarray(_table(np.random.default_rng(5), 40, 3))
+    before = table.copy()
+    data = ingest(table, tau_rule="q:0.5", standardize=standardize)  # caps half the times
+    assert same_bits(table, before) and table.flags.writeable
+    for arr in (data.x, data.delta, data.predictors):
+        assert not np.shares_memory(arr, table)
+
+
+READ_CSV_PEAK = """
+import resource, sys
+from survscreen.dataset import read_csv
+read_csv(sys.argv[1])  # first call: lazy imports and parser set-up
+before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+data = read_csv(sys.argv[2])
+print((resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - before) * 1024 / data.predictors.nbytes)
+"""
+
+
+def test_read_csv_peak_memory_bounded(tmp_path):
+    # ru_maxrss is in KiB on Linux.  Python lists of floats cost about 8x the matrix.
+    n, p = 500, 2000
+    rng = np.random.default_rng(9)
+    header = "time,status," + ",".join(f"u{k + 1}" for k in range(p))
+    big, small = tmp_path / "big.csv", tmp_path / "small.csv"
+    np.savetxt(big, _table(rng, n, p), delimiter=",", fmt="%.17g", header=header, comments="")
+    np.savetxt(small, _table(rng, 5, 2), delimiter=",", header="time,status,u1,u2", comments="")
+    ratio = float(run_python(["-c", READ_CSV_PEAK, str(small), str(big)], blas_threads=1))
+    assert ratio <= 4.0
+
+
+def test_read_csv_gzip_quotes_and_blank_lines(tmp_path):
+    body = 'time,status,u1,u2\n\n"1.0",1,0.5,"2.0"\n\n2.5,0,-0.1,1.0\n3.0,1,0.7,0.5\n\n'
+    want = ingest([[1.0, 1, 0.5, 2.0], [2.5, 0, -0.1, 1.0], [3.0, 1, 0.7, 0.5]])
+    for name, compress in (("q.csv", False), ("q.csv.gz", True)):
+        _write_csv(tmp_path / name, body, compress)
+        data = read_csv(str(tmp_path / name))
+        assert same_bits(data.x, want.x) and same_bits(data.delta, want.delta)
+        assert same_bits(data.predictors, want.predictors)
+        assert data.predictor_names == ("u1", "u2")
+
+
+@pytest.mark.parametrize("body,message", [
+    ("1,1,0.5\n#2,0,0.1\n3,1,0.7\n", "row 3: could not convert string to float: '#2'"),
+    ("", "no data rows"),
+    ("\n\n", "no data rows"),
+    ("1,1,0.5\n2,0\n", "row 3 has 2 fields, expected 3"),
+    ("1,1\n2,0\n", "row 2 has 2 fields, expected 3"),
+    ("1,1,0.5\n   \n3,1,0.7\n", "row 3 has 1 fields, expected 3"),
+    ("1,1,0.5\n2,0,abc\n", "row 3: could not convert string to float: 'abc'"),
+    ("1,1,0.5\n2,0,\n", "row 3: could not convert string to float: ''"),
+    ("1,1,0.5\n\n2,0,nan\n3,1,0.7\n", "non-finite predictor value in row 2 (line 4), column 1 ('u1')"),
+    ("inf,1,0.5\n2,0,0.1\n", "non-finite time in row 1 (line 2)"),
+    ("1,1,0.5\n2,2,0.1\n", "non-binary status 2.0 in row 2 (line 3)"),
+])
+@pytest.mark.parametrize("compress", [False, True])
+def test_read_csv_error_messages(tmp_path, body, message, compress):
+    path = tmp_path / ("bad.csv.gz" if compress else "bad.csv")
+    _write_csv(path, "time,status,u1\n" + body, compress)
+    with pytest.raises(InputError) as exc:
+        read_csv(str(path))
+    assert str(exc.value) == f"{path}: {message}"

@@ -1,17 +1,25 @@
+import math
+
 import numpy as np
 import pytest
 
 from survscreen import one_step
 from survscreen.errors import DegeneracyError, InputError, SurvScreenError
 from survscreen.simulate import (
+    A2_BETAS,
     CENSORING_TARGETS,
+    METHODS,
     MonteCarloReport,
     ScenarioSpec,
     calibrate_censoring_rate,
     generate_scenario,
     marginal_slopes,
+    _noise_sd,
     monte_carlo_rejection,
 )
+from survscreen._rng import stream
+
+from conftest import ingest_out_of_place, run_python, same_bits
 
 
 class TestSpecValidation:
@@ -99,6 +107,55 @@ class TestGeneration:
         assert abs(np.mean(estimates) - 0.25) < 0.02
 
 
+def _generate_out_of_place(spec, rep):
+    """generate_scenario's formulas written out of place: u from a separate
+    draw array, then (x, status, u) stacked into one table and ingested."""
+    rng = stream(spec.seed, 4 * rep)
+    z0 = rng.standard_normal(spec.n)
+    z = rng.standard_normal((spec.n, spec.p))
+    u = math.sqrt(spec.rho) * z0[:, None] + math.sqrt(1.0 - spec.rho) * z
+    eps = rng.standard_normal(spec.n) * _noise_sd(spec.error, u[:, 0])
+    t = {"N": eps, "A1": u[:, 0] / 4.0 + eps}.get(spec.model)
+    if t is None:
+        t = u[:, :10] @ A2_BETAS + eps
+    if spec.censoring == "none":
+        x, status = t, np.ones(spec.n)
+    else:
+        rate = calibrate_censoring_rate(spec.model, spec.error, CENSORING_TARGETS[spec.censoring])
+        c = np.log(rng.exponential(1.0, spec.n)) - math.log(rate)
+        x, status = np.minimum(t, c), (t <= c).astype(np.float64)
+    return ingest_out_of_place(np.column_stack((x, status, u)))
+
+
+class TestInPlaceGeneration:
+    @pytest.mark.parametrize("p", [1, 2, 257])
+    @pytest.mark.parametrize("model,error,censoring", [
+        ("N", "independent", "light"), ("A1", "dependent", "heavy"), ("A2", "independent", "none"),
+    ])
+    def test_bitwise_equal_to_out_of_place_formulas(self, p, model, error, censoring):
+        if model == "A2" and p < 10:
+            p += 10
+        spec = ScenarioSpec(model=model, error=error, censoring=censoring, n=203, p=p,
+                            rho=0.6, seed=p)
+        data, _ = generate_scenario(spec, rep=1)
+        x, delta, u, tau = _generate_out_of_place(spec, rep=1)
+        assert same_bits(data.x, x) and same_bits(data.delta, delta)
+        assert same_bits(data.predictors, u) and data.tau == tau
+
+    def test_peak_memory_bounded(self):
+        # ru_maxrss is in KiB on Linux.  Out of place, the draw, the combined
+        # u, the stacked table and the copies of ingest raise the peak by 4.7x U.
+        script = """
+import resource
+from survscreen.simulate import ScenarioSpec, calibrate_censoring_rate, generate_scenario
+calibrate_censoring_rate("N", "independent", 0.10)
+before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+data, _ = generate_scenario(ScenarioSpec(model="N", censoring="light", n=500, p=20000, seed=1))
+print((resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - before) * 1024 / data.predictors.nbytes)
+"""
+        assert float(run_python(["-c", script], blas_threads=1)) <= 2.5
+
+
 class TestCalibration:
     def test_monotone_in_rate(self):
         from survscreen._rng import stream
@@ -152,9 +209,9 @@ class TestMonteCarlo:
             monte_carlo_rejection(spec, "stabilized_full", reps=2)
 
     def test_failed_replicate_keeps_error_class(self):
-        spec = ScenarioSpec(model="N", n=40, p=5, seed=1)
-        with pytest.raises(InputError, match="replicate 0 .seed 1. failed: orderings"):
-            monte_carlo_rejection(spec, "stabilized_multiR", reps=1, orderings=0)
+        spec = ScenarioSpec(model="N", n=3, p=2, seed=1)
+        with pytest.raises(InputError, match="replicate 0 .seed 1. failed: q_n"):
+            monte_carlo_rejection(spec, "stabilized_full", reps=1)
         spec = ScenarioSpec(model="N", n=2, p=2, seed=1)
         with pytest.raises(DegeneracyError, match="replicate 0 .seed 1. failed"):
             monte_carlo_rejection(spec, "oracle", reps=1)
@@ -164,6 +221,13 @@ class TestMonteCarlo:
         spec = ScenarioSpec(n=20, p=2)
         with pytest.raises(InputError, match="parallelism must be >= 1"):
             monte_carlo_rejection(spec, "oracle", reps=1, parallelism=parallelism)
+
+    @pytest.mark.parametrize("method", METHODS)
+    @pytest.mark.parametrize("orderings", [0, -5])
+    def test_orderings_below_one_rejected(self, method, orderings):
+        spec = ScenarioSpec(n=20, p=2)
+        with pytest.raises(InputError, match=f"^orderings must be >= 1, got {orderings}$"):
+            monte_carlo_rejection(spec, method, reps=1, orderings=orderings)
 
     def test_unknown_method_rejected(self):
         spec = ScenarioSpec(n=20, p=2)
