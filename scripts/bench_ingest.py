@@ -6,11 +6,10 @@ Usage, with two checkouts (the parent commit and the change) side by side:
         --out BENCH_ingest.json
 
 For every benchmark workload it runs ``perfbench/run.py --trace 0`` in both
-checkouts, pair by pair, alternating which side runs first (``--pairs`` seeds
-for screen-wide, whose peak RSS is the claim; ``--other-pairs`` for the rest).
+checkouts for PAIRS seeds, pair by pair, alternating which side runs first.
 It then times ``read_csv``, ``ingest`` and ``generate_scenario`` of each
-checkout in fresh processes and records each call's wall time and the rise
-of the process's peak RSS (``ru_maxrss``) across it.
+checkout in LAYER_REPEATS fresh processes and records each call's wall time
+and the rise of the process's peak RSS (``ru_maxrss``) across it.
 """
 
 import argparse
@@ -23,6 +22,10 @@ import sys
 import tempfile
 
 WORKLOADS = ("screen-wide", "screen-csv", "screen-bonferroni", "mc-null")
+PAIRS = 10  # alternating parent/change pairs per workload
+MIN_WINS = 9  # pairs the change must win for the claim
+LAYER_REPEATS = 3
+SECONDS = 15.0  # the benchmark's run length
 THREAD_ENV = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
 
 # Run in a fresh process with the checkout's src first on sys.path; argv:
@@ -79,9 +82,9 @@ def quartiles(values):
     return {"median": med, "q1": q1, "q3": q3, "runs": values}
 
 
-def perfbench(root, workload, seed, seconds):
+def perfbench(root, workload, seed):
     done = subprocess.run([sys.executable, "perfbench/run.py", "--workload", workload,
-                           "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"],
+                           "--seed", str(seed), "--seconds", str(SECONDS), "--trace", "0"],
                           cwd=root, capture_output=True, text=True, check=True)
     result = json.loads(done.stdout.strip().splitlines()[-1])
     return {"failed": result["failed"], "attempted": result["attempted"],
@@ -127,20 +130,15 @@ def main(argv=None):
     ap.add_argument("--parent", required=True)
     ap.add_argument("--change", required=True)
     ap.add_argument("--out", required=True)
-    ap.add_argument("--pairs", type=int, default=10)
-    ap.add_argument("--other-pairs", type=int, default=3)
-    ap.add_argument("--layer-repeats", type=int, default=3)
-    ap.add_argument("--seconds", type=float, default=15.0)
     args = ap.parse_args(argv)
     roots = {"parent": os.path.abspath(args.parent), "change": os.path.abspath(args.change)}
 
     runs = {w: {"parent": [], "change": []} for w in WORKLOADS}
     for workload in WORKLOADS:
-        pairs = args.pairs if workload == "screen-wide" else args.other_pairs
-        for i in range(pairs):
+        for i in range(PAIRS):
             order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
             for side in order:
-                run = perfbench(roots[side], workload, i + 1, args.seconds)
+                run = perfbench(roots[side], workload, i + 1)
                 runs[workload][side].append(run)
                 print(workload, i + 1, side, run, file=sys.stderr, flush=True)
 
@@ -159,7 +157,7 @@ def main(argv=None):
         layers = {}
         for name, path in inputs.items():
             samples = {"parent": [], "change": []}
-            for i in range(args.layer_repeats):
+            for i in range(LAYER_REPEATS):
                 for side in (("parent", "change") if i % 2 == 0 else ("change", "parent")):
                     samples[side].append(layer(roots[side], name, path))
             layers[name] = {"input": LAYER_INPUTS[name]}
@@ -173,20 +171,19 @@ def main(argv=None):
     record = {
         "topic": "ingest",
         "how": {
-            "commands": [f"python3 perfbench/run.py --workload W --seed S --seconds {args.seconds:g} --trace 0"],
+            "commands": [f"python3 perfbench/run.py --workload W --seed S --seconds {SECONDS:g} --trace 0"],
             "pairing": "seed i ran on both checkouts back to back; odd seeds parent first, even seeds change first",
-            "layers": f"median of {args.layer_repeats} fresh processes per layer and side; "
+            "layers": f"median of {LAYER_REPEATS} fresh processes per layer and side; "
                       "rise_mb is the growth of ru_maxrss across the one call",
         },
         "claim": {
             "metric": "peak_rss_mb", "workload": "screen-wide",
-            "rule": "change lower in at least 9 of 10 pairs, and the median gap larger than the "
-                    "parent's interquartile range",
-            "wins": f"{wins} of {len(wide['parent']['runs'])}",
+            "rule": f"change lower in at least {MIN_WINS} of {PAIRS} pairs, and the median gap "
+                    "larger than the parent's interquartile range",
+            "wins": f"{wins} of {PAIRS}",
             "median_gap_mb": wide["parent"]["median"] - wide["change"]["median"],
             "parent_iqr_mb": parent_iqr,
-            "met": wins >= 0.9 * len(wide["parent"]["runs"])
-                   and wide["parent"]["median"] - wide["change"]["median"] > parent_iqr,
+            "met": wins >= MIN_WINS and wide["parent"]["median"] - wide["change"]["median"] > parent_iqr,
         },
         "machine": fingerprint(),
         "end_to_end": end_to_end,

@@ -178,14 +178,17 @@ def _open_text(path: str):
 
 
 def _records(path: str):
-    """(row number, fields) of each non-blank data record.  Rows are numbered
-    as in read_csv's messages: the header is row 1, and blank rows count."""
+    """(line, fields) of each non-blank data record, where line is the file
+    line the record starts on (the header starts on line 1).  A quoted field
+    may span lines."""
     with _open_text(path) as fh:
         reader = csv.reader(fh)
         next(reader, None)
-        for lineno, row in enumerate(reader, start=2):
+        start = reader.line_num + 1
+        for row in reader:
             if row:
-                yield lineno, row
+                yield start, row
+            start = reader.line_num + 1
 
 
 def _parse_error(path: str, width: int, detail) -> InputError:
@@ -198,6 +201,10 @@ def _parse_error(path: str, width: int, detail) -> InputError:
                 float(value)
             except ValueError as exc:
                 return InputError(f"{path}: row {lineno}: {exc}")
+            # float() also takes these; numpy's parser does not
+            if "_" in value or not value.isascii():
+                return InputError(f"{path}: row {lineno}: could not convert string to float: "
+                                  f"{value!r} (underscores and non-ASCII digits are not accepted)")
     return InputError(f"{path}: {detail}")
 
 
