@@ -1,0 +1,122 @@
+"""Compare the benchmark's end-to-end metrics between two checkouts.
+
+Usage, with two checkouts (the parent commit and the change) side by side:
+
+    python3 scripts/bench_compare.py --parent PARENT_DIR --change CHANGE_DIR \
+        --out BENCH_<topic>.json
+
+The workloads, the run length and the end-to-end metrics with their
+direction come from the change's BENCHMARK.json.  For every workload it runs
+``perfbench/run.py --trace 0`` in both checkouts for PAIRS seeds, pair by
+pair, alternating which side runs first.  For every (end-to-end metric,
+workload) pair it records each side's quartiles and applies the win rule:
+the change is better in at least MIN_WINS of the pairs, ties counting for
+neither, and the gap between the medians is larger than the parent's
+interquartile range.
+"""
+
+import argparse
+import json
+import os
+import platform
+import statistics
+import subprocess
+import sys
+
+PAIRS = 10  # alternating parent/change pairs per workload
+MIN_WINS = 9  # pairs the change must win
+THREAD_ENV = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
+
+
+def quartiles(values):
+    q1, med, q3 = statistics.quantiles(values, n=4, method="inclusive")
+    return {"median": med, "q1": q1, "q3": q3, "runs": values}
+
+
+def perfbench(root, workload, seed, seconds):
+    done = subprocess.run([sys.executable, "perfbench/run.py", "--workload", workload,
+                           "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"],
+                          cwd=root, capture_output=True, text=True, check=True)
+    result = json.loads(done.stdout.strip().splitlines()[-1])
+    return {"failed": result["failed"], "attempted": result["attempted"],
+            **{k: v["value"] for k, v in result["metrics"].items()}}
+
+
+def compare(parent, change, better):
+    """Both sides' quartiles and the win rule for one metric on one workload."""
+    sign = 1.0 if better == "lower" else -1.0  # positive gap: the change is better
+    wins = sum(sign * (p - c) > 0 for p, c in zip(parent, change))
+    parent_q, change_q = quartiles(parent), quartiles(change)
+    gap = sign * (parent_q["median"] - change_q["median"])
+    iqr = parent_q["q3"] - parent_q["q1"]
+    return {"parent": parent_q, "change": change_q, "better": better,
+            "change_better_in": f"{wins} of {len(parent)} pairs", "median_gap": gap,
+            "parent_iqr": iqr, "win": wins >= MIN_WINS and gap > iqr}
+
+
+def fingerprint():
+    import numpy as np
+
+    try:
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+        blas = f"{blas.get('name')} {blas.get('version')}"
+    except (KeyError, TypeError):
+        blas = None
+    cpu = None
+    try:
+        with open("/proc/cpuinfo") as fh:
+            cpu = next((line.split(":", 1)[1].strip() for line in fh
+                        if line.startswith("model name")), None)
+    except OSError:
+        pass
+    return {"nproc": len(os.sched_getaffinity(0)), "cpu_model": cpu,
+            "python": platform.python_version(), "numpy": np.__version__, "blas": blas,
+            "thread_env": {k: os.environ.get(k) for k in THREAD_ENV}}
+
+
+def main(argv=None):
+    ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    ap.add_argument("--parent", required=True)
+    ap.add_argument("--change", required=True)
+    ap.add_argument("--out", required=True)
+    args = ap.parse_args(argv)
+    roots = {"parent": os.path.abspath(args.parent), "change": os.path.abspath(args.change)}
+    with open(os.path.join(roots["change"], "BENCHMARK.json")) as fh:
+        spec = json.load(fh)
+    seconds = spec["run_seconds"]
+
+    end_to_end = {}
+    for workload in (w["name"] for w in spec["workloads"]):
+        runs = {"parent": [], "change": []}
+        for i in range(PAIRS):
+            for side in (("parent", "change") if i % 2 == 0 else ("change", "parent")):
+                run = perfbench(roots[side], workload, i + 1, seconds)
+                runs[side].append(run)
+                print(workload, i + 1, side, run, file=sys.stderr, flush=True)
+        row = {"seeds": list(range(1, PAIRS + 1)),
+               "failed": {side: sum(r["failed"] for r in rs) for side, rs in runs.items()}}
+        for metric in spec["end_to_end"]:
+            name = metric["name"]
+            row[name] = compare([r[name] for r in runs["parent"]],
+                                [r[name] for r in runs["change"]], metric["better"])
+        end_to_end[workload] = row
+
+    record = {
+        "how": {
+            "command": f"python3 perfbench/run.py --workload W --seed S --seconds {seconds:g} --trace 0",
+            "pairing": "seed i ran on both checkouts back to back; odd seeds parent first, "
+                       "even seeds change first",
+            "win_rule": f"change better in at least {MIN_WINS} of {PAIRS} pairs, and the median "
+                        "gap larger than the parent's interquartile range",
+        },
+        "machine": fingerprint(),
+        "end_to_end": end_to_end,
+    }
+    with open(args.out, "w") as fh:
+        json.dump(record, fh, indent=1)
+        fh.write("\n")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -22,7 +22,6 @@ from .onestep import (
 )
 from .stabilized import (
     MultiOrderingResult,
-    PrefixTrace,
     StabilizedResult,
     ci_pvalue,
     multi_ordering_test,
@@ -48,7 +47,6 @@ __all__ = [
     "MultiOrderingResult",
     "NuisanceBundle",
     "OneStepResult",
-    "PrefixTrace",
     "ResidualLifeModel",
     "ScenarioSpec",
     "StabilizedResult",

@@ -14,6 +14,8 @@ import secrets
 import sys
 import time
 
+import numpy as np
+
 from . import __version__
 from .dataset import read_csv
 from .errors import DegeneracyError, InputError
@@ -62,6 +64,12 @@ def build_parser() -> argparse.ArgumentParser:
     screen.add_argument("--seed", type=int, default=None)
     screen.add_argument("--oracle-k", default=None, metavar="NAME",
                         help="predictor name (or 1-based index) for --method oracle")
+    # the options one method alone reads, with their defaults: cmd_screen
+    # rejects any other value under another method
+    screen.set_defaults(method_options={
+        name: (method, screen.get_default(name)) for name, method in
+        (("qn", "stabilized"), ("orderings", "stabilized"), ("variant", "stabilized"),
+         ("oracle_k", "oracle"))})
 
     simulate = sub.add_parser("simulate", help="Monte-Carlo rejection-rate study")
     simulate.add_argument("--model", choices=("N", "A1", "A2"), default="N")
@@ -93,6 +101,11 @@ def _auto_seed(seed):
 
 
 def cmd_screen(args) -> int:
+    for name, (method, default) in args.method_options.items():
+        if args.method != method and getattr(args, name) != default:
+            raise InputError(f"--{name.replace('_', '-')} is read only by --method {method}")
+    if args.method == "oracle" and args.oracle_k is None:
+        raise InputError("--method oracle requires --oracle-k")
     seed = _auto_seed(args.seed)
     start = time.perf_counter()
     data = read_csv(args.csv, tau_rule=args.tau, standardize=args.standardize)
@@ -139,7 +152,7 @@ def cmd_screen(args) -> int:
                     "p_value": r.p_value,
                     "estimate": r.s_star,
                     "selected_name": data.predictor_names[r.modal_k()],
-                    "distinct_selected": len(r.selection_counts()),
+                    "distinct_selected": len(np.unique(r.k)),
                 }
                 for r in outcome.results
             ],
@@ -161,8 +174,6 @@ def cmd_screen(args) -> int:
             "decision": {"alpha": args.alpha, "reject": outcome.reject},
         })
     else:
-        if args.oracle_k is None:
-            raise InputError("--method oracle requires --oracle-k")
         k = data.column(args.oracle_k)
         result = one_step(data, k, alpha=args.alpha)
         report.update({

@@ -43,25 +43,23 @@ VARIANTS = ("prefix", "full")
 SELECT_BLOCK = 256
 
 
-@dataclass(frozen=True)
-class PrefixTrace:
-    """One prefix step: selection, dispersion, weight, weighted increment."""
-
-    j: int
-    k: int
-    m: int
-    sigma: float
-    weight: float
-    increment: float
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class StabilizedResult:
-    """Stabilized estimate with its per-step trace and normal calibration."""
+    """Stabilized estimate with its per-step columns and normal calibration.
+
+    ``k``, ``m``, ``sigma``, ``weight`` and ``increment`` are read-only
+    arrays over the prefix steps: element i is prefix size q_n + i, with its
+    selected predictor and sign, dispersion, weight sigma_bar / sigma and
+    weighted increment.
+    """
 
     s_star: float
     sigma_bar: float
-    traces: tuple
+    k: np.ndarray
+    m: np.ndarray
+    sigma: np.ndarray
+    weight: np.ndarray
+    increment: np.ndarray
     ci_low: float
     ci_high: float
     p_value: float
@@ -71,21 +69,18 @@ class StabilizedResult:
     alpha: float
     ordering_seed: Optional[int] = None
 
+    def __post_init__(self):
+        for arr in (self.k, self.m, self.sigma, self.weight, self.increment):
+            arr.flags.writeable = False
+
     @property
     def statistic(self) -> float:
         """Standardized statistic sqrt(n - q_n) * estimate / sigma_bar."""
         return math.sqrt(self.n - self.q_n) * self.s_star / self.sigma_bar
 
-    def selection_counts(self) -> dict:
-        counts = {}
-        for t in self.traces:
-            counts[t.k] = counts.get(t.k, 0) + 1
-        return counts
-
     def modal_k(self) -> int:
-        counts = self.selection_counts()
-        best = max(counts.values())
-        return min(k for k, c in counts.items() if c == best)
+        """The most often selected predictor; the smallest index on a tie."""
+        return int(np.bincount(self.k).argmax())
 
 
 def default_qn(n: int) -> int:
@@ -264,7 +259,6 @@ def stabilized_estimate(
     variant: str = "full",
     ordering: Optional[np.ndarray] = None,
     alpha: float = 0.05,
-    ordering_seed: Optional[int] = None,
 ) -> StabilizedResult:
     """Run the sequential screen under one ordering of the data.
 
@@ -278,7 +272,7 @@ def stabilized_estimate(
         perm = np.asarray(ordering, dtype=np.intp)
         if len(perm) != n or not np.array_equal(np.sort(perm), np.arange(n)):
             raise InputError("ordering must be a permutation of 0..n-1")
-    return _screen(data, q, variant, [perm], alpha, [ordering_seed])[0]
+    return _screen(data, q, variant, [perm], alpha, [None])[0]
 
 
 def _screen(data, q, variant, perms, alpha, seeds):
@@ -378,13 +372,9 @@ def _ordering_result(q, variant, n, alpha, seed, ks, ms, failure, sig2, raws, u_
     s_star = float(increments.mean())
     ci_low, ci_high, p = _interval(s_star, sigma_bar, steps, alpha)
 
-    traces = tuple(
-        PrefixTrace(j, int(k), int(m), float(s), float(w), float(inc))
-        for j, k, m, s, w, inc in zip(range(q, n), ks, ms, sigmas, weights, increments)
-    )
     return StabilizedResult(
-        s_star=s_star, sigma_bar=sigma_bar, traces=traces,
-        ci_low=ci_low, ci_high=ci_high, p_value=p,
+        s_star=s_star, sigma_bar=sigma_bar, k=ks, m=ms, sigma=sigmas, weight=weights,
+        increment=increments, ci_low=ci_low, ci_high=ci_high, p_value=p,
         q_n=q, variant=variant, n=n, alpha=alpha, ordering_seed=seed,
     )
 

@@ -96,14 +96,12 @@ def test_criterion_1_oracle_equivalence():
         want = oracles.stabilized(list(data.x), list(data.delta), rows, q, variant)
         worst_stab = max(worst_stab, normalized_gap(got.s_star, want["s_star"]))
         worst_stab = max(worst_stab, normalized_gap(got.sigma_bar, want["sigma_bar"]))
-        for trace, (j, kk, m, sigma, _), inc in zip(
-            got.traces, want["steps"], want["increments"]
-        ):
-            assert (trace.j, trace.k, trace.m) == (j, kk, m)
+        for i, ((j, kk, m, sigma, _), inc) in enumerate(zip(want["steps"], want["increments"])):
+            assert (q + i, got.k[i], got.m[i]) == (j, kk, m)
             worst_stab = max(
                 worst_stab,
-                normalized_gap(trace.sigma, sigma),
-                normalized_gap(trace.increment, inc),
+                normalized_gap(got.sigma[i], sigma),
+                normalized_gap(got.increment[i], inc),
             )
     elapsed = time.perf_counter() - start
     assert worst_forms < 1e-10

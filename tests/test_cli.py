@@ -116,9 +116,23 @@ class TestScreen:
         assert report["adjusted_p_value"] == report["p_value"]
 
     def test_oracle_requires_k(self, capsys):
-        rc, _, err = run_cli(capsys, ["screen", TOY, "--method", "oracle", "--seed", "3"])
+        # checked before the CSV is read, so the missing file is not reached
+        rc, _, err = run_cli(capsys, ["screen", "/nonexistent.csv", "--method", "oracle",
+                                      "--seed", "3"])
         assert rc == 2
-        assert "oracle-k" in err
+        assert "requires --oracle-k" in err
+
+    @pytest.mark.parametrize("argv,option", [
+        (["--method", "bonferroni", "--orderings", "0"], "--orderings"),
+        (["--method", "oracle", "--oracle-k", "u1", "--qn", "3", "--variant", "prefix"], "--qn"),
+        (["--method", "stabilized", "--oracle-k", "nosuch"], "--oracle-k"),
+    ])
+    def test_option_the_method_ignores_exits_2(self, capsys, argv, option):
+        # the file does not exist: the check comes before the CSV is read
+        rc, out, err = run_cli(capsys, ["screen", "/nonexistent.csv", "--seed", "1"] + argv)
+        assert rc == 2
+        assert out == ""
+        assert f"error: {option} is read only by --method" in err
 
     def test_malformed_status_exits_2_with_row(self, capsys, tmp_path):
         path = tmp_path / "bad.csv"

@@ -1,4 +1,5 @@
 import math
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -38,10 +39,10 @@ def assert_matches_oracle(data, q, variant, tol=1e-10):
     )
     assert abs(got.s_star - want["s_star"]) < tol
     assert abs(got.sigma_bar - want["sigma_bar"]) < tol
-    for trace, (j, k, m, sigma, _raw), inc in zip(got.traces, want["steps"], want["increments"]):
-        assert (trace.j, trace.k, trace.m) == (j, k, m)
-        assert abs(trace.sigma - sigma) < tol
-        assert abs(trace.increment - inc) < tol
+    for i, ((j, k, m, sigma, _raw), inc) in enumerate(zip(want["steps"], want["increments"])):
+        assert (q + i, got.k[i], got.m[i]) == (j, k, m)
+        assert abs(got.sigma[i] - sigma) < tol
+        assert abs(got.increment[i] - inc) < tol
 
 
 class TestSelection:
@@ -78,11 +79,10 @@ class TestStabilizedEstimate:
     def test_single_term_when_qn_is_n_minus_1(self, rng):
         data = random_dataset(rng, n=12)
         r = stabilized_estimate(data, q_n=11, variant="full")
-        assert len(r.traces) == 1
-        t = r.traces[0]
-        assert t.weight == pytest.approx(1.0)
-        assert r.sigma_bar == pytest.approx(t.sigma)
-        assert r.s_star == pytest.approx(t.increment)
+        assert len(r.k) == 1
+        assert r.weight[0] == pytest.approx(1.0)
+        assert r.sigma_bar == pytest.approx(r.sigma[0])
+        assert r.s_star == pytest.approx(r.increment[0])
 
     def test_identical_columns_select_first(self, rng):
         base = random_dataset(rng, p=1)
@@ -91,7 +91,7 @@ class TestStabilizedEstimate:
             np.column_stack((base.x, base.delta, u, u, u)), standardize=False
         )
         r = stabilized_estimate(data, variant="full")
-        assert all(t.k == 0 for t in r.traces)
+        assert all(r.k == 0)
 
     def test_fixed_example_matches_oracle_both_variants(self):
         data = fixed_example()
@@ -108,10 +108,8 @@ class TestStabilizedEstimate:
         data = random_dataset(rng, n=25)
         r = stabilized_estimate(data, variant="full")
         q = default_qn(25)
-        assert [t.j for t in r.traces] == list(range(q, 25))
-        incs = np.array([t.increment for t in r.traces])
-        sigmas = np.array([t.sigma for t in r.traces])
-        weights = np.array([t.weight for t in r.traces])
+        assert {len(a) for a in (r.k, r.m, r.sigma, r.weight, r.increment)} == {25 - q}
+        incs, sigmas, weights = r.increment, r.sigma, r.weight
         assert r.s_star == pytest.approx(incs.mean(), abs=1e-12)
         assert r.sigma_bar == pytest.approx(len(sigmas) / np.sum(1.0 / sigmas), abs=1e-12)
         assert np.allclose(weights, r.sigma_bar / sigmas, atol=1e-12)
@@ -135,12 +133,11 @@ class TestStabilizedEstimate:
             return stabilized_estimate(data, variant="full")
 
         base, up, flip = run(1.0), run(2.0), run(-2.0)
-        assert [t_.k for t_ in up.traces] == [t_.k for t_ in base.traces]
-        assert [t_.m for t_ in up.traces] == [t_.m for t_ in base.traces]
+        assert np.array_equal(up.k, base.k)
+        assert np.array_equal(up.m, base.m)
         assert abs(up.s_star - base.s_star) < 1e-10
-        assert [t_.k for t_ in flip.traces] == [t_.k for t_ in base.traces]
-        for t_flip, t_base in zip(flip.traces, base.traces):
-            assert t_flip.m == (-t_base.m if t_base.k == 0 else t_base.m)
+        assert np.array_equal(flip.k, base.k)
+        assert np.array_equal(flip.m, np.where(base.k == 0, -base.m, base.m))
         assert abs(flip.s_star - base.s_star) < 1e-10
 
     def test_all_censored_hits_dispersion_floor(self):
@@ -204,11 +201,21 @@ class TestBenchmarkScaling:
 
 class TestCiPvalue:
     @staticmethod
-    def result(s_star, sigma_bar, n, q):
+    def result(s_star, sigma_bar, n, q, k=()):
+        k = np.array(k, dtype=np.intp)
         return StabilizedResult(
-            s_star=s_star, sigma_bar=sigma_bar, traces=(), ci_low=0.0, ci_high=0.0,
-            p_value=1.0, q_n=q, variant="full", n=n, alpha=0.05,
+            s_star=s_star, sigma_bar=sigma_bar, k=k, m=np.ones(len(k), dtype=np.int64),
+            sigma=np.ones(len(k)), weight=np.ones(len(k)), increment=np.zeros(len(k)),
+            ci_low=0.0, ci_high=0.0, p_value=1.0, q_n=q, variant="full", n=n, alpha=0.05,
         )
+
+    def test_modal_k_counts_and_breaks_ties_low(self):
+        r = self.result(0.0, 1.0, 10, 5, k=[5, 2, 5, 2, 7])
+        assert r.modal_k() == 2
+        assert len(np.unique(r.k)) == 3  # the report's distinct_selected
+        for name in ("k", "m", "sigma", "weight", "increment"):
+            with pytest.raises(ValueError, match="read-only"):
+                getattr(r, name)[0] = 1
 
     def test_zero_estimate_has_unit_p(self):
         lo, hi, p = ci_pvalue(self.result(0.0, 1.0, 200, 100), 0.05)
@@ -266,7 +273,8 @@ class TestMultiOrdering:
             "data = ingest(np.load(sys.argv[1]), standardize=False)\n"
             "out = multi_ordering_test(data, orderings=4, seed=5)\n"
             "print(repr(out.p_values), repr(out.best.s_star))\n"
-            "print([[(t.k, t.m, t.sigma, t.increment) for t in r.traces] for r in out.results])\n"
+            "print([[r.k.tolist(), r.m.tolist(), r.sigma.tolist(), r.increment.tolist()]\n"
+            "       for r in out.results])\n"
         )
         one = run_python(["-c", script, str(table)], blas_threads=1)
         two = run_python(["-c", script, str(table)], blas_threads=2)
@@ -279,9 +287,14 @@ class TestMultiOrdering:
         for r, got in enumerate(out.results):
             want = stabilized_estimate(
                 data, q_n=15, variant=variant, ordering=stream(11, r).permutation(40),
-                ordering_seed=r,
             )
-            assert got == want
+            assert got.ordering_seed == r
+            for field in fields(StabilizedResult):
+                a, b = getattr(got, field.name), getattr(want, field.name)
+                if isinstance(a, np.ndarray):
+                    assert a.dtype == b.dtype and np.array_equal(a, b), field.name
+                elif field.name != "ordering_seed":
+                    assert a == b, field.name
 
 
 def signal_with_noise_columns(rng, n, p, columns):
@@ -307,7 +320,7 @@ class TestBlockedSelection:
         low = min(abs(c) for c in pair)
         out = multi_ordering_test(data, orderings=2, seed=3)
         for result in out.results:
-            assert [(t.k, t.m) for t in result.traces] == [(low, sign)] * len(result.traces)
+            assert all(result.k == low) and all(result.m == sign)
         for j in (3, 25, 50):
             assert select_predictor(data, j) == (low, sign)
 
@@ -320,7 +333,7 @@ class TestBlockedSelection:
         table[:, 2 + k] = 1e-6 * (data.x + rng.standard_normal(n))
         near_constant = ingest(table, standardize=False)
         result = stabilized_estimate(near_constant, q_n=5, variant="full")
-        assert all(t.k == 40 for t in result.traces)
+        assert all(result.k == 40)
         for j in (5, 30, 50):
             assert select_predictor(near_constant, j) == oracles.select(
                 list(near_constant.x), list(near_constant.delta),
@@ -380,21 +393,21 @@ class TestFullSampleSteps:
         km = fit_censoring_km(data.x, data.delta)
         y = _weighted_response(data.x, data.delta, survival_at(km, data.x))
         sigmas, raws = [], []
-        for t in result.traces:
-            if t.k not in influence:
+        for j, k in enumerate(result.k.tolist(), start=result.q_n):
+            if k not in influence:
                 bundle, ipw, car = influence_block(
-                    data.predictors[:, [t.k]], data.x, data.delta, y, km, (t.k,))
-                influence[t.k] = (float(plugin_slope(bundle)[0]), (ipw - car)[:, 0])
-            psi, values = influence[t.k]
+                    data.predictors[:, [k]], data.x, data.delta, y, km, (k,))
+                influence[k] = (float(plugin_slope(bundle)[0]), (ipw - car)[:, 0])
+            psi, values = influence[k]
             values = values[perm]
             cs = np.concatenate(([0.0], np.cumsum(values)))
             csq = np.concatenate(([0.0], np.cumsum(values * values)))
-            sig2 = csq[t.j] / t.j - (cs[t.j] / t.j) ** 2  # a float64 scalar: C pow
+            sig2 = csq[j] / j - (cs[j] / j) ** 2  # a float64 scalar: C pow
             sigmas.append(math.sqrt(max(sig2, 0.0)))
-            raws.append(psi + values[t.j])
+            raws.append(psi + values[j])
         sigmas = np.array(sigmas)
         weights = len(sigmas) / float(np.sum(1.0 / sigmas)) / sigmas
-        increments = weights * np.array([t.m for t in result.traces]) * np.array(raws)
+        increments = weights * result.m * np.array(raws)
         return list(sigmas), list(increments)
 
     def test_equal_to_step_loop_bitwise(self, rng, monkeypatch):
@@ -405,15 +418,15 @@ class TestFullSampleSteps:
         data = near_duplicate_head(rng, head=head)
         out = multi_ordering_test(data, orderings=4, q_n=2, seed=17)
         runs = [(r, stream(17, i).permutation(data.n)) for i, r in enumerate(out.results)]
-        assert len({t.k for r in out.results for t in r.traces}) > 3 * 7
+        assert len(np.unique(np.concatenate([r.k for r in out.results]))) > 3 * 7
         for _ in range(48):
             perm = np.concatenate((rng.permutation(head), head + rng.permutation(data.n - head)))
             runs.append((stabilized_estimate(data, q_n=2, ordering=perm), perm))
         influence = {}
         for result, perm in runs:
             sigmas, increments = self.loop_steps(data, result, perm, influence)
-            assert [t.sigma for t in result.traces] == sigmas
-            assert [t.increment for t in result.traces] == increments
+            assert result.sigma.tolist() == sigmas
+            assert result.increment.tolist() == increments
 
     def test_fallback_to_near_constant_predictor_hits_variance_floor(self, rng):
         # every row censored: every weight is 0 and each step falls back to (0, +1)
