@@ -85,6 +85,9 @@ def build_parser() -> argparse.ArgumentParser:
     simulate.add_argument("--seed", type=int, default=None)
     simulate.add_argument("--parallelism", type=int, default=1)
     simulate.add_argument("--no-header", dest="header", action="store_false")
+    # as for screen: cmd_simulate rejects these before any replicate runs
+    simulate.set_defaults(method_options={
+        "orderings": ("stabilized_multiR", simulate.get_default("orderings"))})
 
     bench = sub.add_parser("bench", help="time one full stabilized screen")
     bench.add_argument("--n", type=int, default=500)
@@ -100,10 +103,14 @@ def _auto_seed(seed):
     return secrets.randbits(63) if seed is None else seed
 
 
-def cmd_screen(args) -> int:
+def _check_method_options(args) -> None:
     for name, (method, default) in args.method_options.items():
         if args.method != method and getattr(args, name) != default:
             raise InputError(f"--{name.replace('_', '-')} is read only by --method {method}")
+
+
+def cmd_screen(args) -> int:
+    _check_method_options(args)
     if args.method == "oracle" and args.oracle_k is None:
         raise InputError("--method oracle requires --oracle-k")
     seed = _auto_seed(args.seed)
@@ -191,6 +198,7 @@ def cmd_screen(args) -> int:
 
 
 def cmd_simulate(args) -> int:
+    _check_method_options(args)
     seed = _auto_seed(args.seed)
     spec = ScenarioSpec(
         model=args.model, error=args.error, censoring=args.censoring,

@@ -19,8 +19,11 @@ under any degree of parallelism.
 """
 
 import math
+import multiprocessing
+import os
 import time
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Optional
 
@@ -42,6 +45,9 @@ A2_BETAS = np.array([0.15] * 5 + [-0.1] * 5)
 CALIBRATION_SEED = 202608
 CALIBRATION_DRAWS = 100_000
 CALIBRATION_TOL = 0.005
+
+# BLAS thread-count variables a spawned Monte-Carlo worker starts with set to 1
+BLAS_THREAD_ENV = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 _calibration_cache = {}
 
@@ -245,6 +251,27 @@ def _run_replicate(args) -> tuple:
         raise type(exc)(f"replicate {rep} (seed {spec.seed}) failed: {exc}") from exc
 
 
+def _seed_calibration_cache(entries: dict) -> None:
+    """Pool initializer: a worker starts with the parent's calibrated rates."""
+    _calibration_cache.update(entries)
+
+
+@contextmanager
+def _one_blas_thread():
+    """Set every BLAS_THREAD_ENV variable to 1 for the block, then restore the
+    environment exactly (values and absences)."""
+    saved = {name: os.environ.get(name) for name in BLAS_THREAD_ENV}
+    os.environ.update(dict.fromkeys(BLAS_THREAD_ENV, "1"))
+    try:
+        yield
+    finally:
+        for name, value in saved.items():
+            if value is None:
+                del os.environ[name]
+            else:
+                os.environ[name] = value
+
+
 def monte_carlo_rejection(
     spec: ScenarioSpec,
     method: str,
@@ -253,7 +280,14 @@ def monte_carlo_rejection(
     parallelism: int = 1,
     orderings: int = 10,
 ) -> MonteCarloReport:
-    """Seeded rejection-rate study; a failing replicate aborts the report."""
+    """Seeded rejection-rate study; a failing replicate aborts the report.
+
+    With ``parallelism > 1`` the replicates run in that many spawned worker
+    processes (at most one per replicate), each on one BLAS thread, so
+    ``parallelism`` is the number of cores used.  The report does not depend
+    on it.  Spawned workers import the caller's main module, so a script
+    that asks for parallelism calls this under ``if __name__ == "__main__":``.
+    """
     if reps < 1:
         raise InputError(f"reps must be >= 1, got {reps}")
     if method not in METHODS:
@@ -262,15 +296,22 @@ def monte_carlo_rejection(
         raise InputError(f"parallelism must be >= 1, got {parallelism}")
     if orderings < 1:
         raise InputError(f"orderings must be >= 1, got {orderings}")
-    # warm the calibration cache before forking workers
+    # calibrate once here; the workers receive the rate through the initializer
     if spec.censoring != "none":
         calibrate_censoring_rate(spec.model, spec.error, CENSORING_TARGETS[spec.censoring])
 
     tasks = [(spec, method, alpha, orderings, rep) for rep in range(reps)]
     if parallelism > 1:
         chunk = max(1, reps // (parallelism * 8))
-        with ProcessPoolExecutor(max_workers=parallelism) as pool:
-            outcomes = list(pool.map(_run_replicate, tasks, chunksize=chunk))
+        with ProcessPoolExecutor(
+            max_workers=min(parallelism, reps), mp_context=multiprocessing.get_context("spawn"),
+            initializer=_seed_calibration_cache, initargs=(dict(_calibration_cache),),
+        ) as pool:
+            # a spawned worker starts when map submits its tasks, and its BLAS
+            # reads the thread count from the environment as numpy loads
+            with _one_blas_thread():
+                results = pool.map(_run_replicate, tasks, chunksize=chunk)
+            outcomes = list(results)
     else:
         outcomes = [_run_replicate(t) for t in tasks]
 

@@ -195,7 +195,7 @@ class TestSimulateCommand:
          "numerical degeneracy: replicate 0 (seed 1) failed"),
         (["--p", "0"], 2, "error: p must be >= 1"),
         (["--parallelism", "-2", "--n", "40", "--p", "3"], 2, "error: parallelism must be >= 1"),
-        (["--method", "oracle", "--orderings", "0", "--n", "40", "--p", "5"], 2,
+        (["--method", "stabilized_multiR", "--orderings", "0", "--n", "40", "--p", "5"], 2,
          "error: orderings must be >= 1, got 0"),
         (["--method", "stabilized_multiR", "--orderings", "-5", "--n", "40", "--p", "5"], 2,
          "error: orderings must be >= 1, got -5"),
@@ -205,6 +205,24 @@ class TestSimulateCommand:
         assert rc == code
         assert out == ""
         assert message in err
+
+    @pytest.mark.parametrize("method,orderings", [
+        ("oracle", "5"), ("oracle", "0"), ("bonferroni", "3"), ("stabilized_full", "1"),
+    ])
+    def test_orderings_outside_multi_ordering_method_exits_2(self, capsys, method, orderings):
+        # n=2 fails every replicate, so exit 2 with this message means none ran
+        rc, out, err = run_cli(capsys, ["simulate", "--reps", "1", "--seed", "1", "--n", "2",
+                                        "--method", method, "--orderings", orderings])
+        assert rc == 2
+        assert out == ""
+        assert "error: --orderings is read only by --method stabilized_multiR" in err
+
+    @pytest.mark.parametrize("method", ["oracle", "bonferroni", "stabilized_full"])
+    def test_default_orderings_stays_accepted(self, capsys, method):
+        rc, out, _ = run_cli(capsys, ["simulate", "--reps", "1", "--seed", "1", "--n", "60",
+                                      "--p", "4", "--method", method, "--orderings", "10"])
+        assert rc == 0
+        assert out.splitlines()[1].split(",")[5] == method
 
     def test_unknown_model_exits_2(self, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -228,3 +246,16 @@ class TestBenchCommand:
         header, row = out.strip().splitlines()
         record = dict(zip(header.split(","), row.split(",")))
         assert float(record["wall_time_s"]) < 2.0
+
+
+def test_import_loads_only_scipy_special():
+    # the package and its CLI need only scipy.special; the statistics
+    # subpackage alone took most of the import time
+    script = """
+import sys
+import survscreen, survscreen.cli
+print(*sorted(name[6:] for name, module in sys.modules.items()
+              if name.startswith("scipy.") and name.count(".") == 1
+              and not name[6:].startswith("_") and hasattr(module, "__path__")))
+"""
+    assert run_python(["-c", script], blas_threads=1).split() == ["special"]

@@ -15,7 +15,14 @@ from survscreen import (
 from survscreen.censoring import fit_censoring_km, synthetic_response
 from survscreen.dataset import ingest
 from survscreen.errors import DegeneracyError
-from survscreen.onestep import BLOCK_COLUMNS, influence_block, influence_values
+from survscreen.onestep import (
+    BLOCK_COLUMNS,
+    Z_95,
+    influence_block,
+    influence_values,
+    two_sided_p,
+    z_value,
+)
 from survscreen.residual_life import ResidualLifeModel, fit_residual_life_arrays
 from survscreen.simulate import ScenarioSpec, generate_scenario, monte_carlo_rejection
 
@@ -56,6 +63,39 @@ def ksv_slope(u, y):
     n = len(u)
     model = fit_residual_life_arrays(np.zeros(n), np.ones(n), y, np.asarray(u)[:, None])
     return float(model.slopes[0, 0])
+
+
+class TestTailFunctions:
+    """The normal tail functions equal scipy.stats.norm's bit for bit."""
+
+    EDGES = [0.0, -0.0, 1e-300, -1e-300, 1.96, -1.96, 8.3, -8.3, 37.5, -37.5, 38.5, -38.5,
+             np.inf, -np.inf]
+
+    def grid(self):
+        rng = np.random.default_rng(7)
+        return np.concatenate((self.EDGES, rng.standard_normal(2000) * 4.0,
+                               rng.uniform(-40.0, 40.0, 2000)))
+
+    def test_two_sided_p_equals_norm_sf_on_arrays(self):
+        z = self.grid()
+        got, want = two_sided_p(z), 2.0 * norm.sf(np.abs(z))
+        assert type(got) is type(want) and got.dtype == want.dtype
+        assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("z", EDGES)
+    def test_two_sided_p_equals_norm_sf_on_scalars(self, z):
+        got, want = two_sided_p(z), 2.0 * norm.sf(np.abs(z))
+        assert type(got) is type(want) is np.float64
+        assert got == want
+
+    @pytest.mark.parametrize("alpha", [0.01, 0.1, 1e-6, 0.5])
+    def test_z_value_equals_norm_ppf(self, alpha):
+        got = z_value(alpha)
+        assert type(got) is float
+        assert got == float(norm.ppf(1.0 - alpha / 2.0))
+
+    def test_z_value_keeps_the_literal_at_five_percent(self):
+        assert z_value(0.05) == Z_95 == 1.96
 
 
 class TestInfluencePieces:

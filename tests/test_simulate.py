@@ -1,4 +1,6 @@
+import dataclasses
 import math
+import os
 
 import numpy as np
 import pytest
@@ -7,6 +9,7 @@ from survscreen import one_step
 from survscreen.errors import DegeneracyError, InputError, SurvScreenError
 from survscreen.simulate import (
     A2_BETAS,
+    BLAS_THREAD_ENV,
     CENSORING_TARGETS,
     METHODS,
     MonteCarloReport,
@@ -196,25 +199,40 @@ class TestMonteCarlo:
         assert a.rejection_rate == b.rejection_rate
         assert a.coverage == b.coverage
 
-    def test_parallel_matches_serial(self):
+    @pytest.mark.parametrize("method", ["stabilized_full", "stabilized_multiR"])
+    def test_parallel_matches_serial(self, method):
         spec = ScenarioSpec(model="A1", n=60, p=4, seed=11)
-        serial = monte_carlo_rejection(spec, "stabilized_full", reps=8, parallelism=1)
-        parallel = monte_carlo_rejection(spec, "stabilized_full", reps=8, parallelism=2)
-        assert serial.rejections == parallel.rejections
-        assert serial.coverage == parallel.coverage
+        serial = monte_carlo_rejection(spec, method, reps=8, parallelism=1)
+        parallel = monte_carlo_rejection(spec, method, reps=8, parallelism=2)
+        for field in dataclasses.fields(MonteCarloReport):
+            if field.name != "mean_runtime_ms":
+                assert getattr(serial, field.name) == getattr(parallel, field.name), field.name
+
+    def test_parallel_call_restores_environment(self, monkeypatch):
+        # one variable set to another value, the others absent
+        monkeypatch.setenv(BLAS_THREAD_ENV[0], "2")
+        for name in BLAS_THREAD_ENV[1:]:
+            monkeypatch.delenv(name, raising=False)
+        before = dict(os.environ)
+        monte_carlo_rejection(ScenarioSpec(model="A1", n=60, p=4, seed=14), "oracle", reps=2,
+                              parallelism=2)
+        assert dict(os.environ) == before
 
     def test_failed_replicate_aborts_with_seed(self):
         spec = ScenarioSpec(model="N", n=3, p=2, seed=12)  # q_n=1 is invalid
         with pytest.raises(SurvScreenError, match="replicate 0 .seed 12."):
             monte_carlo_rejection(spec, "stabilized_full", reps=2)
 
-    def test_failed_replicate_keeps_error_class(self):
+    @pytest.mark.parametrize("parallelism", [1, 2])
+    def test_failed_replicate_keeps_error_class(self, parallelism):
+        # with two workers the error crosses the process boundary
         spec = ScenarioSpec(model="N", n=3, p=2, seed=1)
         with pytest.raises(InputError, match="replicate 0 .seed 1. failed: q_n"):
-            monte_carlo_rejection(spec, "stabilized_full", reps=1)
+            monte_carlo_rejection(spec, "stabilized_full", reps=parallelism,
+                                  parallelism=parallelism)
         spec = ScenarioSpec(model="N", n=2, p=2, seed=1)
         with pytest.raises(DegeneracyError, match="replicate 0 .seed 1. failed"):
-            monte_carlo_rejection(spec, "oracle", reps=1)
+            monte_carlo_rejection(spec, "oracle", reps=parallelism, parallelism=parallelism)
 
     @pytest.mark.parametrize("parallelism", [0, -2])
     def test_parallelism_below_one_rejected(self, parallelism):
