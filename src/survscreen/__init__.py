@@ -10,20 +10,16 @@ calibration even for very large p.
 from .dataset import SurvivalDataset, ingest, read_csv
 from .censoring import KaplanMeierFit, survival_at, synthetic_response
 from .errors import DegeneracyError, InputError, SurvScreenError
-from .residual_life import ResidualLifeModel
 from .onestep import (
     BonferroniResult,
-    NuisanceBundle,
     OneStepResult,
     bonferroni_test,
     conservative_variance,
     one_step,
-    oracle_test,
 )
 from .stabilized import (
     MultiOrderingResult,
     StabilizedResult,
-    ci_pvalue,
     multi_ordering_test,
     select_predictor,
     stabilized_estimate,
@@ -45,23 +41,19 @@ __all__ = [
     "KaplanMeierFit",
     "MonteCarloReport",
     "MultiOrderingResult",
-    "NuisanceBundle",
     "OneStepResult",
-    "ResidualLifeModel",
     "ScenarioSpec",
     "StabilizedResult",
     "SurvScreenError",
     "SurvivalDataset",
     "bonferroni_test",
     "calibrate_censoring_rate",
-    "ci_pvalue",
     "conservative_variance",
     "generate_scenario",
     "ingest",
     "monte_carlo_rejection",
     "multi_ordering_test",
     "one_step",
-    "oracle_test",
     "read_csv",
     "select_predictor",
     "stabilized_estimate",

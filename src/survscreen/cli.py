@@ -2,8 +2,7 @@
 
 ``survscreen screen`` ingests a `time,status,u1,...` CSV and prints a JSON
 report; ``survscreen simulate`` runs seeded Monte-Carlo studies and prints
-CSV; ``survscreen bench`` times one full stabilized screen on synthetic
-data.  Exit codes: 0 on successful computation (the statistical decision
+CSV.  Exit codes: 0 on successful computation (the statistical decision
 lives in the report, never in the exit code), 2 on input errors, 3 on
 numerical-degeneracy errors.
 """
@@ -21,8 +20,8 @@ from .dataset import read_csv
 from .errors import DegeneracyError, InputError
 from .onestep import bonferroni_test, one_step
 from .simulate import METHODS as SIM_METHODS
-from .simulate import MonteCarloReport, ScenarioSpec, generate_scenario, monte_carlo_rejection
-from .stabilized import multi_ordering_test, stabilized_estimate
+from .simulate import MonteCarloReport, ScenarioSpec, monte_carlo_rejection
+from .stabilized import multi_ordering_test
 
 
 def _qn_value(text: str):
@@ -89,13 +88,6 @@ def build_parser() -> argparse.ArgumentParser:
     simulate.set_defaults(method_options={
         "orderings": ("stabilized_multiR", simulate.get_default("orderings"))})
 
-    bench = sub.add_parser("bench", help="time one full stabilized screen")
-    bench.add_argument("--n", type=int, default=500)
-    bench.add_argument("--p", type=int, default=10_000)
-    bench.add_argument("--variant", choices=("prefix", "full"), default="full")
-    bench.add_argument("--seed", type=int, default=0)
-    bench.add_argument("--no-header", dest="header", action="store_false")
-
     return parser
 
 
@@ -116,7 +108,6 @@ def cmd_screen(args) -> int:
     seed = _auto_seed(args.seed)
     start = time.perf_counter()
     data = read_csv(args.csv, tau_rule=args.tau, standardize=args.standardize)
-    qn = data.n // 2 if args.qn == "half" else args.qn
 
     config = {
         "alpha": args.alpha,
@@ -142,8 +133,8 @@ def cmd_screen(args) -> int:
 
     if args.method == "stabilized":
         outcome = multi_ordering_test(
-            data, orderings=args.orderings, q_n=qn, variant=args.variant,
-            alpha=args.alpha, seed=seed,
+            data, orderings=args.orderings, q_n=None if args.qn == "half" else args.qn,
+            variant=args.variant, alpha=args.alpha, seed=seed,
         )
         best = outcome.best
         selected = best.modal_k()
@@ -155,13 +146,13 @@ def cmd_screen(args) -> int:
             "selected": {"index": selected + 1, "name": data.predictor_names[selected]},
             "orderings": [
                 {
-                    "ordering": r.ordering_seed,
+                    "ordering": i,
                     "p_value": r.p_value,
                     "estimate": r.s_star,
                     "selected_name": data.predictor_names[r.modal_k()],
                     "distinct_selected": len(np.unique(r.k)),
                 }
-                for r in outcome.results
+                for i, r in enumerate(outcome.results)
             ],
             "decision": {"alpha": args.alpha, "reject": outcome.reject},
         })
@@ -214,28 +205,13 @@ def cmd_simulate(args) -> int:
     return 0
 
 
-def cmd_bench(args) -> int:
-    spec = ScenarioSpec(model="N", error="independent", censoring="light",
-                        n=args.n, p=args.p, seed=args.seed)
-    data, _ = generate_scenario(spec)
-    start = time.perf_counter()
-    stabilized_estimate(data, variant=args.variant)
-    wall = time.perf_counter() - start
-    if args.header:
-        print("n,p,variant,qn,seed,wall_time_s")
-    print(f"{args.n},{args.p},{args.variant},{data.n // 2},{args.seed},{wall:.4f}")
-    return 0
-
-
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
         if args.command == "screen":
             return cmd_screen(args)
-        if args.command == "simulate":
-            return cmd_simulate(args)
-        return cmd_bench(args)
+        return cmd_simulate(args)
     except InputError as exc:
         print(f"survscreen: error: {exc}", file=sys.stderr)
         return 2

@@ -66,7 +66,7 @@ class SurvivalDataset:
 
 
 def lower_quantile(values: np.ndarray, q: float) -> float:
-    """Lower empirical (type-1) quantile: the ceil(n*q)-th order statistic."""
+    """Lower empirical (type-1) quantile, the ceil(n*q)-th order statistic."""
     if not 0.0 < q <= 1.0:
         raise InputError(f"quantile must be in (0, 1], got {q}")
     xs = np.sort(values)
@@ -75,18 +75,17 @@ def lower_quantile(values: np.ndarray, q: float) -> float:
 
 
 def parse_tau_rule(rule: str) -> tuple:
-    """Parse 'max' or 'q:<x>' (also accepts 'max_observed', 'quantile:<x>')."""
-    if rule in ("max", "max_observed"):
+    """Parse 'max' or 'q:<x>'."""
+    if rule == "max":
         return ("max", None)
-    for prefix in ("q:", "quantile:"):
-        if rule.startswith(prefix):
-            try:
-                q = float(rule[len(prefix):])
-            except ValueError:
-                raise InputError(f"bad tau rule {rule!r}") from None
-            if not 0.0 < q <= 1.0:
-                raise InputError(f"tau quantile must be in (0, 1], got {q}")
-            return ("quantile", q)
+    if rule.startswith("q:"):
+        try:
+            q = float(rule[2:])
+        except ValueError:
+            raise InputError(f"bad tau rule {rule!r}") from None
+        if not 0.0 < q <= 1.0:
+            raise InputError(f"tau quantile must be in (0, 1], got {q}")
+        return ("quantile", q)
     raise InputError(f"bad tau rule {rule!r}; expected 'max' or 'q:<x>'")
 
 

@@ -32,7 +32,7 @@ from typing import NamedTuple, Optional
 import numpy as np
 from scipy.special import ndtr, ndtri
 
-from .censoring import KaplanMeierFit, _weighted_response, fit_censoring_km, survival_at
+from .censoring import KaplanMeierFit, fit_censoring_km, synthetic_response
 from .dataset import SurvivalDataset
 from .errors import DegeneracyError, SurvScreenError
 from .residual_life import EPS_VAR, ResidualLifeModel, fit_residual_life_arrays
@@ -233,35 +233,16 @@ class OneStepResult:
         return math.sqrt(self.n_used) * self.s_onestep / self.sigma_hat
 
 
-def one_step(
-    data: SurvivalDataset,
-    k: int,
-    alpha: float = 0.05,
-    j: Optional[int] = None,
-    km: Optional[KaplanMeierFit] = None,
-    y: Optional[np.ndarray] = None,
-) -> OneStepResult:
-    """One-step estimate for predictor k over the first j rows (default all).
-
-    ``km``/``y`` may be passed to share the censoring fit and weighted
-    responses across predictors.
-    """
-    j = data.n if j is None else j
-    x = data.x[:j]
-    delta = data.delta[:j]
-    if km is None:
-        km = fit_censoring_km(x, delta)
-    if y is None:
-        y = _weighted_response(x, delta, survival_at(km, x))
-    else:
-        y = np.asarray(y, dtype=np.float64)[:j]
-
-    block = _one_step_block(data.predictors[:j, [k]], x, delta, y, km, (k,), alpha)
+def one_step(data: SurvivalDataset, k: int, alpha: float = 0.05) -> OneStepResult:
+    """One-step estimate for predictor k over the whole sample."""
+    km = fit_censoring_km(data.x, data.delta)
+    y = synthetic_response(data, km)
+    block = _one_step_block(data.predictors[:, [k]], data.x, data.delta, y, km, (k,), alpha)
     return OneStepResult(
         k=k, psi_plugin=float(block.psi[0]), s_onestep=float(block.s_onestep[0]),
         if_values=block.if_values[:, 0], sigma_hat=float(block.sigma[0]),
         ci_low=float(block.ci_low[0]), ci_high=float(block.ci_high[0]),
-        p_value=float(block.p_value[0]), n_used=j, alpha=alpha,
+        p_value=float(block.p_value[0]), n_used=data.n, alpha=alpha,
     )
 
 
@@ -292,7 +273,7 @@ class BonferroniResult:
 def bonferroni_test(data: SurvivalDataset, alpha: float = 0.05) -> BonferroniResult:
     """Test every predictor marginally; reject if min p < alpha / p."""
     km = fit_censoring_km(data.x, data.delta)
-    y = _weighted_response(data.x, data.delta, survival_at(km, data.x))
+    y = synthetic_response(data, km)
     p_values = np.empty(data.p)
     statistics = np.empty(data.p)
     for start in range(0, data.p, BLOCK_COLUMNS):
@@ -306,15 +287,9 @@ def bonferroni_test(data: SurvivalDataset, alpha: float = 0.05) -> BonferroniRes
     min_p = float(p_values[selected])
     return BonferroniResult(
         p_values=p_values, statistics=statistics, selected=selected,
-        best=one_step(data, selected, alpha=alpha, km=km, y=y),
+        best=one_step(data, selected, alpha=alpha),
         min_p=min_p, alpha=alpha, reject=bool(min_p < alpha / data.p),
     )
-
-
-def oracle_test(data: SurvivalDataset, k: int, alpha: float = 0.05):
-    """Single-predictor test with unadjusted normal calibration."""
-    result = one_step(data, k, alpha=alpha)
-    return result, bool(result.p_value < alpha)
 
 
 def conservative_variance(
@@ -335,7 +310,7 @@ def conservative_variance(
     if grid_size < 2:
         raise SurvScreenError(f"grid_size must be >= 2, got {grid_size}")
     km = fit_censoring_km(data.x, data.delta)
-    y = _weighted_response(data.x, data.delta, survival_at(km, data.x))
+    y = synthetic_response(data, km)
     U = data.predictors[:, [k]]
     bundle, ipw, car = influence_block(U, data.x, data.delta, y, km, (k,))
     star = (ipw - car)[:, 0]

@@ -23,6 +23,7 @@ import multiprocessing
 import os
 import time
 from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
 from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Optional
@@ -32,7 +33,7 @@ import numpy as np
 from ._rng import stream
 from .dataset import _build
 from .errors import DegeneracyError, InputError, SurvScreenError
-from .onestep import bonferroni_test, oracle_test
+from .onestep import bonferroni_test, one_step
 from .stabilized import multi_ordering_test, stabilized_estimate
 
 MODELS = ("N", "A1", "A2")
@@ -124,9 +125,7 @@ def _survival_times(rng, spec: ScenarioSpec, n: int, p: int) -> tuple:
     return u, t
 
 
-def calibrate_censoring_rate(
-    model: str, error: str, target: float, tol: float = CALIBRATION_TOL
-) -> float:
+def calibrate_censoring_rate(model: str, error: str, target: float) -> float:
     """Exponential rate whose log gives the target censoring fraction.
 
     Bisection against a fixed 1e5-draw Monte-Carlo sample (its own seed), so
@@ -135,9 +134,7 @@ def calibrate_censoring_rate(
     """
     if not 0.0 < target < 1.0:
         raise InputError(f"target censoring fraction must be in (0, 1), got {target}")
-    if tol <= 0.0:
-        raise InputError(f"tol must be positive, got {tol}")
-    key = (model, error, round(target, 10), round(tol, 10))
+    key = (model, error, round(target, 10))
     if key in _calibration_cache:
         return _calibration_cache[key]
 
@@ -156,7 +153,7 @@ def calibrate_censoring_rate(
     for _ in range(60):
         mid = 0.5 * (lo + hi)
         f = fraction(mid)
-        if abs(f - target) <= tol:
+        if abs(f - target) <= CALIBRATION_TOL:
             rate = math.exp(mid)
             _calibration_cache[key] = rate
             return rate
@@ -222,7 +219,8 @@ def _run_replicate(args) -> tuple:
         start = time.perf_counter()
         covered = None
         if method == "oracle":
-            result, rejected = oracle_test(data, k_star, alpha=alpha)
+            result = one_step(data, k_star, alpha=alpha)
+            rejected = bool(result.p_value < alpha)
             if target > 0.0:
                 covered = bool(result.ci_low <= truth[k_star] <= result.ci_high)
         elif method == "bonferroni":
@@ -286,7 +284,8 @@ def monte_carlo_rejection(
     processes (at most one per replicate), each on one BLAS thread, so
     ``parallelism`` is the number of cores used.  The report does not depend
     on it.  Spawned workers import the caller's main module, so a script
-    that asks for parallelism calls this under ``if __name__ == "__main__":``.
+    that asks for parallelism calls this under ``if __name__ == "__main__":``;
+    without it the workers die and the call raises SurvScreenError.
     """
     if reps < 1:
         raise InputError(f"reps must be >= 1, got {reps}")
@@ -303,15 +302,23 @@ def monte_carlo_rejection(
     tasks = [(spec, method, alpha, orderings, rep) for rep in range(reps)]
     if parallelism > 1:
         chunk = max(1, reps // (parallelism * 8))
-        with ProcessPoolExecutor(
-            max_workers=min(parallelism, reps), mp_context=multiprocessing.get_context("spawn"),
-            initializer=_seed_calibration_cache, initargs=(dict(_calibration_cache),),
-        ) as pool:
-            # a spawned worker starts when map submits its tasks, and its BLAS
-            # reads the thread count from the environment as numpy loads
-            with _one_blas_thread():
-                results = pool.map(_run_replicate, tasks, chunksize=chunk)
-            outcomes = list(results)
+        try:
+            with ProcessPoolExecutor(
+                max_workers=min(parallelism, reps), mp_context=multiprocessing.get_context("spawn"),
+                initializer=_seed_calibration_cache, initargs=(dict(_calibration_cache),),
+            ) as pool:
+                # a spawned worker starts when map submits its tasks, and its BLAS
+                # reads the thread count from the environment as numpy loads
+                with _one_blas_thread():
+                    results = pool.map(_run_replicate, tasks, chunksize=chunk)
+                outcomes = list(results)
+        except BrokenProcessPool as exc:
+            raise SurvScreenError(
+                "a Monte-Carlo worker process died before finishing its replicates; "
+                "a script that asks for parallelism > 1 must call monte_carlo_rejection "
+                'under if __name__ == "__main__":, because each spawned worker imports '
+                "the script's main module"
+            ) from exc
     else:
         outcomes = [_run_replicate(t) for t in tasks]
 

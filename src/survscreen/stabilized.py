@@ -29,7 +29,7 @@ import numpy as np
 
 from . import censoring
 from ._rng import stream
-from .censoring import _weighted_response, fit_censoring_km, survival_at
+from .censoring import _weighted_response, fit_censoring_km, survival_at, synthetic_response
 from .dataset import SurvivalDataset
 from .errors import DegeneracyError, InputError
 from .onestep import (BLOCK_COLUMNS, EPS_SIGMA, _raise_first, _variance_floor, influence_values,
@@ -67,7 +67,6 @@ class StabilizedResult:
     variant: str
     n: int
     alpha: float
-    ordering_seed: Optional[int] = None
 
     def __post_init__(self):
         for arr in (self.k, self.m, self.sigma, self.weight, self.increment):
@@ -272,10 +271,10 @@ def stabilized_estimate(
         perm = np.asarray(ordering, dtype=np.intp)
         if len(perm) != n or not np.array_equal(np.sort(perm), np.arange(n)):
             raise InputError("ordering must be a permutation of 0..n-1")
-    return _screen(data, q, variant, [perm], alpha, [None])[0]
+    return _screen(data, q, variant, [perm], alpha)[0]
 
 
-def _screen(data, q, variant, perms, alpha, seeds):
+def _screen(data, q, variant, perms, alpha):
     """Selection for every ordering in one pass over U, the nuisances of every
     step as arrays, then each ordering's checks and aggregate.  Errors surface
     as in a step-by-step run: ordering by ordering, step by step (variance
@@ -283,7 +282,7 @@ def _screen(data, q, variant, perms, alpha, seeds):
     n = data.n
     km = fit_censoring_km(data.x, data.delta)
     if variant == "full":
-        y = _weighted_response(data.x, data.delta, survival_at(km, data.x))
+        y = synthetic_response(data, km)
 
     weights, failures = zip(*(_selection_weights(data.x, data.delta, perm, q, n - 1)
                               for perm in perms))
@@ -296,8 +295,8 @@ def _screen(data, q, variant, perms, alpha, seeds):
     else:  # lazily, so an ordering's responses are checked after the earlier orderings
         steps = (_prefix_steps(data, km, perm, ks, q) for perm, ks in zip(perms, heads))
     return tuple(
-        _ordering_result(q, variant, n, alpha, seed, ks, ms, failure, *step)
-        for (ks, ms), failure, step, seed in zip(selections, failures, steps, seeds)
+        _ordering_result(q, variant, n, alpha, ks, ms, failure, *step)
+        for (ks, ms), failure, step in zip(selections, failures, steps)
     )
 
 
@@ -352,7 +351,7 @@ def _prefix_steps(data, km, perm, ks, q):
     return np.reshape(steps, (-1, 3)).T
 
 
-def _ordering_result(q, variant, n, alpha, seed, ks, ms, failure, sig2, raws, u_var):
+def _ordering_result(q, variant, n, alpha, ks, ms, failure, sig2, raws, u_var):
     """Checks of the steps before the ordering's EPS_G failure, in step order,
     then that failure, then the inverse-dispersion aggregate."""
     sigmas = np.sqrt(np.maximum(sig2, 0.0))
@@ -375,7 +374,7 @@ def _ordering_result(q, variant, n, alpha, seed, ks, ms, failure, sig2, raws, u_
     return StabilizedResult(
         s_star=s_star, sigma_bar=sigma_bar, k=ks, m=ms, sigma=sigmas, weight=weights,
         increment=increments, ci_low=ci_low, ci_high=ci_high, p_value=p,
-        q_n=q, variant=variant, n=n, alpha=alpha, ordering_seed=seed,
+        q_n=q, variant=variant, n=n, alpha=alpha,
     )
 
 
@@ -383,11 +382,6 @@ def _interval(s_star: float, sigma_bar: float, n_terms: int, alpha: float):
     half = z_value(alpha) * sigma_bar / math.sqrt(n_terms)
     p = float(two_sided_p(math.sqrt(n_terms) * s_star / sigma_bar))
     return s_star - half, s_star + half, p
-
-
-def ci_pvalue(result: StabilizedResult, alpha: float):
-    """Confidence interval and two-sided p-value at a chosen level."""
-    return _interval(result.s_star, result.sigma_bar, result.n - result.q_n, alpha)
 
 
 @dataclass(frozen=True)
@@ -426,7 +420,7 @@ def multi_ordering_test(
         raise InputError(f"orderings must be >= 1, got {orderings}")
     q = _check_settings(data.n, q_n, variant)
     perms = [stream(seed, r).permutation(data.n) for r in range(orderings)]
-    results = _screen(data, q, variant, perms, alpha, range(orderings))
+    results = _screen(data, q, variant, perms, alpha)
 
     p_values = tuple(r.p_value for r in results)
     best_index = int(np.argmin(p_values))

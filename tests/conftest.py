@@ -60,12 +60,17 @@ def rng():
     return np.random.default_rng(20260808)
 
 
+def src_env(**extra):
+    """The environment, plus ``extra``, with this checkout's survscreen first
+    on PYTHONPATH."""
+    path = [str(SRC)] + ([os.environ["PYTHONPATH"]] if os.environ.get("PYTHONPATH") else [])
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(path), **extra)
+
+
 def run_python(args, blas_threads, cwd=None):
     """Standard output of ``python *args`` importing survscreen from this
     checkout, with the BLAS pool pinned to ``blas_threads`` threads."""
-    path = [str(SRC)] + ([os.environ["PYTHONPATH"]] if os.environ.get("PYTHONPATH") else [])
-    env = dict(os.environ, OPENBLAS_NUM_THREADS=str(blas_threads),
-               PYTHONPATH=os.pathsep.join(path))
+    env = src_env(OPENBLAS_NUM_THREADS=str(blas_threads))
     done = subprocess.run([sys.executable, *args], env=env, cwd=cwd, capture_output=True,
                           text=True, timeout=300)
     assert done.returncode == 0, done.stderr

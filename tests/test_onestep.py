@@ -6,17 +6,16 @@ from scipy.stats import norm
 
 import oracles
 from survscreen import (
-    NuisanceBundle,
     bonferroni_test,
     conservative_variance,
     one_step,
-    oracle_test,
 )
 from survscreen.censoring import fit_censoring_km, synthetic_response
 from survscreen.dataset import ingest
 from survscreen.errors import DegeneracyError
 from survscreen.onestep import (
     BLOCK_COLUMNS,
+    NuisanceBundle,
     Z_95,
     influence_block,
     influence_values,
@@ -232,18 +231,6 @@ class TestOneStep:
             want_p = 2.0 * (1.0 - norm.cdf(abs(math.sqrt(r.n_used) * r.s_onestep / r.sigma_hat)))
             assert r.p_value == pytest.approx(want_p, abs=1e-12)
 
-    def test_prefix_split_equals_truncated_dataset(self, rng):
-        data = random_dataset(rng, n=24)
-        truncated = ingest(
-            np.column_stack((data.x[:15], data.delta[:15], data.predictors[:15])),
-            standardize=False,
-        )
-        a = one_step(data, 0, j=15)
-        b = one_step(truncated, 0)
-        assert a.s_onestep == pytest.approx(b.s_onestep, abs=1e-12)
-        assert a.sigma_hat == pytest.approx(b.sigma_hat, abs=1e-12)
-        assert a.n_used == 15
-
     def test_independent_predictor_is_rarely_extreme(self):
         # |S| < 3 sigma / sqrt(n) in at least 99% of seeds
         hits = 0
@@ -345,13 +332,6 @@ class TestBonferroni:
 
 
 class TestOracle:
-    def test_equals_one_step(self, rng):
-        data = random_dataset(rng, p=4)
-        result, reject = oracle_test(data, 2, alpha=0.05)
-        direct = one_step(data, 2)
-        assert result.s_onestep == direct.s_onestep
-        assert reject == (direct.p_value < 0.05)
-
     def test_power_under_single_active_predictor(self):
         spec = ScenarioSpec(model="A1", n=500, p=5, seed=41)
         report = monte_carlo_rejection(spec, "oracle", reps=500, parallelism=2)
