@@ -12,20 +12,20 @@ pair, alternating which side runs first.  For every (end-to-end metric,
 workload) pair it records each side's quartiles and applies the win rule:
 the change is better in at least MIN_WINS of the pairs, ties counting for
 neither, and the gap between the medians is larger than the parent's
-interquartile range.
+interquartile range.  The machine fingerprint (cores, CPU, L3, BLAS and its
+pool size, library versions, thread variables) is the one perfbench wrote
+for the change's last run, under its ``.perfbench/results/``.
 """
 
 import argparse
 import json
 import os
-import platform
 import statistics
 import subprocess
 import sys
 
 PAIRS = 10  # alternating parent/change pairs per workload
 MIN_WINS = 9  # pairs the change must win
-THREAD_ENV = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
 
 
 def quartiles(values):
@@ -54,26 +54,6 @@ def compare(parent, change, better):
             "parent_iqr": iqr, "win": wins >= MIN_WINS and gap > iqr}
 
 
-def fingerprint():
-    import numpy as np
-
-    try:
-        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
-        blas = f"{blas.get('name')} {blas.get('version')}"
-    except (KeyError, TypeError):
-        blas = None
-    cpu = None
-    try:
-        with open("/proc/cpuinfo") as fh:
-            cpu = next((line.split(":", 1)[1].strip() for line in fh
-                        if line.startswith("model name")), None)
-    except OSError:
-        pass
-    return {"nproc": len(os.sched_getaffinity(0)), "cpu_model": cpu,
-            "python": platform.python_version(), "numpy": np.__version__, "blas": blas,
-            "thread_env": {k: os.environ.get(k) for k in THREAD_ENV}}
-
-
 def main(argv=None):
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("--parent", required=True)
@@ -100,6 +80,11 @@ def main(argv=None):
             row[name] = compare([r[name] for r in runs["parent"]],
                                 [r[name] for r in runs["change"]], metric["better"])
         end_to_end[workload] = row
+    # perfbench/run.py records the fingerprint of every run it makes
+    last = os.path.join(roots["change"], ".perfbench", "results",
+                        f"{workload}-seed{PAIRS}-trace0.json")
+    with open(last) as fh:
+        machine = json.load(fh)["fingerprint"]
 
     record = {
         "how": {
@@ -109,7 +94,7 @@ def main(argv=None):
             "win_rule": f"change better in at least {MIN_WINS} of {PAIRS} pairs, and the median "
                         "gap larger than the parent's interquartile range",
         },
-        "machine": fingerprint(),
+        "machine": machine,
         "end_to_end": end_to_end,
     }
     with open(args.out, "w") as fh:

@@ -18,7 +18,7 @@ import numpy as np
 from . import __version__
 from .dataset import read_csv
 from .errors import DegeneracyError, InputError
-from .onestep import bonferroni_test, one_step
+from .onestep import bonferroni, bonferroni_test, one_step
 from .simulate import METHODS as SIM_METHODS
 from .simulate import MonteCarloReport, ScenarioSpec, monte_carlo_rejection
 from .stabilized import multi_ordering_test
@@ -114,7 +114,7 @@ def cmd_screen(args) -> int:
         "method": args.method,
         "oracle_k": args.oracle_k,
         "orderings": args.orderings,
-        "qn": args.qn if args.qn == "half" else int(args.qn),
+        "qn": args.qn,
         "seed": seed,
         "standardize": args.standardize,
         "tau": args.tau,
@@ -136,52 +136,38 @@ def cmd_screen(args) -> int:
             data, orderings=args.orderings, q_n=None if args.qn == "half" else args.qn,
             variant=args.variant, alpha=args.alpha, seed=seed,
         )
-        best = outcome.best
-        selected = best.modal_k()
-        report.update({
-            "estimate": best.s_star,
-            "ci": [best.ci_low, best.ci_high],
-            "p_value": outcome.min_p,
-            "adjusted_p_value": outcome.adjusted_p,
-            "selected": {"index": selected + 1, "name": data.predictor_names[selected]},
-            "orderings": [
-                {
-                    "ordering": i,
-                    "p_value": r.p_value,
-                    "estimate": r.s_star,
-                    "selected_name": data.predictor_names[r.modal_k()],
-                    "distinct_selected": len(np.unique(r.k)),
-                }
-                for i, r in enumerate(outcome.results)
-            ],
-            "decision": {"alpha": args.alpha, "reject": outcome.reject},
-        })
+        best, p_values = outcome.best, outcome.p_values
+        k, estimate = best.modal_k(), best.s_star
+        report["orderings"] = [
+            {
+                "ordering": i,
+                "p_value": r.p_value,
+                "estimate": r.s_star,
+                "selected_name": data.predictor_names[r.modal_k()],
+                "distinct_selected": len(np.unique(r.k)),
+            }
+            for i, r in enumerate(outcome.results)
+        ]
     elif args.method == "bonferroni":
         outcome = bonferroni_test(data, alpha=args.alpha)
-        best = outcome.best
-        report.update({
-            "estimate": best.s_onestep,
-            "ci": [best.ci_low, best.ci_high],
-            "p_value": outcome.min_p,
-            "adjusted_p_value": outcome.adjusted_p,
-            "n_tests": data.p,
-            "selected": {
-                "index": outcome.selected + 1,
-                "name": data.predictor_names[outcome.selected],
-            },
-            "decision": {"alpha": args.alpha, "reject": outcome.reject},
-        })
+        best, p_values = outcome.best, outcome.p_values
+        k, estimate = outcome.selected, best.s_onestep
+        report["n_tests"] = data.p
     else:
         k = data.column(args.oracle_k)
-        result = one_step(data, k, alpha=args.alpha)
-        report.update({
-            "estimate": result.s_onestep,
-            "ci": [result.ci_low, result.ci_high],
-            "p_value": result.p_value,
-            "adjusted_p_value": result.p_value,
-            "selected": {"index": k + 1, "name": data.predictor_names[k]},
-            "decision": {"alpha": args.alpha, "reject": bool(result.p_value < args.alpha)},
-        })
+        best = one_step(data, k, alpha=args.alpha)
+        p_values, estimate = (best.p_value,), best.s_onestep
+
+    # one Bonferroni rule over the method's tests: R orderings, p predictors or one
+    _, p_value, adjusted_p, reject = bonferroni(p_values, args.alpha)
+    report.update({
+        "estimate": estimate,
+        "ci": [best.ci_low, best.ci_high],
+        "p_value": p_value,
+        "adjusted_p_value": adjusted_p,
+        "selected": {"index": k + 1, "name": data.predictor_names[k]},
+        "decision": {"alpha": args.alpha, "reject": reject},
+    })
 
     report["timing_ms"] = (time.perf_counter() - start) * 1000.0
     print(json.dumps(report, indent=2, sort_keys=True))

@@ -74,10 +74,10 @@ def lower_quantile(values: np.ndarray, q: float) -> float:
     return float(xs[idx])
 
 
-def parse_tau_rule(rule: str) -> tuple:
-    """Parse 'max' or 'q:<x>'."""
+def parse_tau_rule(rule: str) -> float:
+    """The quantile level of the follow-up cap: 'max' is 1.0, 'q:<x>' is x."""
     if rule == "max":
-        return ("max", None)
+        return 1.0
     if rule.startswith("q:"):
         try:
             q = float(rule[2:])
@@ -85,7 +85,7 @@ def parse_tau_rule(rule: str) -> tuple:
             raise InputError(f"bad tau rule {rule!r}") from None
         if not 0.0 < q <= 1.0:
             raise InputError(f"tau quantile must be in (0, 1], got {q}")
-        return ("quantile", q)
+        return q
     raise InputError(f"bad tau rule {rule!r}; expected 'max' or 'q:<x>'")
 
 
@@ -140,10 +140,9 @@ def _build(time, status, predictors, tau_rule, standardize, names, locate=_row) 
         raise InputError(f"non-finite predictor value in {locate(int(bad_row))}, "
                          f"column {bad_col + 1} ({names[bad_col]!r})")
 
-    kind, q = parse_tau_rule(tau_rule)
+    tau = lower_quantile(time, parse_tau_rule(tau_rule))  # level 1.0 is the largest time
     time = time.copy()
     delta = status.astype(np.int64)
-    tau = float(np.max(time)) if kind == "max" else lower_quantile(time, q)
     over = time > tau
     time[over] = tau
     delta[over] = 0
@@ -211,28 +210,33 @@ def read_csv(path: str, tau_rule: str = "max", standardize: bool = True) -> Surv
     """Read the `time,status,u1,...,up` CSV schema (optionally gzipped).
 
     numpy's C parser reads the body into one float array; the text is
-    re-scanned only to locate an error.
+    re-scanned only to locate an error.  Bytes that are not UTF-8 and a
+    damaged or non-gzip ``.gz`` stream are input errors naming the path and
+    the cause.
     """
     try:
         fh = _open_text(path)
     except OSError as exc:
         raise InputError(f"cannot open {path}: {exc}") from exc
-    with fh:
-        header = next(csv.reader(fh), None)
-        if header is None:
-            raise InputError(f"{path}: empty file")
-        header = [h.strip() for h in header]
-        if len(header) < 3 or header[0] != CSV_TIME_COLUMN or header[1] != CSV_STATUS_COLUMN:
-            raise InputError(
-                f"{path}: header must be '{CSV_TIME_COLUMN},{CSV_STATUS_COLUMN},u1,...'"
-            )
-        # comments=None: a row starting with '#' is malformed, not skipped
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", UserWarning)  # no data rows, reported below
-            try:
-                table = np.loadtxt(fh, delimiter=",", comments=None, quotechar='"', ndmin=2)
-            except ValueError as exc:
-                raise _parse_error(path, len(header), exc) from None
+    try:
+        with fh:
+            header = next(csv.reader(fh), None)
+            if header is None:
+                raise InputError(f"{path}: empty file")
+            header = [h.strip() for h in header]
+            if len(header) < 3 or header[0] != CSV_TIME_COLUMN or header[1] != CSV_STATUS_COLUMN:
+                raise InputError(
+                    f"{path}: header must be '{CSV_TIME_COLUMN},{CSV_STATUS_COLUMN},u1,...'"
+                )
+            # comments=None: a row starting with '#' is malformed, not skipped
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", UserWarning)  # no data rows, reported below
+                try:
+                    table = np.loadtxt(fh, delimiter=",", comments=None, quotechar='"', ndmin=2)
+                except ValueError as exc:  # undecodable bytes, too: the re-scan raises them
+                    raise _parse_error(path, len(header), exc) from None
+    except (OSError, EOFError, UnicodeDecodeError) as exc:
+        raise InputError(f"cannot read {path}: {exc}") from None
     if len(table) == 0:
         raise InputError(f"{path}: no data rows")
     if table.shape[1] != len(header):

@@ -40,7 +40,9 @@ from .residual_life import EPS_VAR, ResidualLifeModel, fit_residual_life_arrays
 EPS_SIGMA = 1e-8
 DUAL_FORM_TOL = 1e-8
 
-# Predictors per block in bonferroni_test: at n=500 each n x b temporary is 1 MB.
+# Predictor columns per block in every blocked loop (bonferroni_test, and the
+# screen's selection and full-sample nuisances): at n=500 each n x b
+# temporary is 1 MB, so a block and its per-step arrays stay in cache.
 BLOCK_COLUMNS = 256
 
 # The 95% normal quantile is used as the literal constant 1.96; other levels
@@ -151,16 +153,33 @@ def _variance_floor(u_var, ks):
     )
 
 
-def influence_block(U, x, delta, y, km: KaplanMeierFit, ks):
-    """Nuisances of an (m x b) block and (ipw, car) at its rows.
-
-    ``ks`` names the block's predictors in the variance-floor error.
-    Returns (bundle, ipw, car).
-    """
-    bundle = make_bundle(U, x, delta, y, km)
-    _raise_first(_variance_floor(bundle.u_var, ks))
+def influence_block(U, x, delta, y, km: KaplanMeierFit, fit_rows=None):
+    """Nuisances of an (m x b) block fitted on its rows :fit_rows (default:
+    all), and (ipw, car) at every row.  Returns (bundle, ipw, car); nothing
+    is checked, so the caller raises the variance floor where its error
+    order requires."""
+    fit = slice(fit_rows)
+    bundle = make_bundle(U[fit], x[fit], delta[fit], y[fit], km)
     ipw, car = influence_values(bundle, U, x, delta, y)
     return bundle, ipw, car
+
+
+def normal_interval(estimate, sigma, m: int, alpha: float):
+    """(ci_low, ci_high, statistic, p) of an estimate whose influence values
+    over m terms have dispersion sigma; scalars or arrays."""
+    root = math.sqrt(m)
+    half = z_value(alpha) * sigma / root
+    statistic = root * estimate / sigma
+    return estimate - half, estimate + half, statistic, two_sided_p(statistic)
+
+
+def bonferroni(p_values, alpha: float):
+    """(index, min_p, adjusted_p, reject) over len(p_values) tests: the
+    smallest p (the lowest index on a tie), min(1, tests * p), p < alpha / tests."""
+    index = int(np.argmin(p_values))
+    min_p = float(p_values[index])
+    tests = len(p_values)
+    return index, min_p, min(1.0, tests * min_p), bool(min_p < alpha / tests)
 
 
 class _OneStepBlock(NamedTuple):
@@ -181,11 +200,9 @@ def _one_step_block(U, x, delta, y, km: KaplanMeierFit, ks, alpha: float) -> _On
     form is returned.  A failing column raises the error that testing the
     block's predictors one at a time, in order, would raise.
     """
-    m = len(x)
     y = np.asarray(y, dtype=np.float64)
-    bundle = make_bundle(U, x, delta, y, km)
     with np.errstate(divide="ignore", invalid="ignore"):  # floored columns raise below
-        ipw, car = influence_values(bundle, U, x, delta, y)
+        bundle, ipw, car = influence_block(U, x, delta, y, km)
         if_values = ipw - car
         psi = plugin_slope(bundle)
         form_a = psi + _colmean(if_values)
@@ -200,13 +217,8 @@ def _one_step_block(U, x, delta, y, km: KaplanMeierFit, ks, alpha: float) -> _On
         (sigma < EPS_SIGMA, lambda c: DegeneracyError(
             f"influence second moment below floor for predictor {ks[c]}")),
     )
-    half = z_value(alpha) * sigma / math.sqrt(m)
-    statistic = math.sqrt(m) * form_b / sigma
-    return _OneStepBlock(
-        psi=psi, s_onestep=form_b, if_values=if_values, sigma=sigma,
-        ci_low=form_b - half, ci_high=form_b + half,
-        statistic=statistic, p_value=two_sided_p(statistic),
-    )
+    interval = normal_interval(form_b, sigma, len(x), alpha)
+    return _OneStepBlock(psi, form_b, if_values, sigma, *interval)
 
 
 @dataclass(frozen=True)
@@ -258,16 +270,13 @@ class BonferroniResult:
     selected: int
     best: OneStepResult
     min_p: float
+    adjusted_p: float
     alpha: float
     reject: bool
 
     def __post_init__(self):
         self.p_values.flags.writeable = False
         self.statistics.flags.writeable = False
-
-    @property
-    def adjusted_p(self) -> float:
-        return min(1.0, len(self.p_values) * self.min_p)
 
 
 def bonferroni_test(data: SurvivalDataset, alpha: float = 0.05) -> BonferroniResult:
@@ -283,36 +292,30 @@ def bonferroni_test(data: SurvivalDataset, alpha: float = 0.05) -> BonferroniRes
         )
         p_values[cols.start:cols.stop] = block.p_value
         statistics[cols.start:cols.stop] = block.statistic
-    selected = int(np.argmin(p_values))
-    min_p = float(p_values[selected])
+    selected, min_p, adjusted_p, reject = bonferroni(p_values, alpha)
     return BonferroniResult(
         p_values=p_values, statistics=statistics, selected=selected,
         best=one_step(data, selected, alpha=alpha),
-        min_p=min_p, alpha=alpha, reject=bool(min_p < alpha / data.p),
+        min_p=min_p, adjusted_p=adjusted_p, alpha=alpha, reject=reject,
     )
 
 
-def conservative_variance(
-    data: SurvivalDataset,
-    k: int,
-    m_bound: Optional[float] = None,
-    grid_size: int = 101,
-) -> float:
-    """Upper bound on the influence variance via a grid over the unknown
-    covariance between U and the limiting predicted response.
+def conservative_variance(data: SurvivalDataset, k: int, m_bound: Optional[float] = None) -> float:
+    """Upper bound on the influence variance over the unknown covariance m
+    between U and the limiting predicted response, for |m| <= m_bound.
 
-    For each grid value m, the correction term
-    (c_ue - m) / V^2 * ((u - ubar)^2 - V) is added to the influence values
-    and the sample second moment taken; the maximum over the grid is a valid
-    upper bound.  Default half-width is 4 standard deviations of the
-    predicted responses.
+    The correction term (c_ue - m) / V^2 * ((u - ubar)^2 - V) is added to the
+    influence values and the sample second moment taken.  That moment is a
+    convex quadratic in m, so its maximum over [-m_bound, m_bound] is the
+    larger of its values at the two ends.  Default half-width is 4 standard
+    deviations of the predicted responses.
     """
-    if grid_size < 2:
-        raise SurvScreenError(f"grid_size must be >= 2, got {grid_size}")
     km = fit_censoring_km(data.x, data.delta)
     y = synthetic_response(data, km)
     U = data.predictors[:, [k]]
-    bundle, ipw, car = influence_block(U, data.x, data.delta, y, km, (k,))
+    with np.errstate(divide="ignore", invalid="ignore"):  # a floored column raises below
+        bundle, ipw, car = influence_block(U, data.x, data.delta, y, km)
+    _raise_first(_variance_floor(bundle.u_var, (k,)))
     star = (ipw - car)[:, 0]
     if m_bound is None:
         rl = bundle.rl
@@ -323,8 +326,5 @@ def conservative_variance(
     cu = U[:, 0] - bundle.u_mean[0]
     v = bundle.u_var[0]
     base = (cu * cu - v) / (v * v)
-    best = -np.inf
-    for m in np.linspace(-m_bound, m_bound, grid_size):
-        vals = star + (bundle.cov_u_e[0] - m) * base
-        best = max(best, float((vals * vals).mean()))
-    return best
+    ends = (star + (bundle.cov_u_e[0] - m) * base for m in (-m_bound, m_bound))
+    return max(float((vals * vals).mean()) for vals in ends)

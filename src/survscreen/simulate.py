@@ -225,24 +225,18 @@ def _run_replicate(args) -> tuple:
                 covered = bool(result.ci_low <= truth[k_star] <= result.ci_high)
         elif method == "bonferroni":
             rejected = bonferroni_test(data, alpha=alpha).reject
-        elif method in ("stabilized_prefix", "stabilized_full"):
-            variant = "full" if method.endswith("full") else "prefix"
-            perm = stream(spec.seed, 4 * rep + 1).permutation(data.n)
-            result = stabilized_estimate(data, variant=variant, ordering=perm)
-            rejected = bool(result.p_value < alpha)
+        else:  # the stabilized methods: coverage of the modal predictor's CI
+            draw = stream(spec.seed, 4 * rep + 1)
+            if method == "stabilized_multiR":
+                outcome = multi_ordering_test(data, orderings=orderings, variant="full",
+                                              alpha=alpha, seed=int(draw.integers(2 ** 63)))
+                rejected, result = outcome.reject, outcome.best
+            else:
+                result = stabilized_estimate(data, variant=method.removeprefix("stabilized_"),
+                                             ordering=draw.permutation(data.n), alpha=alpha)
+                rejected = bool(result.p_value < alpha)
             if target > 0.0 and abs(truth[result.modal_k()]) == target:
                 covered = bool(result.ci_low <= target <= result.ci_high)
-        elif method == "stabilized_multiR":
-            seed_r = int(stream(spec.seed, 4 * rep + 1).integers(2 ** 63))
-            result = multi_ordering_test(
-                data, orderings=orderings, variant="full", alpha=alpha, seed=seed_r
-            )
-            rejected = result.reject
-            best = result.best
-            if target > 0.0 and abs(truth[best.modal_k()]) == target:
-                covered = bool(best.ci_low <= target <= best.ci_high)
-        else:
-            raise InputError(f"method must be one of {METHODS}, got {method!r}")
         ms = (time.perf_counter() - start) * 1000.0
         return rejected, covered, ms
     except SurvScreenError as exc:  # keeps its class, so the CLI exit code stays right

@@ -29,18 +29,14 @@ import numpy as np
 
 from . import censoring
 from ._rng import stream
-from .censoring import _weighted_response, fit_censoring_km, survival_at, synthetic_response
+from .censoring import _weighted_response, fit_censoring_km, synthetic_response
 from .dataset import SurvivalDataset
 from .errors import DegeneracyError, InputError
-from .onestep import (BLOCK_COLUMNS, EPS_SIGMA, _raise_first, _variance_floor, influence_values,
-                      make_bundle, plugin_slope, two_sided_p, z_value)
+from .onestep import (BLOCK_COLUMNS, EPS_SIGMA, _raise_first, _variance_floor, bonferroni,
+                      influence_block, normal_interval, plugin_slope)
 from .residual_life import EPS_VAR
 
 VARIANTS = ("prefix", "full")
-
-# predictor columns per selection block: a block, its permuted copy and the
-# per-step slope arrays stay in cache while every ordering visits the block
-SELECT_BLOCK = 256
 
 
 @dataclass(frozen=True, eq=False)
@@ -191,19 +187,20 @@ def _select_steps(U, perms, weights, first):
 
     ``weights[r]`` is ordering r's matrix from _selection_weights, its column
     i being prefix size first + i.  U is read once, in blocks of
-    SELECT_BLOCK columns; no permuted copy of U is made.
+    BLOCK_COLUMNS columns that every ordering visits while the block is in
+    cache; no permuted copy of U is made.
     """
     n, p = U.shape
     steps = weights[0].shape[1]
     sizes = np.arange(first, first + steps, dtype=np.float64)[:, None]
-    width = min(p, SELECT_BLOCK)
+    width = min(p, BLOCK_COLUMNS)
     permuted = np.empty((width, n))
     s1 = np.empty((steps, width))
     s2 = np.empty((steps, width))
     slopes = np.empty((steps, width))
     running = [_RunningSelection(steps) for _ in perms]
-    for c0 in range(0, p, SELECT_BLOCK):
-        block = U[:, c0:c0 + SELECT_BLOCK]
+    for c0 in range(0, p, BLOCK_COLUMNS):
+        block = U[:, c0:c0 + BLOCK_COLUMNS]
         b = block.shape[1]
         for perm, w, run in zip(perms, weights, running):
             # the block's rows in the ordering, one predictor per row; perm
@@ -281,19 +278,15 @@ def _screen(data, q, variant, perms, alpha):
     floor, then dispersion), an ordering's EPS_G failure after earlier steps."""
     n = data.n
     km = fit_censoring_km(data.x, data.delta)
-    if variant == "full":
-        y = synthetic_response(data, km)
-
+    y = synthetic_response(data, km)
     weights, failures = zip(*(_selection_weights(data.x, data.delta, perm, q, n - 1)
                               for perm in perms))
     selections = _select_steps(data.predictors, perms, weights, q)
     # the selected predictors of the steps before each ordering's EPS_G failure
     heads = [ks[:n - q if failure is None else failure[0]]
              for (ks, _), failure in zip(selections, failures)]
-    if variant == "full":
-        steps = _full_sample_steps(data, km, y, perms, heads, q)
-    else:  # lazily, so an ordering's responses are checked after the earlier orderings
-        steps = (_prefix_steps(data, km, perm, ks, q) for perm, ks in zip(perms, heads))
+    steps = (_full_sample_steps if variant == "full" else _prefix_steps)(
+        data, km, y, perms, heads, q)
     return tuple(
         _ordering_result(q, variant, n, alpha, ks, ms, failure, *step)
         for (ks, ms), failure, step in zip(selections, failures, steps)
@@ -312,8 +305,7 @@ def _full_sample_steps(data, km, y, perms, heads, q):
         for c0 in range(0, len(distinct), BLOCK_COLUMNS):
             cols = slice(c0, c0 + BLOCK_COLUMNS)
             U = data.predictors[:, distinct[cols]]
-            bundle = make_bundle(U, data.x, data.delta, y, km)
-            ipw, car = influence_values(bundle, U, data.x, data.delta, y)
+            bundle, ipw, car = influence_block(U, data.x, data.delta, y, km)
             if_values[:, cols] = ipw - car
             psi[cols] = plugin_slope(bundle)
             u_var[cols] = bundle.u_var
@@ -333,22 +325,24 @@ def _full_sample_steps(data, km, y, perms, heads, q):
     return steps
 
 
-def _prefix_steps(data, km, perm, ks, q):
-    """(sig2, raw, u_var) of one ordering's steps: at prefix size j, the
-    selected predictor's nuisances fitted on the first j rows, its influence
-    values there and at row j."""
-    xp, dp = data.x[perm], data.delta[perm]
-    yp = _weighted_response(xp, dp, survival_at(km, xp))
+def _prefix_steps(data, km, y, perms, heads, q):
+    """(sig2, raw, u_var) of every ordering's steps: at prefix size j, the
+    selected predictor's nuisances fitted on the ordering's first j rows, its
+    influence values there and at row j."""
     steps = []
-    with np.errstate(all="ignore"):  # a floored fit is raised by the caller
-        for j, k in enumerate(ks, start=q):
-            u = data.predictors[perm[:j + 1], k:k + 1]
-            bundle = make_bundle(u[:j], xp[:j], dp[:j], yp[:j], km)
-            ipw, car = influence_values(bundle, u, xp[:j + 1], dp[:j + 1], yp[:j + 1])
-            if_values = (ipw - car)[:, 0]
-            raw = float(plugin_slope(bundle)[0]) + float(if_values[j])
-            steps.append((if_values[:j].var(), raw, bundle.u_var[0]))
-    return np.reshape(steps, (-1, 3)).T
+    with np.errstate(all="ignore"):  # a floored fit is raised at its step
+        for perm, ks in zip(perms, heads):
+            xp, dp, yp = data.x[perm], data.delta[perm], y[perm]
+            rows = []
+            for j, k in enumerate(ks, start=q):
+                u = data.predictors[perm[:j + 1], k:k + 1]
+                bundle, ipw, car = influence_block(u, xp[:j + 1], dp[:j + 1], yp[:j + 1], km,
+                                                   fit_rows=j)
+                if_values = (ipw - car)[:, 0]
+                raw = float(plugin_slope(bundle)[0]) + float(if_values[j])
+                rows.append((if_values[:j].var(), raw, bundle.u_var[0]))
+            steps.append(np.reshape(rows, (-1, 3)).T)
+    return steps
 
 
 def _ordering_result(q, variant, n, alpha, ks, ms, failure, sig2, raws, u_var):
@@ -369,19 +363,13 @@ def _ordering_result(q, variant, n, alpha, ks, ms, failure, sig2, raws, u_var):
     weights = sigma_bar / sigmas
     increments = weights * ms * raws
     s_star = float(increments.mean())
-    ci_low, ci_high, p = _interval(s_star, sigma_bar, steps, alpha)
+    ci_low, ci_high, _, p = normal_interval(s_star, sigma_bar, steps, alpha)
 
     return StabilizedResult(
         s_star=s_star, sigma_bar=sigma_bar, k=ks, m=ms, sigma=sigmas, weight=weights,
-        increment=increments, ci_low=ci_low, ci_high=ci_high, p_value=p,
+        increment=increments, ci_low=ci_low, ci_high=ci_high, p_value=float(p),
         q_n=q, variant=variant, n=n, alpha=alpha,
     )
-
-
-def _interval(s_star: float, sigma_bar: float, n_terms: int, alpha: float):
-    half = z_value(alpha) * sigma_bar / math.sqrt(n_terms)
-    p = float(two_sided_p(math.sqrt(n_terms) * s_star / sigma_bar))
-    return s_star - half, s_star + half, p
 
 
 @dataclass(frozen=True)
@@ -423,10 +411,8 @@ def multi_ordering_test(
     results = _screen(data, q, variant, perms, alpha)
 
     p_values = tuple(r.p_value for r in results)
-    best_index = int(np.argmin(p_values))
-    min_p = p_values[best_index]
+    best_index, min_p, adjusted_p, reject = bonferroni(p_values, alpha)
     return MultiOrderingResult(
-        results=results, p_values=p_values, min_p=min_p,
-        adjusted_p=min(1.0, orderings * min_p), best_index=best_index,
-        reject=bool(min_p < alpha / orderings), alpha=alpha, seed=seed,
+        results=results, p_values=p_values, min_p=min_p, adjusted_p=adjusted_p,
+        best_index=best_index, reject=reject, alpha=alpha, seed=seed,
     )

@@ -133,7 +133,7 @@ def test_criterion_3_mean_zero_identity():
         k = int(rng.integers(0, data.p))
         km = fit_censoring_km(data.x, data.delta)
         y = synthetic_response(data, km)
-        _, ipw, _ = influence_block(data.predictors[:, [k]], data.x, data.delta, y, km, (k,))
+        _, ipw, _ = influence_block(data.predictors[:, [k]], data.x, data.delta, y, km)
         worst = max(worst, abs(float(ipw.mean())))
     assert worst < 1e-10
     report(3, f"1000 instances; max |mean inverse-weighting influence| = {worst:.2e}")

@@ -1,5 +1,8 @@
+import gzip
 import json
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -8,7 +11,7 @@ import pytest
 import survscreen
 from survscreen.cli import main
 
-from conftest import run_python
+from conftest import run_python, src_env
 
 DATA = Path(__file__).parent / "data"
 TOY = str(DATA / "toy_screen.csv")
@@ -149,6 +152,24 @@ class TestScreen:
         rc, _, err = run_cli(capsys, ["screen", str(path), "--seed", "1"])
         assert rc == 3
         assert "degeneracy" in err
+
+    @pytest.mark.parametrize("name,content", [
+        ("body.csv", b"time,status,u1\n1.0,1,0.5\n2.0,0,\xff\n3.0,1,0.7\n"),
+        ("header.csv", b"time,status,u\xff1\n1.0,1,0.5\n2.0,0,0.1\n3.0,1,0.7\n"),
+        ("plain.gz", b"time,status,u1\n1.0,1,0.5\n2.0,0,0.1\n3.0,1,0.7\n"),
+        ("truncated.gz", gzip.compress(
+            b"time,status,u1\n" + b"".join(b"%d,1,0.%d\n" % (i, i % 10) for i in range(400)),
+            mtime=0)[:200]),
+    ], ids=["body", "header", "plain-gz", "truncated-gz"])
+    def test_unreadable_bytes_exit_2_naming_the_path(self, tmp_path, name, content):
+        path = tmp_path / name
+        path.write_bytes(content)
+        done = subprocess.run([sys.executable, "-m", "survscreen.cli", "screen", str(path),
+                               "--method", "bonferroni", "--seed", "1"],
+                              env=src_env(), capture_output=True, text=True, timeout=300)
+        assert done.returncode == 2
+        assert f"cannot read {path}: " in done.stderr
+        assert "Traceback" not in done.stderr
 
     def test_missing_file_exits_2(self, capsys):
         rc, _, err = run_cli(capsys, ["screen", "/nonexistent.csv", "--seed", "1"])

@@ -73,8 +73,8 @@ def test_standardization_moments():
 
 
 def test_tau_rule_parsing():
-    assert parse_tau_rule("max") == ("max", None)
-    assert parse_tau_rule("q:0.9") == ("quantile", 0.9)
+    assert parse_tau_rule("max") == 1.0
+    assert parse_tau_rule("q:0.9") == 0.9
     for bad in ("q:", "q:2", "median", "q:-0.1", "max_observed", "quantile:0.5"):
         with pytest.raises(InputError):
             parse_tau_rule(bad)

@@ -7,7 +7,7 @@ import sys
 import numpy as np
 import pytest
 
-from survscreen import one_step
+from survscreen import one_step, stabilized_estimate
 from survscreen.errors import DegeneracyError, InputError, SurvScreenError
 from survscreen.simulate import (
     A2_BETAS,
@@ -198,6 +198,22 @@ class TestMonteCarlo:
         assert a.rejections == b.rejections
         assert a.rejection_rate == b.rejection_rate
         assert a.coverage == b.coverage
+
+    @pytest.mark.parametrize("method", ["stabilized_prefix", "stabilized_full"])
+    def test_single_ordering_coverage_uses_study_alpha(self, method):
+        spec = ScenarioSpec(model="A1", censoring="light", n=200, p=20, seed=4)
+        alpha, reps = 0.5, 20
+        covered = []
+        for rep in range(reps):
+            data, truth = generate_scenario(spec, rep)
+            perm = stream(spec.seed, 4 * rep + 1).permutation(data.n)
+            result = stabilized_estimate(data, variant=method.removeprefix("stabilized_"),
+                                         ordering=perm, alpha=alpha)
+            target = float(np.max(np.abs(truth)))
+            if abs(truth[result.modal_k()]) == target:
+                covered.append(result.ci_low <= target <= result.ci_high)
+        report = monte_carlo_rejection(spec, method, reps, alpha=alpha)
+        assert report.coverage == sum(covered) / len(covered)
 
     @pytest.mark.parametrize("method", ["stabilized_full", "stabilized_multiR"])
     def test_parallel_matches_serial(self, method):

@@ -16,8 +16,8 @@ from survscreen._rng import stream
 from survscreen.censoring import _weighted_response, fit_censoring_km, survival_at
 from survscreen.dataset import ingest
 from survscreen.errors import DegeneracyError, InputError
-from survscreen.onestep import influence_block, plugin_slope
-from survscreen.stabilized import SELECT_BLOCK, StabilizedResult, _selection_weights, default_qn
+from survscreen.onestep import BLOCK_COLUMNS, influence_block, normal_interval, plugin_slope
+from survscreen.stabilized import StabilizedResult, _selection_weights, default_qn
 
 from conftest import random_dataset, run_python
 
@@ -229,19 +229,19 @@ class TestCiPvalue:
                 getattr(r, name)[0] = 1
 
     def test_zero_estimate_has_unit_p(self):
-        lo, hi, p = stabilized._interval(0.0, 1.0, 200 - 100, 0.05)
+        lo, hi, _, p = normal_interval(0.0, 1.0, 200 - 100, 0.05)
         assert p == 1.0
         assert lo == -hi
 
     def test_quantile_inversion(self):
         m = 100
         s = 1.96 * 2.0 / math.sqrt(m)
-        lo, hi, p = stabilized._interval(s, 2.0, m, 0.05)
+        lo, hi, _, p = normal_interval(s, 2.0, m, 0.05)
         assert abs(lo) < 1e-9
         assert p == pytest.approx(0.05, abs=5e-5)
 
     def test_standard_normal_tail(self):
-        lo, hi, p = stabilized._interval(0.3, 1.0, 200 - 100, 0.05)
+        lo, hi, _, p = normal_interval(0.3, 1.0, 200 - 100, 0.05)
         assert p == pytest.approx(2.0 * (1.0 - norm.cdf(3.0)), abs=1e-12)
 
 
@@ -325,7 +325,7 @@ def signal_with_noise_columns(rng, n, p, columns):
 class TestBlockedSelection:
     @pytest.mark.parametrize("pair,sign", [((255, 256), 1), ((511, -512), 1), ((-511, 512), -1)])
     def test_tied_pairs_across_block_boundaries_select_lower_index(self, rng, pair, sign):
-        assert 2 * SELECT_BLOCK < 600
+        assert 2 * BLOCK_COLUMNS < 600
         data = signal_with_noise_columns(rng, 50, 600, pair)
         low = min(abs(c) for c in pair)
         out = multi_ordering_test(data, orderings=2, seed=3)
@@ -335,7 +335,7 @@ class TestBlockedSelection:
             assert select_predictor(data, j) == (low, sign)
 
     def test_near_constant_column_in_third_block_is_never_selected(self, rng):
-        n, p, k = 50, 600, 2 * SELECT_BLOCK + 7
+        n, p, k = 50, 600, 2 * BLOCK_COLUMNS + 7
         data = signal_with_noise_columns(rng, n, p, (40,))
         table = np.column_stack((data.x, data.delta, data.predictors))
         # variance of order 1e-12, below the 1e-8 floor: its unfloored slope
@@ -405,8 +405,8 @@ class TestFullSampleSteps:
         sigmas, raws = [], []
         for j, k in enumerate(result.k.tolist(), start=result.q_n):
             if k not in influence:
-                bundle, ipw, car = influence_block(
-                    data.predictors[:, [k]], data.x, data.delta, y, km, (k,))
+                bundle, ipw, car = influence_block(data.predictors[:, [k]], data.x, data.delta,
+                                                   y, km)
                 influence[k] = (float(plugin_slope(bundle)[0]), (ipw - car)[:, 0])
             psi, values = influence[k]
             values = values[perm]
