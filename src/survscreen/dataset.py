@@ -206,6 +206,24 @@ def _parse_error(path: str, width: int, detail) -> InputError:
     return InputError(f"{path}: {detail}")
 
 
+def _undecodable(path: str, exc: UnicodeDecodeError) -> str:
+    """The decoder's complaint at the file line and byte of the first byte that
+    is not UTF-8.  The decoder counts from its current chunk, so the raw lines
+    are decoded one by one: no UTF-8 sequence holds the newline byte."""
+    opener = gzip.open if str(path).endswith(".gz") else open
+    try:
+        with opener(path, "rb") as fh:
+            for lineno, line in enumerate(fh, start=1):
+                try:
+                    line.decode("utf-8")
+                except UnicodeDecodeError as bad:
+                    return (f"'utf-8' codec can't decode byte 0x{line[bad.start]:02x} at line "
+                            f"{lineno}, byte {bad.start + 1}: {bad.reason}")
+    except (OSError, EOFError):  # a damaged .gz past the bad byte
+        pass
+    return str(exc)
+
+
 def read_csv(path: str, tau_rule: str = "max", standardize: bool = True) -> SurvivalDataset:
     """Read the `time,status,u1,...,up` CSV schema (optionally gzipped).
 
@@ -235,7 +253,9 @@ def read_csv(path: str, tau_rule: str = "max", standardize: bool = True) -> Surv
                     table = np.loadtxt(fh, delimiter=",", comments=None, quotechar='"', ndmin=2)
                 except ValueError as exc:  # undecodable bytes, too: the re-scan raises them
                     raise _parse_error(path, len(header), exc) from None
-    except (OSError, EOFError, UnicodeDecodeError) as exc:
+    except UnicodeDecodeError as exc:
+        raise InputError(f"cannot read {path}: {_undecodable(path, exc)}") from None
+    except (OSError, EOFError) as exc:
         raise InputError(f"cannot read {path}: {exc}") from None
     if len(table) == 0:
         raise InputError(f"{path}: no data rows")

@@ -9,9 +9,12 @@ which is what makes screens over very large predictor counts feasible.
 
 Every per-step quantity is an array.  The selection weights
 w_j = (y_j - mean(y_j)) / j depend on the ordering and the prefix censoring
-fit, never on the predictors, so an ordering's weights are one
-n x (n - q_n) matrix built from all prefix Kaplan-Meier fits at once, and
-selection for every step of every ordering is one pass over the predictors
+fit, never on the predictors, so one call builds the weights of every
+ordering, one n x (n - q_n) matrix each, from all prefix Kaplan-Meier fits
+at once, in a few full-array passes per ordering.  A prefix's G(x-) is a
+cumprod of factors in [0, 1], so G at its largest event time decides EPS_G.
+A prefix mean sums [0.0, y[:j]] by reduceat, which is y[:j].sum() bit for bit.
+Selection for every step of every ordering is then one pass over the predictors
 in column blocks (one matrix product per block and ordering, cumulative
 prefix moments, a running maximum per step).  The increments use the
 full-sample censoring fit and either prefix ("prefix" variant, refitted at
@@ -83,10 +86,11 @@ def default_qn(n: int) -> int:
     return n // 2
 
 
-def _selection_weights(x, delta, perm, first, last):
-    """Selection weights of the prefix sizes first..last of one ordering.
+def _selection_weights(x, delta, perms, first, last):
+    """Selection weights of the prefix sizes first..last of every ordering.
 
-    Column i of the returned (n x (last - first + 1)) matrix holds
+    Returns ``(weights, failures)``, one entry per ordering.  ``weights[r]``
+    is an F-order n x steps matrix whose column i holds
     w = (y - mean(y)) / j for prefix size j = first + i at the data rows
     perm[:j], and 0 at the other rows; y are the IPCW responses of the prefix
     under the prefix's own censoring fit.  Censoring and at-risk counts of
@@ -94,37 +98,77 @@ def _selection_weights(x, delta, perm, first, last):
     the ordered rows.  A time with no censoring in a prefix has hazard 0 and
     contributes the exact factor 1.0, so each prefix's G equals
     fit_censoring_km and survival_at on that prefix, bit for bit.
+    ``failures[r]`` is None, or (i, error) for ordering r's first prefix
+    whose responses fail the EPS_G check; its rows from i on are 0.
 
-    The second value is None, or (i, error) for the first prefix whose
-    responses fail the EPS_G check; the columns from i on are left 0.
+    Each ordering is worked in one steps x (n + 1) buffer in ordered layout.
+    Each ordering's matrix is its own array: freeing one R-sized array raises
+    glibc's dynamic mmap threshold above a CSV table's size, and the heap then
+    keeps the tables of later reads (2.7 MB more peak RSS at n=500, p=2000).
     """
-    xp, dp = x[perm], delta[perm]
-    ends = np.arange(first - 1, last)  # last row of each prefix
+    n, steps = len(x), last - first + 1
+    sizes = np.arange(first, last + 1, dtype=np.float64)
     times = np.unique(x[delta == 0])
-    censored = np.cumsum((dp[:, None] == 0) & (xp[:, None] == times), axis=0)[ends]
-    at_risk = np.cumsum(xp[:, None] >= times, axis=0)[ends]
-    hazard = np.divide(censored, at_risk, out=np.zeros(censored.shape), where=censored > 0)
-    survival = np.ones((len(ends), len(times) + 1))
-    np.cumprod(1.0 - hazard, axis=1, out=survival[:, 1:])
-    g = survival[:, np.searchsorted(times, xp, side="left")]
+    # work column 0 is a row with response 0.0 / G(-inf) = 0.0 / 1.0, and
+    # columns 1..n are the data rows in the ordering
+    x0 = np.concatenate(([0.0], x))
+    slots = np.concatenate(([0], np.searchsorted(times, x, side="left")))  # G(x-) column
+    outside = np.arange(n + 1) > sizes[:, None]  # row i: the columns past prefix i
+    # reduceat over row i's columns 0..j sums [0.0, y[:j]]; the trailing 0.0
+    # keeps the end index of the last segment in range when j = n
+    work = np.zeros(steps * (n + 1) + 1)
+    rows = work[:-1].reshape(steps, n + 1)
+    starts = np.arange(steps) * (n + 1)
+    segments = np.column_stack((starts, starts + np.arange(first + 1, last + 2))).ravel()
+    weights, failures = [], []
+    for perm in perms:
+        xp, dp = x[perm], delta[perm]
+        cols = np.concatenate(([0], perm + 1))
+        censored = _prefix_counts((dp[:, None] == 0) & (xp[:, None] == times), first, last)
+        at_risk = _prefix_counts(xp[:, None] >= times, first, last)
+        # censored rows are at risk, so a time with no row at risk has 0 / 1
+        hazard = censored / np.maximum(at_risk, 1)
+        survival = np.ones((steps, len(times) + 1))
+        np.cumprod(1.0 - hazard, axis=1, out=survival[:, 1:])
 
-    inside = np.arange(len(x)) <= ends[:, None]  # row i: the rows of prefix i
-    events = inside & (dp == 1)
-    failing = np.flatnonzero((events & (g < censoring.EPS_G)).any(axis=1))
-    stop = int(failing[0]) if len(failing) else len(ends)
-    y = np.divide(xp, g[:stop], out=np.zeros(g[:stop].shape), where=events[:stop])
-    # one 1-D sum per prefix: numpy's pairwise summation depends on the length
-    sizes = ends[:stop, None] + 1
-    means = np.array([row[:j].sum() for row, j in zip(y, sizes[:, 0])])[:, None] / sizes
-    weights = np.zeros((len(x), len(ends)), order="F")
-    weights[perm, :stop] = np.divide(y - means, sizes, out=np.zeros(y.shape), where=inside[:stop]).T
-    if stop == len(ends):
-        return weights, None
-    j = first + stop
-    try:
-        _weighted_response(xp[:j], dp[:j], g[stop, :j])  # raises the check's own error
-    except DegeneracyError as exc:
-        return weights, (stop, exc)
+        # G(x-) is a cumprod of factors in [0, 1], so it does not increase in
+        # x: G at a prefix's largest event time decides its EPS_G check (a
+        # prefix without events reads G(-inf) = 1)
+        latest = np.maximum.accumulate(np.where(dp == 1, xp, -np.inf))[first - 1:last]
+        g_latest = survival[np.arange(steps), np.searchsorted(times, latest, side="left")]
+        failing = np.flatnonzero(g_latest < censoring.EPS_G)
+        stop = int(failing[0]) if len(failing) else steps
+        failure = None
+        if stop < steps:
+            j = first + stop
+            try:  # raises the check's own error
+                _weighted_response(xp[:j], dp[:j], survival[stop, slots[cols[1:j + 1]]])
+            except DegeneracyError as exc:
+                failure = (stop, exc)
+        failures.append(failure)
+
+        w = rows[:stop]
+        np.take(survival[:stop], slots[cols], axis=1, out=w, mode="clip")
+        # columns past a prefix may hold inf or nan; only the staircase is read
+        with np.errstate(divide="ignore", invalid="ignore"):
+            np.divide(x0[cols], w, out=w)
+            w[:, 1 + np.flatnonzero(dp == 0)] = 0.0
+            means = np.add.reduceat(work, segments[:2 * stop])[::2] / sizes[:stop]
+        w -= means[:, None]
+        w /= sizes[:stop, None]
+        w[outside[:stop]] = 0.0
+        out = np.empty((steps, n))
+        np.take(w, np.argsort(perm) + 1, axis=1, out=out[:stop], mode="clip")
+        out[stop:] = 0.0
+        weights.append(out.T)
+    return weights, failures
+
+
+def _prefix_counts(indicator, first, last):
+    """Column sums of the (n x T) indicator over rows :j for j = first..last."""
+    counts = np.cumsum(indicator[first - 1:last], axis=0)
+    counts += indicator[:first - 1].sum(axis=0)
+    return counts
 
 
 class _RunningSelection:
@@ -185,8 +229,11 @@ class _RunningSelection:
 def _select_steps(U, perms, weights, first):
     """Selected (ks, ms) of every prefix step of every ordering.
 
-    ``weights[r]`` is ordering r's matrix from _selection_weights, its column
-    i being prefix size first + i.  U is read once, in blocks of
+    ``weights[r]`` is ordering r's n x steps matrix, its column i being
+    prefix size first + i; one _selection_weights call builds those of all
+    orderings.  The prefix means in them are reduceat sums, bitwise
+    y[:j].sum(), and the EPS_G check reads G at each prefix's largest event
+    time.  U is read once, in blocks of
     BLOCK_COLUMNS columns that every ordering visits while the block is in
     cache; no permuted copy of U is made.
     """
@@ -232,11 +279,11 @@ def select_predictor(data: SurvivalDataset, j: Optional[int] = None):
     j = data.n if j is None else j
     if not 2 <= j <= data.n:
         raise InputError(f"prefix size must be in [2, n], got {j} for n={data.n}")
-    perm = np.arange(data.n)
-    weights, failure = _selection_weights(data.x, data.delta, perm, j, j)
+    perms = [np.arange(data.n)]
+    weights, (failure,) = _selection_weights(data.x, data.delta, perms, j, j)
     if failure is not None:
         raise failure[1]
-    (ks, ms), = _select_steps(data.predictors, [perm], [weights], j)
+    (ks, ms), = _select_steps(data.predictors, perms, weights, j)
     return int(ks[0]), int(ms[0])
 
 
@@ -279,8 +326,7 @@ def _screen(data, q, variant, perms, alpha):
     n = data.n
     km = fit_censoring_km(data.x, data.delta)
     y = synthetic_response(data, km)
-    weights, failures = zip(*(_selection_weights(data.x, data.delta, perm, q, n - 1)
-                              for perm in perms))
+    weights, failures = _selection_weights(data.x, data.delta, perms, q, n - 1)
     selections = _select_steps(data.predictors, perms, weights, q)
     # the selected predictors of the steps before each ordering's EPS_G failure
     heads = [ks[:n - q if failure is None else failure[0]]

@@ -222,3 +222,18 @@ def test_read_csv_error_messages(tmp_path, body, message, compress):
     with pytest.raises(InputError) as exc:
         read_csv(str(path))
     assert str(exc.value) == f"{path}: {message}"
+
+
+@pytest.mark.parametrize("compress", [False, True])
+def test_read_csv_names_the_line_and_byte_of_a_non_utf8_byte(tmp_path, compress):
+    # about 400 KB: the bad byte lies far past the decoder's first text chunk
+    rows = [b"%d.5,%d,0.%d,-1.25" % (i, i % 2, i % 7) for i in range(20000)]
+    rows[15000] = b"15000.5,1,0.3,-1\xff.25"  # file line 15,002
+    raw = b"time,status,u1,u2\n" + b"\n".join(rows) + b"\n"
+    assert len(raw) > 380_000
+    path = tmp_path / ("bad.csv.gz" if compress else "bad.csv")
+    path.write_bytes(gzip.compress(raw) if compress else raw)
+    with pytest.raises(InputError) as exc:
+        read_csv(str(path))
+    assert str(exc.value) == (f"cannot read {path}: 'utf-8' codec can't decode byte 0xff "
+                              "at line 15002, byte 17: invalid start byte")

@@ -354,31 +354,86 @@ class TestBlockedSelection:
 class TestPrefixWeights:
     @staticmethod
     def loop_weights(x, delta, perm, first, last):
+        """One refit per prefix; stops at the first EPS_G failure, as (i, error)."""
         xp, dp = x[perm], delta[perm]
         w = np.zeros((len(x), last - first + 1))
         for i, j in enumerate(range(first, last + 1)):
             km = fit_censoring_km(xp[:j], dp[:j])
-            yj = _weighted_response(xp[:j], dp[:j], survival_at(km, xp[:j]))
+            try:
+                yj = _weighted_response(xp[:j], dp[:j], survival_at(km, xp[:j]))
+            except DegeneracyError as exc:
+                return w, (i, exc)
             w[perm[:j], i] = (yj - yj.mean()) / j
-        return w
+        return w, None
 
-    @pytest.mark.parametrize("case", ["light", "heavy", "none", "all", "ties"])
+    @staticmethod
+    def sample(rng, case, n):
+        x = rng.exponential(1.0, n)
+        delta = (rng.random(n) < {"light": 0.8, "heavy": 0.3}.get(case, 0.6)).astype(np.int64)
+        if case == "none":
+            delta[:] = 1
+        elif case == "all":
+            delta[:] = 0
+        elif case == "ties":
+            x = np.round(x, 1)
+        elif case == "log":  # log-times, most of them negative, some tied
+            x = np.round(np.log(x), 2)
+        return x, delta
+
+    def assert_equal_to_loop(self, x, delta, perms, first, last):
+        got, failures = _selection_weights(x, delta, perms, first, last)
+        for w, failure, perm in zip(got, failures, perms, strict=True):
+            want, want_failure = self.loop_weights(x, delta, perm, first, last)
+            assert w.flags.f_contiguous
+            assert np.array_equal(w.view(np.int64), want.view(np.int64))  # signed zeros too
+            if want_failure is None:
+                assert failure is None
+            else:
+                assert failure[0] == want_failure[0]
+                assert str(failure[1]) == str(want_failure[1])
+        return failures
+
+    @pytest.mark.parametrize("case", ["light", "heavy", "none", "all", "ties", "log"])
     def test_equal_to_refit_loop_bitwise(self, rng, case):
-        for _ in range(10):
-            n = int(rng.integers(5, 60))
-            x = rng.exponential(1.0, n)
-            delta = (rng.random(n) < {"light": 0.8, "heavy": 0.3}.get(case, 0.6)).astype(np.int64)
-            if case == "none":
-                delta[:] = 1
-            elif case == "all":
-                delta[:] = 0
-            elif case == "ties":
-                x = np.round(x, 1)
-            perm = rng.permutation(n)
+        for n in (*rng.integers(5, 60, size=6), 300, 700):
+            n = int(n)
+            x, delta = self.sample(rng, case, n)
+            perms = [rng.permutation(n) for _ in range(int(rng.integers(1, 4)))]
             first = int(rng.integers(2, n))
-            got, failure = _selection_weights(x, delta, perm, first, n)
-            assert failure is None
-            assert np.array_equal(got, self.loop_weights(x, delta, perm, first, n))
+            last = n - 1 if n > 100 else n  # the screen's last step, or select_predictor's j = n
+            failures = self.assert_equal_to_loop(x, delta, perms, first, last)
+            assert failures == [None] * len(perms)
+
+    @pytest.mark.parametrize("eps_g", [0.3, 0.9])
+    def test_raised_eps_g_fails_at_the_loops_prefix(self, rng, monkeypatch, eps_g):
+        monkeypatch.setattr(censoring, "EPS_G", eps_g)
+        failed = 0
+        for case in ("light", "heavy", "ties", "log"):
+            for n in (20, 60, 300):
+                x, delta = self.sample(rng, case, n)
+                perms = [rng.permutation(n) for _ in range(3)]
+                first = int(rng.integers(2, n // 2))
+                failures = self.assert_equal_to_loop(x, delta, perms, first, n - 1)
+                failed += sum(f is not None for f in failures)
+        assert failed > 0
+
+    def test_prefix_sums_by_reduceat_equal_1d_sums_bitwise(self, rng):
+        # mixed signs, signed zeros and zero runs, at every length across
+        # numpy's pairwise-summation split at 128 elements and its multiples
+        n = 700
+        row = rng.standard_normal(n) * 10.0 ** rng.integers(-8, 9, n)
+        row[rng.random(n) < 0.1] = -0.0
+        row[rng.random(n) < 0.1] = 0.0
+        row[200:260] = 0.0
+        row[400:420] = -0.0
+        sizes = np.arange(2, n + 1)
+        # the kernel's layout: one row per prefix after a leading 0.0, and a trailing 0.0
+        work = np.zeros(len(sizes) * (n + 1) + 1)
+        work[:-1].reshape(len(sizes), n + 1)[:, 1:] = row
+        starts = np.arange(len(sizes)) * (n + 1)
+        sums = np.add.reduceat(work, np.column_stack((starts, starts + sizes + 1)).ravel())[::2]
+        want = np.array([row[:j].sum() for j in sizes])
+        assert np.array_equal(sums.view(np.int64), want.view(np.int64))
 
 
 def near_duplicate_head(rng, n=400, head=300, p=30):
