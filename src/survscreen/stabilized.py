@@ -15,8 +15,11 @@ at once, in a few full-array passes per ordering.  A prefix's G(x-) is a
 cumprod of factors in [0, 1], so G at its largest event time decides EPS_G.
 A prefix mean sums [0.0, y[:j]] by reduceat, which is y[:j].sum() bit for bit.
 Selection for every step of every ordering is then one pass over the predictors
-in column blocks (one matrix product per block and ordering, cumulative
-prefix moments, a running maximum per step).  The increments use the
+in column blocks: one matrix product per block and ordering gives the slope
+numerators, and a running maximum per step carries the selection.  A certified
+lower bound on each column's prefix variances, from a few checkpoint prefix
+sums, drops the columns whose slopes stay below every step's near-tie cut; only
+the others get the exact cumulative prefix moments.  The increments use the
 full-sample censoring fit and either prefix ("prefix" variant, refitted at
 each step) or full-sample ("full" variant) regression moments.  With
 full-sample moments each distinct selected predictor is fitted once, in
@@ -182,17 +185,22 @@ class _RunningSelection:
         self.slope = np.empty(0)
         self.var = np.empty(0)
 
-    def update(self, c0, slopes, var):
+    def cut(self):
+        """Per step, the smallest |slope| that can still be a candidate."""
+        return self.best * (1.0 - 1e-9)
+
+    def update(self, cols, slopes, var):
+        """Fold in the slopes of the columns ``cols`` (absolute indices)."""
         size = np.abs(slopes)
         block_best = size.max(axis=1)
         self.best = np.maximum(self.best, block_best)
-        cut = self.best * (1.0 - 1e-9)
+        cut = self.cut()
         keep = np.abs(self.slope) >= cut[self.step]
         rows = np.flatnonzero((block_best >= cut) & (block_best > 0.0))
         r, c = np.nonzero(size[rows] >= cut[rows, None])
         r = rows[r]
         self.step = np.concatenate((self.step[keep], r))
-        self.col = np.concatenate((self.col[keep], c0 + c))
+        self.col = np.concatenate((self.col[keep], cols[c]))
         self.slope = np.concatenate((self.slope[keep], slopes[r, c]))
         self.var = np.concatenate((self.var[keep], var[r, c]))
 
@@ -226,51 +234,220 @@ class _RunningSelection:
         return ks, ms
 
 
+# steps per window of the certified bound: a window of L steps at prefix sizes
+# from c on loses at most a factor c / (c + L - 1) of the variance, 6% at
+# c = 250, while the checkpoint product stays about 2 / L of the slope product
+_WINDOW = 16
+_UNIT_ROUNDOFF = np.finfo(np.float64).eps / 2
+
+
+def _prefix_variance(rows, first, steps, m1, m2):
+    """Computed prefix variances of the predictors in ``rows`` (one predictor
+    per row, its values in the ordering) at prefix sizes first..first+steps-1,
+    written into the steps x len(rows) buffers ``m2`` (returned) and ``m1``.
+
+    The first ``first`` values are summed pairwise, then one value is added
+    per step, the order of a step-by-step running sum; the variance is the
+    uncentred m2 - m1**2.  Each predictor's values are summed on their own,
+    so its variances do not depend on which predictors share ``rows``.
+    """
+    sizes = np.arange(first, first + steps, dtype=np.float64)[:, None]
+    head, tail = rows[:, :first], rows[:, first:first + steps - 1].T
+    m1[0] = head.sum(axis=1)
+    m2[0] = np.einsum("ij,ij->i", head, head)
+    m1[1:] = tail
+    np.square(tail, out=m2[1:])
+    np.cumsum(m1, axis=0, out=m1)
+    np.cumsum(m2, axis=0, out=m2)
+    m1 /= sizes
+    m2 /= sizes
+    return np.subtract(m2, np.square(m1, out=m1), out=m2)
+
+
+class _WindowBound:
+    """Certified lower bounds on the computed prefix variances of a block's
+    columns, one per window of _WINDOW consecutive steps and ordering.
+
+    Window w covers the prefix sizes c..e, c = points[w] and e = ends[w]; its
+    bound comes from the prefix sums of the centred column and of its square
+    at c and at next = points[w + 1], which is e + 1 capped at n.  The 0/1
+    matrix of those prefixes, every ordering's rows stacked, times the centred
+    block and times its square gives every sum.
+    """
+
+    def __init__(self, perms, first, steps, width):
+        n = len(perms[0])
+        self.windows = np.arange(0, steps, _WINDOW)  # each window's first step
+        self.points = np.append(first + self.windows, min(first + steps, n))
+        self.ends = np.minimum(self.points[:-1] + _WINDOW - 1, first + steps - 1)
+        self.indicator = np.concatenate(
+            [np.argsort(perm) < self.points[:, None] for perm in perms]).astype(np.float64)
+        self.sums = np.empty((len(self.indicator), 2 * width))
+        self.peak = np.empty((len(self.windows), width))
+        self.steps = steps
+        # the constants of lower(), per window where they vary; derived there
+        u, c, e = _UNIT_ROUNDOFF, self.points[:-1, None] * 1.0, self.ends[:, None] * 1.0
+        self.eta = 2.0 * (n + 3) * u
+        self.head_factor = (1.0 - self.eta) / e * (1.0 - 64 * u)
+        self.span = e - c
+        self.sum_error = 4.0 * self.eta ** 2 * c  # (2 eta)**2 c
+        self.drift_factor = (1.0 + 32 * u) / c
+        self.kernel_error = 16.0 * n * u
+        self.scale_factor = self.kernel_error / c
+
+    def load(self, block, centred):
+        """Checkpoint sums of ``block`` centred by its column means, and of
+        its square; ``centred`` is an n x b F-order scratch buffer.
+
+        The bound holds for any shift of the columns.  When no column mean
+        exceeds 1e-12 (standardized columns), the shift is 0 and the
+        subtraction is skipped: for a column whose variance reaches EPS_VAR,
+        centring would then move its bound by a relative 1e-8 at most.
+        """
+        b = block.shape[1]
+        offsets = block.mean(axis=0)
+        if np.abs(offsets).max() > 1e-12:
+            shifted = np.subtract(block, offsets, out=centred)
+        else:
+            offsets[:] = 0.0
+            shifted = block
+        self.offset_term = self.kernel_error * np.square(offsets)
+        np.matmul(self.indicator, shifted, out=self.sums[:, :b])
+        np.matmul(self.indicator, np.square(shifted, out=centred), out=self.sums[:, b:2 * b])
+
+    def lower(self, r):
+        """windows x b lower bounds on ordering r's computed prefix variances.
+
+        Notation: u is the unit roundoff, g(k) = k u / (1 - k u), x a
+        column's values in the ordering, a its shift from load(), Z = x - a
+        exactly, and S1_j, S2_j the exact sums of Z and Z**2 over the first j
+        rows.
+
+        1. Exact arithmetic.  A variance is shift-invariant, so
+           V_j = S2_j / j - (S1_j / j)**2.  For c <= j <= e, S2_j >= S2_c,
+           and by Cauchy-Schwarz over the j - c <= e - c added rows,
+           |S1_j - S1_c| <= sqrt((e - c) (S2_next - S2_c)), hence
+           V_j >= S2_c / e - ((|S1_c| + sqrt((e - c) (S2_next - S2_c))) / c)**2.
+        2. The checkpoint sums.  The centred values are fl(x - a) =
+           Z (1 + d), |d| <= u, and their squares carry g(3).  A dot product
+           of n terms with 0/1 weights is off by at most g(n) times the sum of
+           the terms' magnitudes, in any summation order, so with
+           eta = 2 (n + 3) u >= g(n + 3) the computed sums satisfy
+           |^S1_c - S1_c| <= eta sqrt(c S2_c) and |^S2_c - S2_c| <= eta S2_c.
+           The bound of 1 then holds with S2_c >= ^S2_c (1 - eta),
+           |S1_c| <= |^S1_c| + 2 eta sqrt(c ^S2_c) and
+           S2_next - S2_c <= max(^S2_next - ^S2_c, 0) + 3 eta ^S2_next.
+        3. The exact pass (_prefix_variance) computes V_j as m2 - m1**2 from
+           uncentred sums of j terms in some order; with m2_j = sum(x**2) / j
+           it is off by at most g(3 j + 6) m2_j.  As x = Z + a,
+           m2_j <= 2 S2_j / j + 2 a**2 <= 2 (1 + 2 eta) (^S2_next / c + a**2),
+           and 2 (1 + 2 eta) g(3 n + 6) <= 16 n u for n >= 2.
+        4. Evaluating the bound of 2 takes at most a dozen roundings per
+           term, which the factors 1 - 64 u and (1 + 32 u)**2 >= 1 + 64 u
+           cover.
+
+        So with A = ^S2_c (1 - eta) (1 - 64 u) / e,
+        B = (|^S1_c| + 2 eta sqrt(c ^S2_c) + sqrt((e - c) D)) (1 + 32 u) / c,
+        D = max(^S2_next - ^S2_c, 0) + 3 eta ^S2_next and
+        M = 16 n u (^S2_next / c + a**2), lb = A - B**2 - M is at most every
+        computed variance of the window.  Centring keeps lb close to the
+        variance for columns with large means; a near-constant column gets
+        lb <= 0.
+        """
+        k, b = len(self.points), len(self.offset_term)
+        sums = self.sums[r * k:(r + 1) * k]
+        s1, s2, s2_next = sums[:-1, :b], sums[:-1, b:2 * b], sums[1:, b:2 * b]
+        spread = np.subtract(s2_next, s2)  # sqrt((e - c) D)
+        np.maximum(spread, 0.0, out=spread)
+        spread += 3.0 * self.eta * s2_next
+        spread *= self.span
+        np.sqrt(spread, out=spread)
+        drift = np.sqrt(self.sum_error * s2)  # B
+        drift += np.abs(s1)
+        drift += spread
+        drift *= self.drift_factor
+        lb = s2 * self.head_factor  # A - B**2 - M
+        lb -= np.square(drift, out=drift)
+        lb -= s2_next * self.scale_factor
+        lb -= self.offset_term
+        return lb
+
+    def survivors(self, r, cov, cut, scratch):
+        """Columns of ordering r whose slope can reach ``cut`` at some step.
+
+        A column is dropped when, in every window, its largest |cov| / cut
+        over the window's steps is below its variance bound lb: then
+        |cov| / var < cut at each step.  Against the roundings of 1 / cut,
+        of the product and of the computed slope fl(cov / var), the test is
+        against lb (1 - 8 u); a step whose cut is 0 keeps every column.
+        """
+        u = _UNIT_ROUNDOFF
+        inverse = np.divide(1.0, cut, out=np.zeros_like(cut), where=cut > 0.0)
+        ratio = np.multiply(np.abs(cov, out=scratch), inverse[:, None], out=scratch)
+        ratio[cut == 0.0] = np.inf
+        full, b = self.steps // _WINDOW, cov.shape[1]
+        peak = self.peak[:, :b]
+        np.max(ratio[:full * _WINDOW].reshape(full, _WINDOW, b), axis=1, out=peak[:full])
+        if full < len(peak):
+            np.max(ratio[full * _WINDOW:], axis=0, out=peak[full])
+        return np.flatnonzero(~(peak < self.lower(r) * (1.0 - 8 * u)).all(axis=0))
+
+
 def _select_steps(U, perms, weights, first):
     """Selected (ks, ms) of every prefix step of every ordering.
 
     ``weights[r]`` is ordering r's n x steps matrix, its column i being
     prefix size first + i; one _selection_weights call builds those of all
-    orderings.  The prefix means in them are reduceat sums, bitwise
-    y[:j].sum(), and the EPS_G check reads G at each prefix's largest event
-    time.  U is read once, in blocks of
-    BLOCK_COLUMNS columns that every ordering visits while the block is in
-    cache; no permuted copy of U is made.
+    orderings.  U is read once, in blocks of BLOCK_COLUMNS columns that every
+    ordering visits while the block is in cache; no permuted copy of U is
+    made.  Per block and ordering, one product gives every step's slope
+    numerators.  Once an ordering has a nonzero best, a column whose slope
+    provably stays below every step's near-tie cut is dropped (_WindowBound);
+    only the columns left get the exact prefix moments (_prefix_variance) and
+    their slopes.  A dropped slope is below the cut before the block, so it
+    could be neither a step's best nor a near-tie candidate, and the
+    selections are those of the exact pass on every column.
     """
     n, p = U.shape
     steps = weights[0].shape[1]
-    sizes = np.arange(first, first + steps, dtype=np.float64)[:, None]
     width = min(p, BLOCK_COLUMNS)
     permuted = np.empty((width, n))
-    s1 = np.empty((steps, width))
-    s2 = np.empty((steps, width))
+    s1 = np.empty(steps * width)  # viewed as steps x m for the m columns at hand
+    s2 = np.empty(steps * width)
     slopes = np.empty((steps, width))
     running = [_RunningSelection(steps) for _ in perms]
+    bound = None  # built at the first block where a cut is nonzero
     for c0 in range(0, p, BLOCK_COLUMNS):
         block = U[:, c0:c0 + BLOCK_COLUMNS]
         b = block.shape[1]
-        for perm, w, run in zip(perms, weights, running):
-            # the block's rows in the ordering, one predictor per row; perm
-            # is a permutation, and "clip" lets take write into `out` directly
-            rows = np.take(block.T, perm, axis=1, out=permuted[:b], mode="clip")
-            head, tail = rows[:, :first], rows[:, first:first + steps - 1].T
-            # prefix moments: the first `first` rows summed, then one row added
-            # per step, the order of a step-by-step running sum
-            m1, m2 = s1[:, :b], s2[:, :b]
-            m1[0] = head.sum(axis=1)
-            m2[0] = np.einsum("ij,ij->i", head, head)
-            m1[1:] = tail
-            np.square(tail, out=m2[1:])
-            np.cumsum(m1, axis=0, out=m1)
-            np.cumsum(m2, axis=0, out=m2)
-            m1 /= sizes
-            m2 /= sizes
-            var = np.subtract(m2, np.square(m1, out=m1), out=m2)
-            floored = var < EPS_VAR
+        cuts = [run.cut() for run in running]
+        pruning = any(cut.any() for cut in cuts)
+        if pruning:
+            if bound is None:
+                bound = _WindowBound(perms, first, steps, width)
+                gathered = np.empty((width, n))
+            bound.load(block, permuted[:b].T)
+        for r, (perm, w, run, cut) in enumerate(zip(perms, weights, running, cuts)):
             cov = np.matmul(w.T, block, out=slopes[:, :b])
-            np.divide(cov, var, out=cov, where=~floored)
-            cov[floored] = 0.0
-            run.update(c0, cov, var)
+            if cut.any():
+                cols = bound.survivors(r, cov, cut, s1[:steps * b].reshape(steps, b))
+                if len(cols) == 0:
+                    continue
+                # "clip" lets take write into `out` directly; every index is valid
+                source = np.take(block.T, cols, axis=0, out=gathered[:len(cols)], mode="clip")
+            else:
+                cols, source = np.arange(b), block.T
+            m = len(cols)
+            m1, m2 = s1[:steps * m].reshape(steps, m), s2[:steps * m].reshape(steps, m)
+            # the columns' rows in the ordering, one predictor per row
+            rows = np.take(source, perm, axis=1, out=permuted[:m], mode="clip")
+            var = _prefix_variance(rows, first, steps, m1, m2)
+            # m1 is free once var is formed
+            slope = cov if m == b else np.take(cov, cols, axis=1, out=m1, mode="clip")
+            floored = var < EPS_VAR
+            np.divide(slope, var, out=slope, where=~floored)
+            slope[floored] = 0.0
+            run.update(c0 + cols, slope, var)
     return [run.finish(U, perm, w, first) for perm, w, run in zip(perms, weights, running)]
 
 
