@@ -72,8 +72,9 @@ def synthetic_response(data: SurvivalDataset, km: Optional[KaplanMeierFit] = Non
     """Inverse-probability-weighted responses y_i = delta_i * x_i / G(x_i).
 
     ``km`` defaults to the censoring fit of the whole dataset.  Censored
-    observations get 0.  Raises if an event's weight 1/G(x) blows up past
-    the floor, which signals that tau was chosen too large.
+    observations get 0.  Raises if an event's G(x) is below EPS_G, which
+    only a ``km`` not fitted on ``data`` can cause: with the data's own fit,
+    G(x-) >= 1/n at every event.
     """
     if km is None:
         km = fit_censoring_km(data.x, data.delta)

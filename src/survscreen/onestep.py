@@ -223,7 +223,8 @@ def _one_step_block(U, x, delta, y, km: KaplanMeierFit, ks, alpha: float) -> _On
 
 @dataclass(frozen=True)
 class OneStepResult:
-    """One-step slope inference for a single predictor."""
+    """One-step slope inference for a single predictor; ``statistic`` is
+    sqrt(n_used) * s_onestep / sigma_hat."""
 
     k: int
     psi_plugin: float
@@ -232,17 +233,13 @@ class OneStepResult:
     sigma_hat: float
     ci_low: float
     ci_high: float
+    statistic: float
     p_value: float
     n_used: int
     alpha: float
 
     def __post_init__(self):
         self.if_values.flags.writeable = False
-
-    @property
-    def statistic(self) -> float:
-        """Standardized statistic sqrt(n) * estimate / sigma."""
-        return math.sqrt(self.n_used) * self.s_onestep / self.sigma_hat
 
 
 def one_step(data: SurvivalDataset, k: int, alpha: float = 0.05) -> OneStepResult:
@@ -254,7 +251,8 @@ def one_step(data: SurvivalDataset, k: int, alpha: float = 0.05) -> OneStepResul
         k=k, psi_plugin=float(block.psi[0]), s_onestep=float(block.s_onestep[0]),
         if_values=block.if_values[:, 0], sigma_hat=float(block.sigma[0]),
         ci_low=float(block.ci_low[0]), ci_high=float(block.ci_high[0]),
-        p_value=float(block.p_value[0]), n_used=data.n, alpha=alpha,
+        statistic=float(block.statistic[0]), p_value=float(block.p_value[0]),
+        n_used=data.n, alpha=alpha,
     )
 
 

@@ -11,9 +11,8 @@ Every per-step quantity is an array.  The selection weights
 w_j = (y_j - mean(y_j)) / j depend on the ordering and the prefix censoring
 fit, never on the predictors, so one call builds the weights of every
 ordering, one n x (n - q_n) matrix each, from all prefix Kaplan-Meier fits
-at once, in a few full-array passes per ordering.  A prefix's G(x-) is a
-cumprod of factors in [0, 1], so G at its largest event time decides EPS_G.
-A prefix mean sums [0.0, y[:j]] by reduceat, which is y[:j].sum() bit for bit.
+at once, in a few full-array passes per ordering.  A prefix mean sums
+[0.0, y[:j]] by reduceat, which is y[:j].sum() bit for bit.
 Selection for every step of every ordering is then one pass over the predictors
 in column blocks: one matrix product per block and ordering gives the slope
 numerators, and a running maximum per step carries the selection.  A certified
@@ -27,15 +26,13 @@ column blocks, and a step reads its fixed influence values: their
 dispersion over the prefix by cumulative sums, and the value at the next row.
 """
 
-import math
 from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
-from . import censoring
 from ._rng import stream
-from .censoring import _weighted_response, fit_censoring_km, synthetic_response
+from .censoring import fit_censoring_km, synthetic_response
 from .dataset import SurvivalDataset
 from .errors import DegeneracyError, InputError
 from .onestep import (BLOCK_COLUMNS, EPS_SIGMA, _raise_first, _variance_floor, bonferroni,
@@ -52,7 +49,7 @@ class StabilizedResult:
     ``k``, ``m``, ``sigma``, ``weight`` and ``increment`` are read-only
     arrays over the prefix steps: element i is prefix size q_n + i, with its
     selected predictor and sign, dispersion, weight sigma_bar / sigma and
-    weighted increment.
+    weighted increment.  ``statistic`` is sqrt(n - q_n) * s_star / sigma_bar.
     """
 
     s_star: float
@@ -64,6 +61,7 @@ class StabilizedResult:
     increment: np.ndarray
     ci_low: float
     ci_high: float
+    statistic: float
     p_value: float
     q_n: int
     variant: str
@@ -73,11 +71,6 @@ class StabilizedResult:
     def __post_init__(self):
         for arr in (self.k, self.m, self.sigma, self.weight, self.increment):
             arr.flags.writeable = False
-
-    @property
-    def statistic(self) -> float:
-        """Standardized statistic sqrt(n - q_n) * estimate / sigma_bar."""
-        return math.sqrt(self.n - self.q_n) * self.s_star / self.sigma_bar
 
     def modal_k(self) -> int:
         """The most often selected predictor; the smallest index on a tie."""
@@ -92,17 +85,16 @@ def default_qn(n: int) -> int:
 def _selection_weights(x, delta, perms, first, last):
     """Selection weights of the prefix sizes first..last of every ordering.
 
-    Returns ``(weights, failures)``, one entry per ordering.  ``weights[r]``
-    is an F-order n x steps matrix whose column i holds
+    Returns one F-order n x steps matrix per ordering, whose column i holds
     w = (y - mean(y)) / j for prefix size j = first + i at the data rows
     perm[:j], and 0 at the other rows; y are the IPCW responses of the prefix
     under the prefix's own censoring fit.  Censoring and at-risk counts of
     every prefix at the sample's censoring times are cumulative sums over
     the ordered rows.  A time with no censoring in a prefix has hazard 0 and
     contributes the exact factor 1.0, so each prefix's G equals
-    fit_censoring_km and survival_at on that prefix, bit for bit.
-    ``failures[r]`` is None, or (i, error) for ordering r's first prefix
-    whose responses fail the EPS_G check; its rows from i on are 0.
+    fit_censoring_km and survival_at on that prefix, bit for bit.  At an
+    event x of a prefix of j rows, j G(x-) >= Y(x) >= 1, so every response is
+    finite and needs no floor.
 
     Each ordering is worked in one steps x (n + 1) buffer in ordered layout.
     Each ordering's matrix is its own array: freeing one R-sized array raises
@@ -120,10 +112,10 @@ def _selection_weights(x, delta, perms, first, last):
     # reduceat over row i's columns 0..j sums [0.0, y[:j]]; the trailing 0.0
     # keeps the end index of the last segment in range when j = n
     work = np.zeros(steps * (n + 1) + 1)
-    rows = work[:-1].reshape(steps, n + 1)
+    w = work[:-1].reshape(steps, n + 1)
     starts = np.arange(steps) * (n + 1)
     segments = np.column_stack((starts, starts + np.arange(first + 1, last + 2))).ravel()
-    weights, failures = [], []
+    weights = []
     for perm in perms:
         xp, dp = x[perm], delta[perm]
         cols = np.concatenate(([0], perm + 1))
@@ -134,37 +126,19 @@ def _selection_weights(x, delta, perms, first, last):
         survival = np.ones((steps, len(times) + 1))
         np.cumprod(1.0 - hazard, axis=1, out=survival[:, 1:])
 
-        # G(x-) is a cumprod of factors in [0, 1], so it does not increase in
-        # x: G at a prefix's largest event time decides its EPS_G check (a
-        # prefix without events reads G(-inf) = 1)
-        latest = np.maximum.accumulate(np.where(dp == 1, xp, -np.inf))[first - 1:last]
-        g_latest = survival[np.arange(steps), np.searchsorted(times, latest, side="left")]
-        failing = np.flatnonzero(g_latest < censoring.EPS_G)
-        stop = int(failing[0]) if len(failing) else steps
-        failure = None
-        if stop < steps:
-            j = first + stop
-            try:  # raises the check's own error
-                _weighted_response(xp[:j], dp[:j], survival[stop, slots[cols[1:j + 1]]])
-            except DegeneracyError as exc:
-                failure = (stop, exc)
-        failures.append(failure)
-
-        w = rows[:stop]
-        np.take(survival[:stop], slots[cols], axis=1, out=w, mode="clip")
+        np.take(survival, slots[cols], axis=1, out=w, mode="clip")
         # columns past a prefix may hold inf or nan; only the staircase is read
         with np.errstate(divide="ignore", invalid="ignore"):
             np.divide(x0[cols], w, out=w)
             w[:, 1 + np.flatnonzero(dp == 0)] = 0.0
-            means = np.add.reduceat(work, segments[:2 * stop])[::2] / sizes[:stop]
+            means = np.add.reduceat(work, segments)[::2] / sizes
         w -= means[:, None]
-        w /= sizes[:stop, None]
-        w[outside[:stop]] = 0.0
+        w /= sizes[:, None]
+        w[outside] = 0.0
         out = np.empty((steps, n))
-        np.take(w, np.argsort(perm) + 1, axis=1, out=out[:stop], mode="clip")
-        out[stop:] = 0.0
+        np.take(w, np.argsort(perm) + 1, axis=1, out=out, mode="clip")
         weights.append(out.T)
-    return weights, failures
+    return weights
 
 
 def _prefix_counts(indicator, first, last):
@@ -457,9 +431,7 @@ def select_predictor(data: SurvivalDataset, j: Optional[int] = None):
     if not 2 <= j <= data.n:
         raise InputError(f"prefix size must be in [2, n], got {j} for n={data.n}")
     perms = [np.arange(data.n)]
-    weights, (failure,) = _selection_weights(data.x, data.delta, perms, j, j)
-    if failure is not None:
-        raise failure[1]
+    weights = _selection_weights(data.x, data.delta, perms, j, j)
     (ks, ms), = _select_steps(data.predictors, perms, weights, j)
     return int(ks[0]), int(ms[0])
 
@@ -499,29 +471,26 @@ def _screen(data, q, variant, perms, alpha):
     """Selection for every ordering in one pass over U, the nuisances of every
     step as arrays, then each ordering's checks and aggregate.  Errors surface
     as in a step-by-step run: ordering by ordering, step by step (variance
-    floor, then dispersion), an ordering's EPS_G failure after earlier steps."""
+    floor, then dispersion)."""
     n = data.n
     km = fit_censoring_km(data.x, data.delta)
     y = synthetic_response(data, km)
-    weights, failures = _selection_weights(data.x, data.delta, perms, q, n - 1)
+    weights = _selection_weights(data.x, data.delta, perms, q, n - 1)
     selections = _select_steps(data.predictors, perms, weights, q)
-    # the selected predictors of the steps before each ordering's EPS_G failure
-    heads = [ks[:n - q if failure is None else failure[0]]
-             for (ks, _), failure in zip(selections, failures)]
     steps = (_full_sample_steps if variant == "full" else _prefix_steps)(
-        data, km, y, perms, heads, q)
+        data, km, y, perms, [ks for ks, _ in selections], q)
     return tuple(
-        _ordering_result(q, variant, n, alpha, ks, ms, failure, *step)
-        for (ks, ms), failure, step in zip(selections, failures, steps)
+        _ordering_result(q, variant, n, alpha, ks, ms, *step)
+        for (ks, ms), step in zip(selections, steps)
     )
 
 
-def _full_sample_steps(data, km, y, perms, heads, q):
+def _full_sample_steps(data, km, y, perms, selected, q):
     """(sig2, raw, u_var) of every ordering's steps from full-sample nuisances:
     each distinct selected predictor is fitted once, in column blocks, and a
     step at prefix size j reads its fixed influence values in the ordering,
     their second central moment over rows :j by cumulative sums and row j."""
-    distinct = np.unique(np.concatenate(heads))
+    distinct = np.unique(np.concatenate(selected))
     if_values = np.empty((data.n, len(distinct)))
     psi, u_var = np.empty(len(distinct)), np.empty(len(distinct))
     with np.errstate(all="ignore"):  # a floored column is raised at its first step
@@ -534,7 +503,7 @@ def _full_sample_steps(data, km, y, perms, heads, q):
             u_var[cols] = bundle.u_var
 
     steps = []
-    for perm, ks in zip(perms, heads):
+    for perm, ks in zip(perms, selected):
         col = np.searchsorted(distinct, ks)
         own, local = np.unique(col, return_inverse=True)
         values = if_values[np.ix_(perm, own)]
@@ -548,13 +517,13 @@ def _full_sample_steps(data, km, y, perms, heads, q):
     return steps
 
 
-def _prefix_steps(data, km, y, perms, heads, q):
+def _prefix_steps(data, km, y, perms, selected, q):
     """(sig2, raw, u_var) of every ordering's steps: at prefix size j, the
     selected predictor's nuisances fitted on the ordering's first j rows, its
     influence values there and at row j."""
     steps = []
     with np.errstate(all="ignore"):  # a floored fit is raised at its step
-        for perm, ks in zip(perms, heads):
+        for perm, ks in zip(perms, selected):
             xp, dp, yp = data.x[perm], data.delta[perm], y[perm]
             rows = []
             for j, k in enumerate(ks, start=q):
@@ -568,9 +537,9 @@ def _prefix_steps(data, km, y, perms, heads, q):
     return steps
 
 
-def _ordering_result(q, variant, n, alpha, ks, ms, failure, sig2, raws, u_var):
-    """Checks of the steps before the ordering's EPS_G failure, in step order,
-    then that failure, then the inverse-dispersion aggregate."""
+def _ordering_result(q, variant, n, alpha, ks, ms, sig2, raws, u_var):
+    """Checks of the ordering's steps, in step order, then the
+    inverse-dispersion aggregate."""
     sigmas = np.sqrt(np.maximum(sig2, 0.0))
     _raise_first(
         _variance_floor(u_var, ks),
@@ -578,20 +547,18 @@ def _ordering_result(q, variant, n, alpha, ks, ms, failure, sig2, raws, u_var):
             f"influence dispersion {sigmas[i]:.3g} below {EPS_SIGMA} at prefix size {q + i} "
             f"(predictor {ks[i]})")),
     )
-    if failure is not None:
-        raise failure[1]
 
     steps = n - q
     sigma_bar = steps / float(np.sum(1.0 / sigmas))
     weights = sigma_bar / sigmas
     increments = weights * ms * raws
     s_star = float(increments.mean())
-    ci_low, ci_high, _, p = normal_interval(s_star, sigma_bar, steps, alpha)
+    ci_low, ci_high, statistic, p = normal_interval(s_star, sigma_bar, steps, alpha)
 
     return StabilizedResult(
         s_star=s_star, sigma_bar=sigma_bar, k=ks, m=ms, sigma=sigmas, weight=weights,
-        increment=increments, ci_low=ci_low, ci_high=ci_high, p_value=float(p),
-        q_n=q, variant=variant, n=n, alpha=alpha,
+        increment=increments, ci_low=ci_low, ci_high=ci_high, statistic=statistic,
+        p_value=float(p), q_n=q, variant=variant, n=n, alpha=alpha,
     )
 
 

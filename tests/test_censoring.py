@@ -53,6 +53,22 @@ class TestCensoringFit:
             if len(km.jump_times):
                 assert survival_at(km, km.jump_times[0]) == 1.0
 
+    def test_prefix_survival_at_an_event_covers_its_at_risk_share(self, rng):
+        # j G(x-) >= Y(x) at every event x of a sample of j rows, with Y(x)
+        # its rows at time >= x: the product-limit G(x-) times the event
+        # survival S(x-) <= 1 is Y(x) / j.  So j G(x-) >= 1 at every event
+        # and no response of a screen's prefix meets the censoring floor.
+        for _ in range(2000):
+            j = int(rng.integers(2, 301))
+            x = np.round(rng.exponential(1.0, j), int(rng.integers(0, 3)))
+            delta = (rng.random(j) < rng.uniform(0.02, 1.0)).astype(np.int64)
+            if rng.random() < 0.3:  # an all-censored tail
+                delta[x >= np.quantile(x, rng.uniform(0.5, 1.0))] = 0
+            events = x[delta == 1]
+            g = survival_at(fit_censoring_km(x, delta), events)
+            at_risk = (x[None, :] >= events[:, None]).sum(axis=1)
+            assert np.all(j * g >= at_risk * (1.0 - 1e-12))
+
     def test_administrative_cap_preserves_survival_below_tau(self, rng):
         for _ in range(20):
             n = 40

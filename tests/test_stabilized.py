@@ -11,7 +11,7 @@ from survscreen import (
     select_predictor,
     stabilized_estimate,
 )
-from survscreen import censoring, stabilized
+from survscreen import stabilized
 from survscreen._rng import stream
 from survscreen.censoring import _weighted_response, fit_censoring_km, survival_at
 from survscreen.dataset import ingest
@@ -114,6 +114,7 @@ class TestStabilizedEstimate:
         assert r.sigma_bar == pytest.approx(len(sigmas) / np.sum(1.0 / sigmas), abs=1e-12)
         assert np.allclose(weights, r.sigma_bar / sigmas, atol=1e-12)
         m = 25 - q
+        assert r.statistic == math.sqrt(m) * r.s_star / r.sigma_bar
         want_p = 2.0 * (1.0 - norm.cdf(abs(math.sqrt(m) * r.s_star / r.sigma_bar)))
         assert r.p_value == pytest.approx(want_p, abs=1e-12)
         assert r.ci_low <= r.s_star <= r.ci_high
@@ -224,7 +225,8 @@ class TestCiPvalue:
         return StabilizedResult(
             s_star=s_star, sigma_bar=sigma_bar, k=k, m=np.ones(len(k), dtype=np.int64),
             sigma=np.ones(len(k)), weight=np.ones(len(k)), increment=np.zeros(len(k)),
-            ci_low=0.0, ci_high=0.0, p_value=1.0, q_n=q, variant="full", n=n, alpha=0.05,
+            ci_low=0.0, ci_high=0.0, statistic=math.sqrt(n - q) * s_star / sigma_bar,
+            p_value=1.0, q_n=q, variant="full", n=n, alpha=0.05,
         )
 
     def test_modal_k_counts_and_breaks_ties_low(self):
@@ -446,17 +448,14 @@ class TestCertifiedSelection:
 class TestPrefixWeights:
     @staticmethod
     def loop_weights(x, delta, perm, first, last):
-        """One refit per prefix; stops at the first EPS_G failure, as (i, error)."""
+        """One refit per prefix."""
         xp, dp = x[perm], delta[perm]
         w = np.zeros((len(x), last - first + 1))
         for i, j in enumerate(range(first, last + 1)):
             km = fit_censoring_km(xp[:j], dp[:j])
-            try:
-                yj = _weighted_response(xp[:j], dp[:j], survival_at(km, xp[:j]))
-            except DegeneracyError as exc:
-                return w, (i, exc)
+            yj = _weighted_response(xp[:j], dp[:j], survival_at(km, xp[:j]))
             w[perm[:j], i] = (yj - yj.mean()) / j
-        return w, None
+        return w
 
     @staticmethod
     def sample(rng, case, n):
@@ -472,19 +471,6 @@ class TestPrefixWeights:
             x = np.round(np.log(x), 2)
         return x, delta
 
-    def assert_equal_to_loop(self, x, delta, perms, first, last):
-        got, failures = _selection_weights(x, delta, perms, first, last)
-        for w, failure, perm in zip(got, failures, perms, strict=True):
-            want, want_failure = self.loop_weights(x, delta, perm, first, last)
-            assert w.flags.f_contiguous
-            assert np.array_equal(w.view(np.int64), want.view(np.int64))  # signed zeros too
-            if want_failure is None:
-                assert failure is None
-            else:
-                assert failure[0] == want_failure[0]
-                assert str(failure[1]) == str(want_failure[1])
-        return failures
-
     @pytest.mark.parametrize("case", ["light", "heavy", "none", "all", "ties", "log"])
     def test_equal_to_refit_loop_bitwise(self, rng, case):
         for n in (*rng.integers(5, 60, size=6), 300, 700):
@@ -493,21 +479,11 @@ class TestPrefixWeights:
             perms = [rng.permutation(n) for _ in range(int(rng.integers(1, 4)))]
             first = int(rng.integers(2, n))
             last = n - 1 if n > 100 else n  # the screen's last step, or select_predictor's j = n
-            failures = self.assert_equal_to_loop(x, delta, perms, first, last)
-            assert failures == [None] * len(perms)
-
-    @pytest.mark.parametrize("eps_g", [0.3, 0.9])
-    def test_raised_eps_g_fails_at_the_loops_prefix(self, rng, monkeypatch, eps_g):
-        monkeypatch.setattr(censoring, "EPS_G", eps_g)
-        failed = 0
-        for case in ("light", "heavy", "ties", "log"):
-            for n in (20, 60, 300):
-                x, delta = self.sample(rng, case, n)
-                perms = [rng.permutation(n) for _ in range(3)]
-                first = int(rng.integers(2, n // 2))
-                failures = self.assert_equal_to_loop(x, delta, perms, first, n - 1)
-                failed += sum(f is not None for f in failures)
-        assert failed > 0
+            got = _selection_weights(x, delta, perms, first, last)
+            for w, perm in zip(got, perms, strict=True):
+                want = self.loop_weights(x, delta, perm, first, last)
+                assert w.flags.f_contiguous
+                assert np.array_equal(w.view(np.int64), want.view(np.int64))  # signed zeros too
 
     def test_prefix_sums_by_reduceat_equal_1d_sums_bitwise(self, rng):
         # mixed signs, signed zeros and zero runs, at every length across
@@ -598,38 +574,25 @@ class TestFullSampleSteps:
 
 
 class TestErrorPrecedence:
-    """With the censoring floor raised to 0.9, the censored row at position 2
-    makes the prefix of size 3 fail its EPS_G check (G = 2/3), while the
-    full-sample fit (G = 42/43) passes."""
+    """The first failing step raises its own check's error."""
 
     @staticmethod
-    def dataset(rng, duplicate_head):
-        x = np.concatenate(([3.0, 3.0 if duplicate_head else 2.5, 1.0],
-                            1.5 + 3.0 * rng.random(40)))
+    def dataset(rng):
+        """Two identical leading rows, then a censored row and 40 events."""
+        x = np.concatenate(([3.0, 3.0, 1.0], 1.5 + 3.0 * rng.random(40)))
         delta = np.ones(43)
         delta[2] = 0.0
         u = rng.standard_normal((43, 2))
-        if duplicate_head:
-            u[1] = u[0]
+        u[1] = u[0]
         return ingest(np.column_stack((x, delta, u)), standardize=False)
 
     @pytest.mark.parametrize("variant,message", [
         ("full", "dispersion 0 below .* prefix size 2"),
         ("prefix", "predictor 0 has sample variance 0"),
     ])
-    def test_earlier_dispersion_failure_wins(self, rng, monkeypatch, variant, message):
-        monkeypatch.setattr(censoring, "EPS_G", 0.9)
+    def test_earlier_dispersion_failure_wins(self, rng, variant, message):
         # two identical rows: the step at prefix size 2 fails its nuisance
         # checks (zero dispersion, or a zero-variance prefix fit)
-        data = self.dataset(rng, duplicate_head=True)
+        data = self.dataset(rng)
         with pytest.raises(DegeneracyError, match=message):
             stabilized_estimate(data, q_n=2, variant=variant)
-
-    @pytest.mark.parametrize("variant", ["full", "prefix"])
-    def test_earlier_censoring_failure_wins(self, rng, monkeypatch, variant):
-        monkeypatch.setattr(censoring, "EPS_G", 0.9)
-        data = self.dataset(rng, duplicate_head=False)
-        with pytest.raises(DegeneracyError, match="censoring survival 0.667"):
-            stabilized_estimate(data, q_n=2, variant=variant)
-        with pytest.raises(DegeneracyError, match="censoring survival 0.667"):
-            select_predictor(data, 3)
