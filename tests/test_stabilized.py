@@ -11,7 +11,7 @@ from survscreen import (
     select_predictor,
     stabilized_estimate,
 )
-from survscreen import stabilized
+from survscreen import censoring, stabilized
 from survscreen._rng import stream
 from survscreen.censoring import _weighted_response, fit_censoring_km, survival_at
 from survscreen.dataset import ingest
@@ -485,6 +485,31 @@ class TestPrefixWeights:
                 assert w.flags.f_contiguous
                 assert np.array_equal(w.view(np.int64), want.view(np.int64))  # signed zeros too
 
+    @pytest.mark.parametrize("eps_g", [0.3, 0.9])
+    def test_raised_eps_g_leaves_weights_unchanged(self, rng, monkeypatch, eps_g):
+        # each prefix's own fit has j G(x-) >= 1 at its events, so the weights
+        # never consult the censoring floor: raising it changes no bit, while
+        # the refit loop's check on the same prefixes does fire
+        samples = []
+        for case in ("light", "heavy", "ties", "log"):
+            for n in (20, 60, 300):
+                x, delta = self.sample(rng, case, n)
+                perms = [rng.permutation(n) for _ in range(3)]
+                first = int(rng.integers(2, n // 2))
+                want = _selection_weights(x, delta, perms, first, n - 1)
+                samples.append((x, delta, perms, first, want))
+        monkeypatch.setattr(censoring, "EPS_G", eps_g)
+        loop_failures = 0
+        for x, delta, perms, first, want in samples:
+            got = _selection_weights(x, delta, perms, first, len(x) - 1)
+            for w, v, perm in zip(got, want, perms, strict=True):
+                assert np.array_equal(w.view(np.int64), v.view(np.int64))
+                try:
+                    self.loop_weights(x, delta, perm, first, len(x) - 1)
+                except DegeneracyError:
+                    loop_failures += 1
+        assert loop_failures > 0
+
     def test_prefix_sums_by_reduceat_equal_1d_sums_bitwise(self, rng):
         # mixed signs, signed zeros and zero runs, at every length across
         # numpy's pairwise-summation split at 128 elements and its multiples
@@ -577,13 +602,16 @@ class TestErrorPrecedence:
     """The first failing step raises its own check's error."""
 
     @staticmethod
-    def dataset(rng):
-        """Two identical leading rows, then a censored row and 40 events."""
-        x = np.concatenate(([3.0, 3.0, 1.0], 1.5 + 3.0 * rng.random(40)))
+    def dataset(rng, duplicate_head=True):
+        """Two leading rows (identical ones by default), then a censored row
+        and 40 events."""
+        x = np.concatenate(([3.0, 3.0 if duplicate_head else 2.5, 1.0],
+                            1.5 + 3.0 * rng.random(40)))
         delta = np.ones(43)
         delta[2] = 0.0
         u = rng.standard_normal((43, 2))
-        u[1] = u[0]
+        if duplicate_head:
+            u[1] = u[0]
         return ingest(np.column_stack((x, delta, u)), standardize=False)
 
     @pytest.mark.parametrize("variant,message", [
@@ -595,4 +623,25 @@ class TestErrorPrecedence:
         # checks (zero dispersion, or a zero-variance prefix fit)
         data = self.dataset(rng)
         with pytest.raises(DegeneracyError, match=message):
+            stabilized_estimate(data, q_n=2, variant=variant)
+
+    @pytest.mark.parametrize("variant", ["full", "prefix"])
+    def test_censoring_floor_checks_only_the_full_sample(self, rng, monkeypatch, variant):
+        # the censored row at position 2 gives the prefix of size 3 G = 2/3 at
+        # its events and the full sample G = 42/43: a floor of 0.9 leaves the
+        # screen unchanged, one of 0.99 fails the full-sample fit
+        data = self.dataset(rng, duplicate_head=False)
+        want = stabilized_estimate(data, q_n=2, variant=variant)
+        want_selected = select_predictor(data, 3)
+        monkeypatch.setattr(censoring, "EPS_G", 0.9)
+        got = stabilized_estimate(data, q_n=2, variant=variant)
+        for field in fields(StabilizedResult):
+            a, b = getattr(got, field.name), getattr(want, field.name)
+            if isinstance(a, np.ndarray):
+                assert a.dtype == b.dtype and np.array_equal(a, b), field.name
+            else:
+                assert a == b, field.name
+        assert select_predictor(data, 3) == want_selected
+        monkeypatch.setattr(censoring, "EPS_G", 0.99)
+        with pytest.raises(DegeneracyError, match="censoring survival 0.977"):
             stabilized_estimate(data, q_n=2, variant=variant)
