@@ -19,11 +19,8 @@ under any degree of parallelism.
 """
 
 import math
-import multiprocessing
 import os
 import time
-from concurrent.futures import ProcessPoolExecutor
-from concurrent.futures.process import BrokenProcessPool
 from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Optional
@@ -295,6 +292,11 @@ def monte_carlo_rejection(
 
     tasks = [(spec, method, alpha, orderings, rep) for rep in range(reps)]
     if parallelism > 1:
+        # loaded here: the serial path never needs the process pool machinery
+        import multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
+        from concurrent.futures.process import BrokenProcessPool
+
         chunk = max(1, reps // (parallelism * 8))
         try:
             with ProcessPoolExecutor(

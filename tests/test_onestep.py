@@ -12,6 +12,7 @@ from survscreen import (
 )
 from survscreen.censoring import fit_censoring_km, synthetic_response
 from survscreen.dataset import ingest
+from survscreen._normal import MAXLOG
 from survscreen.errors import DegeneracyError
 from survscreen.onestep import (
     BLOCK_COLUMNS,
@@ -66,34 +67,63 @@ def ksv_slope(u, y):
     return float(model.slopes[0, 0])
 
 
+def neighbours(v, k=64):
+    """The positive double v and its k nearest doubles on each side."""
+    return (np.float64(v).view(np.int64) + np.arange(-k, k + 1)).view(np.float64)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 class TestTailFunctions:
     """The normal tail functions equal scipy.stats.norm's bit for bit."""
 
-    EDGES = [0.0, -0.0, 1e-300, -1e-300, 1.96, -1.96, 8.3, -8.3, 37.5, -37.5, 38.5, -38.5,
-             np.inf, -np.inf]
+    EDGES = [0.0, -0.0, 1e-300, -1e-300, 5e-324, -5e-324, 1.96, -1.96, 8.3, -8.3, 37.5, -37.5,
+             38.5, -38.5, np.inf, -np.inf, np.nan]
 
     def grid(self):
+        # |z| sqrt(1/2) = 1 and = 8 are ndtr's branch points, and past
+        # |z|^2 / 2 = MAXLOG the tail underflows to 0
         rng = np.random.default_rng(7)
-        return np.concatenate((self.EDGES, rng.standard_normal(2000) * 4.0,
-                               rng.uniform(-40.0, 40.0, 2000)))
+        edges = np.concatenate((neighbours(math.sqrt(2.0)), neighbours(8.0 * math.sqrt(2.0)),
+                                neighbours(math.sqrt(2.0 * MAXLOG)), neighbours(2.2250738585072014e-308),
+                                self.EDGES))
+        return np.concatenate((edges, -edges, rng.standard_normal(60000) * 4.0,
+                               rng.uniform(-40.0, 40.0, 40000)))
 
     def test_two_sided_p_equals_norm_sf_on_arrays(self):
         z = self.grid()
+        assert z.size >= 100_000
         got, want = two_sided_p(z), 2.0 * norm.sf(np.abs(z))
         assert type(got) is type(want) and got.dtype == want.dtype
-        assert np.array_equal(got, want)
+        assert np.array_equal(got, want, equal_nan=True)
+        assert np.isnan(got[np.isnan(z)]).all()
 
     @pytest.mark.parametrize("z", EDGES)
     def test_two_sided_p_equals_norm_sf_on_scalars(self, z):
         got, want = two_sided_p(z), 2.0 * norm.sf(np.abs(z))
         assert type(got) is type(want) is np.float64
-        assert got == want
+        assert got == want or np.isnan(got) and np.isnan(want)
 
-    @pytest.mark.parametrize("alpha", [0.01, 0.1, 1e-6, 0.5])
-    def test_z_value_equals_norm_ppf(self, alpha):
-        got = z_value(alpha)
-        assert type(got) is float
-        assert got == float(norm.ppf(1.0 - alpha / 2.0))
+    @pytest.mark.parametrize("z", [np.array(-2.5), np.array([]), np.array([0.3, -9.0, np.inf]),
+                                   np.linspace(-40.0, 40.0, 24).reshape(4, 6)],
+                             ids=["0-d", "empty", "1-d", "2-d"])
+    def test_two_sided_p_keeps_type_dtype_and_shape(self, z):
+        got, want = two_sided_p(z), 2.0 * norm.sf(np.abs(z))
+        assert type(got) is type(want)
+        assert got.dtype == want.dtype and np.shape(got) == np.shape(want)
+        assert np.array_equal(got, want)
+
+    def test_z_value_equals_norm_ppf(self):
+        # levels on both sides of ndtri's branch point 1 - exp(-2), and
+        # alpha < 2.5e-14, where sqrt(-2 log(alpha / 2)) >= 8
+        rng = np.random.default_rng(11)
+        alphas = np.concatenate((10.0 ** rng.uniform(-15.9, 0.0, 10000), rng.uniform(0.2, 0.35, 2000),
+                                 neighbours(2.0 * math.exp(-2.0), 200), [0.01, 0.1, 1e-6, 0.5]))
+        levels = 1.0 - alphas / 2.0
+        assert (levels > 1.0 - math.exp(-2.0)).any() and (levels <= 1.0 - math.exp(-2.0)).any()
+        assert (alphas < 2.5e-14).sum() > 100
+        got = [z_value(float(a)) for a in alphas]
+        assert all(type(v) is float for v in got)
+        assert np.array_equal(got, norm.ppf(1.0 - alphas / 2.0))
 
     def test_z_value_keeps_the_literal_at_five_percent(self):
         assert z_value(0.05) == Z_95 == 1.96
