@@ -26,6 +26,7 @@ order as a 1-D array and a column's results do not depend on its block.
 """
 
 import math
+import numbers
 from dataclasses import dataclass
 from typing import NamedTuple, Optional
 
@@ -34,7 +35,7 @@ import numpy as np
 from ._normal import ndtr, ndtri
 from .censoring import KaplanMeierFit, fit_censoring_km, synthetic_response
 from .dataset import SurvivalDataset
-from .errors import DegeneracyError, SurvScreenError
+from .errors import DegeneracyError, InputError, SurvScreenError
 from .residual_life import EPS_VAR, ResidualLifeModel, fit_residual_life_arrays
 
 EPS_SIGMA = 1e-8
@@ -242,8 +243,14 @@ class OneStepResult:
         self.if_values.flags.writeable = False
 
 
+def _check_predictor(data: SurvivalDataset, k):
+    if not isinstance(k, numbers.Integral) or not 0 <= k < data.p:
+        raise InputError(f"predictor index must be an integer in [0, p), got k={k} for p={data.p}")
+
+
 def one_step(data: SurvivalDataset, k: int, alpha: float = 0.05) -> OneStepResult:
     """One-step estimate for predictor k over the whole sample."""
+    _check_predictor(data, k)
     km = fit_censoring_km(data.x, data.delta)
     y = synthetic_response(data, km)
     block = _one_step_block(data.predictors[:, [k]], data.x, data.delta, y, km, (k,), alpha)
@@ -308,6 +315,7 @@ def conservative_variance(data: SurvivalDataset, k: int, m_bound: Optional[float
     larger of its values at the two ends.  Default half-width is 4 standard
     deviations of the predicted responses.
     """
+    _check_predictor(data, k)
     km = fit_censoring_km(data.x, data.delta)
     y = synthetic_response(data, km)
     U = data.predictors[:, [k]]

@@ -24,6 +24,8 @@ each step) or full-sample ("full" variant) regression moments.  With
 full-sample moments each distinct selected predictor is fitted once, in
 column blocks, and a step reads its fixed influence values: their
 dispersion over the prefix by cumulative sums, and the value at the next row.
+From selection to the results the steps are orderings x steps arrays, so one
+check, one inverse-dispersion aggregate and one normal calibration serve all.
 """
 
 from dataclasses import dataclass
@@ -368,7 +370,7 @@ class _WindowBound:
 
 
 def _select_steps(U, perms, weights, first):
-    """Selected (ks, ms) of every prefix step of every ordering.
+    """Selected (ks, ms) of every prefix step of every ordering, orderings x steps.
 
     ``weights[r]`` is ordering r's n x steps matrix, its column i being
     prefix size first + i; one _selection_weights call builds those of all
@@ -422,7 +424,8 @@ def _select_steps(U, perms, weights, first):
             np.divide(slope, var, out=slope, where=~floored)
             slope[floored] = 0.0
             run.update(c0 + cols, slope, var)
-    return [run.finish(U, perm, w, first) for perm, w, run in zip(perms, weights, running)]
+    ks, ms = zip(*(run.finish(U, perm, w, first) for perm, w, run in zip(perms, weights, running)))
+    return np.array(ks), np.array(ms)
 
 
 def select_predictor(data: SurvivalDataset, j: Optional[int] = None):
@@ -432,11 +435,13 @@ def select_predictor(data: SurvivalDataset, j: Optional[int] = None):
         raise InputError(f"prefix size must be in [2, n], got {j} for n={data.n}")
     perms = [np.arange(data.n)]
     weights = _selection_weights(data.x, data.delta, perms, j, j)
-    (ks, ms), = _select_steps(data.predictors, perms, weights, j)
-    return int(ks[0]), int(ms[0])
+    ks, ms = _select_steps(data.predictors, perms, weights, j)
+    return int(ks[0, 0]), int(ms[0, 0])
 
 
 def _check_settings(n: int, q_n: Optional[int], variant: str) -> int:
+    if q_n is not None and not float(q_n).is_integer():
+        raise InputError(f"q_n must be an integer, got {q_n}")
     q = default_qn(n) if q_n is None else int(q_n)
     if not 2 <= q <= n - 1:
         raise InputError(f"q_n must be in [2, n-1], got {q} for n={n}")
@@ -468,31 +473,51 @@ def stabilized_estimate(
 
 
 def _screen(data, q, variant, perms, alpha):
-    """Selection for every ordering in one pass over U, the nuisances of every
-    step as arrays, then each ordering's checks and aggregate.  Errors surface
-    as in a step-by-step run: ordering by ordering, step by step (variance
-    floor, then dispersion)."""
-    n = data.n
+    """Every ordering's result from orderings x steps arrays: one check over
+    all steps, in their C order, which is a step-by-step run's (ordering by
+    ordering, step by step; variance floor, then dispersion), then one
+    aggregate along the rows and one normal calibration."""
+    n, steps = data.n, data.n - q
     km = fit_censoring_km(data.x, data.delta)
     y = synthetic_response(data, km)
-    weights = _selection_weights(data.x, data.delta, perms, q, n - 1)
-    selections = _select_steps(data.predictors, perms, weights, q)
-    steps = (_full_sample_steps if variant == "full" else _prefix_steps)(
-        data, km, y, perms, [ks for ks, _ in selections], q)
-    return tuple(
-        _ordering_result(q, variant, n, alpha, ks, ms, *step)
-        for (ks, ms), step in zip(selections, steps)
+    ks, ms = _select_steps(data.predictors, perms,
+                           _selection_weights(data.x, data.delta, perms, q, n - 1), q)
+    sig2, raws, u_var = (np.empty(ks.shape) for _ in range(3))
+    (_full_sample_steps if variant == "full" else _prefix_steps)(
+        data, km, y, perms, ks, q, sig2, raws, u_var)
+    sigmas = np.sqrt(np.maximum(sig2, 0.0))
+    _raise_first(
+        _variance_floor(u_var.ravel(), ks.ravel()),
+        (sigmas.ravel() < EPS_SIGMA, lambda c: DegeneracyError(
+            f"influence dispersion {sigmas.flat[c]:.3g} below {EPS_SIGMA} at prefix size "
+            f"{q + c % steps} (predictor {ks.flat[c]})")),
     )
 
+    # each row is contiguous, so its sums are the pairwise sums of a 1-D row
+    sigma_bar = steps / np.sum(1.0 / sigmas, axis=1)
+    weights = sigma_bar[:, None] / sigmas
+    increments = weights * ms * raws
+    s_star = increments.mean(axis=1)
+    ci_low, ci_high, statistic, p = normal_interval(s_star, sigma_bar, steps, alpha)
+    for rows in (ks, ms, sigmas, weights, increments):
+        rows.flags.writeable = False  # each result's arrays are rows of these
+    return tuple(
+        StabilizedResult(
+            s_star=float(s_star[r]), sigma_bar=float(sigma_bar[r]), k=ks[r], m=ms[r],
+            sigma=sigmas[r], weight=weights[r], increment=increments[r], ci_low=float(ci_low[r]),
+            ci_high=float(ci_high[r]), statistic=float(statistic[r]), p_value=float(p[r]),
+            q_n=q, variant=variant, n=n, alpha=alpha)
+        for r in range(len(perms)))
 
-def _full_sample_steps(data, km, y, perms, selected, q):
-    """(sig2, raw, u_var) of every ordering's steps from full-sample nuisances:
-    each distinct selected predictor is fitted once, in column blocks, and a
-    step at prefix size j reads its fixed influence values in the ordering,
-    their second central moment over rows :j by cumulative sums and row j."""
-    distinct = np.unique(np.concatenate(selected))
+
+def _full_sample_steps(data, km, y, perms, ks, q, sig2, raws, u_var):
+    """Fill the orderings x steps (sig2, raws, u_var) from full-sample
+    nuisances: each distinct selected predictor is fitted once, in column
+    blocks, and a step at prefix size j reads its fixed influence values in
+    the ordering, their second central moment over rows :j and row j."""
+    distinct = np.unique(ks)
     if_values = np.empty((data.n, len(distinct)))
-    psi, u_var = np.empty(len(distinct)), np.empty(len(distinct))
+    psi, var = np.empty(len(distinct)), np.empty(len(distinct))
     with np.errstate(all="ignore"):  # a floored column is raised at its first step
         for c0 in range(0, len(distinct), BLOCK_COLUMNS):
             cols = slice(c0, c0 + BLOCK_COLUMNS)
@@ -500,66 +525,38 @@ def _full_sample_steps(data, km, y, perms, selected, q):
             bundle, ipw, car = influence_block(U, data.x, data.delta, y, km)
             if_values[:, cols] = ipw - car
             psi[cols] = plugin_slope(bundle)
-            u_var[cols] = bundle.u_var
+            var[cols] = bundle.u_var
 
-    steps = []
-    for perm, ks in zip(perms, selected):
-        col = np.searchsorted(distinct, ks)
+    j = np.arange(q, q + ks.shape[1])
+    for r, perm in enumerate(perms):
+        col = np.searchsorted(distinct, ks[r])
+        # one ordering's columns at a time: all at once would be R x distinct
         own, local = np.unique(col, return_inverse=True)
         values = if_values[np.ix_(perm, own)]
         cs = np.cumsum(values, axis=0)
         csq = np.cumsum(values * values, axis=0)
-        j = np.arange(q, q + len(ks))
         # float_power squares with C pow, as a float64 scalar's ** 2 does; an
         # array's ** 2 is a multiply, which can differ in the last bit
-        sig2 = csq[j - 1, local] / j - np.float_power(cs[j - 1, local] / j, 2)
-        steps.append((sig2, psi[col] + values[j, local], u_var[col]))
-    return steps
+        sig2[r] = csq[j - 1, local] / j - np.float_power(cs[j - 1, local] / j, 2)
+        raws[r] = psi[col] + values[j, local]
+        u_var[r] = var[col]
 
 
-def _prefix_steps(data, km, y, perms, selected, q):
-    """(sig2, raw, u_var) of every ordering's steps: at prefix size j, the
+def _prefix_steps(data, km, y, perms, ks, q, sig2, raws, u_var):
+    """Fill the orderings x steps (sig2, raws, u_var): at prefix size j, the
     selected predictor's nuisances fitted on the ordering's first j rows, its
     influence values there and at row j."""
-    steps = []
     with np.errstate(all="ignore"):  # a floored fit is raised at its step
-        for perm, ks in zip(perms, selected):
+        for r, perm in enumerate(perms):
             xp, dp, yp = data.x[perm], data.delta[perm], y[perm]
-            rows = []
-            for j, k in enumerate(ks, start=q):
+            for j, k in enumerate(ks[r], start=q):
                 u = data.predictors[perm[:j + 1], k:k + 1]
                 bundle, ipw, car = influence_block(u, xp[:j + 1], dp[:j + 1], yp[:j + 1], km,
                                                    fit_rows=j)
                 if_values = (ipw - car)[:, 0]
-                raw = float(plugin_slope(bundle)[0]) + float(if_values[j])
-                rows.append((if_values[:j].var(), raw, bundle.u_var[0]))
-            steps.append(np.reshape(rows, (-1, 3)).T)
-    return steps
-
-
-def _ordering_result(q, variant, n, alpha, ks, ms, sig2, raws, u_var):
-    """Checks of the ordering's steps, in step order, then the
-    inverse-dispersion aggregate."""
-    sigmas = np.sqrt(np.maximum(sig2, 0.0))
-    _raise_first(
-        _variance_floor(u_var, ks),
-        (sigmas < EPS_SIGMA, lambda i: DegeneracyError(
-            f"influence dispersion {sigmas[i]:.3g} below {EPS_SIGMA} at prefix size {q + i} "
-            f"(predictor {ks[i]})")),
-    )
-
-    steps = n - q
-    sigma_bar = steps / float(np.sum(1.0 / sigmas))
-    weights = sigma_bar / sigmas
-    increments = weights * ms * raws
-    s_star = float(increments.mean())
-    ci_low, ci_high, statistic, p = normal_interval(s_star, sigma_bar, steps, alpha)
-
-    return StabilizedResult(
-        s_star=s_star, sigma_bar=sigma_bar, k=ks, m=ms, sigma=sigmas, weight=weights,
-        increment=increments, ci_low=ci_low, ci_high=ci_high, statistic=statistic,
-        p_value=float(p), q_n=q, variant=variant, n=n, alpha=alpha,
-    )
+                sig2[r, j - q] = if_values[:j].var()
+                raws[r, j - q] = float(plugin_slope(bundle)[0]) + float(if_values[j])
+                u_var[r, j - q] = bundle.u_var[0]
 
 
 @dataclass(frozen=True)

@@ -13,7 +13,7 @@ from survscreen import (
 from survscreen.censoring import fit_censoring_km, synthetic_response
 from survscreen.dataset import ingest
 from survscreen._normal import MAXLOG
-from survscreen.errors import DegeneracyError
+from survscreen.errors import DegeneracyError, InputError
 from survscreen.onestep import (
     BLOCK_COLUMNS,
     NuisanceBundle,
@@ -264,6 +264,28 @@ class TestOneStep:
             assert r.ci_low <= r.s_onestep <= r.ci_high
             want_p = 2.0 * (1.0 - norm.cdf(abs(math.sqrt(r.n_used) * r.s_onestep / r.sigma_hat)))
             assert r.p_value == pytest.approx(want_p, abs=1e-12)
+
+    @pytest.mark.parametrize("method", [one_step, conservative_variance])
+    def test_predictor_index_outside_the_columns_is_rejected(self, rng, method):
+        data = random_dataset(rng, n=15, p=3)
+        for k in (-1, 3, 8):
+            with pytest.raises(InputError, match=f"got k={k} for p=3"):
+                method(data, k)
+
+    def test_numpy_integer_index_gives_the_same_result(self, rng):
+        data = random_dataset(rng, n=15, p=3)
+        a, b = one_step(data, np.int64(2)), one_step(data, 2)
+        assert (a.k, a.s_onestep, a.p_value) == (b.k, b.s_onestep, b.p_value)
+        assert conservative_variance(data, np.int64(2)) == conservative_variance(data, 2)
+
+    def test_result_arrays_are_read_only(self, rng):
+        data = random_dataset(rng, n=15, p=3)
+        with pytest.raises(ValueError, match="read-only"):
+            one_step(data, 0).if_values[0] = 1.0
+        result = bonferroni_test(data)
+        for name in ("p_values", "statistics"):
+            with pytest.raises(ValueError, match="read-only"):
+                getattr(result, name)[0] = 1.0
 
     def test_independent_predictor_is_rarely_extreme(self):
         # |S| < 3 sigma / sqrt(n) in at least 99% of seeds

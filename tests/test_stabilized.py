@@ -15,8 +15,9 @@ from survscreen import censoring, stabilized
 from survscreen._rng import stream
 from survscreen.censoring import _weighted_response, fit_censoring_km, survival_at
 from survscreen.dataset import ingest
-from survscreen.errors import DegeneracyError, InputError
-from survscreen.onestep import BLOCK_COLUMNS, influence_block, normal_interval, plugin_slope
+from survscreen.errors import DegeneracyError, InputError, SurvScreenError
+from survscreen.onestep import (BLOCK_COLUMNS, _raise_first, influence_block, normal_interval,
+                                plugin_slope)
 from survscreen.stabilized import (StabilizedResult, _prefix_variance, _selection_weights,
                                    _WindowBound, default_qn)
 
@@ -156,6 +157,9 @@ class TestStabilizedEstimate:
             stabilized_estimate(data, q_n=1)
         with pytest.raises(InputError, match="q_n"):
             stabilized_estimate(data, q_n=10)
+        with pytest.raises(InputError, match="q_n must be an integer, got 5.9"):
+            stabilized_estimate(data, q_n=5.9)
+        assert stabilized_estimate(data, q_n=5.0).q_n == 5
         with pytest.raises(InputError, match="variant"):
             stabilized_estimate(data, variant="both")
         with pytest.raises(InputError, match="permutation"):
@@ -302,6 +306,7 @@ class TestMultiOrdering:
 
     @pytest.mark.parametrize("variant", ["full", "prefix"])
     def test_each_ordering_equals_single_ordering_run(self, rng, variant):
+        # and every ordering's per-step arrays, and the arrays they view, are read-only
         data = random_dataset(rng, n=40, p=300, censor=0.4)
         out = multi_ordering_test(data, orderings=3, q_n=15, variant=variant, seed=11)
         for r, got in enumerate(out.results):
@@ -312,8 +317,24 @@ class TestMultiOrdering:
                 a, b = getattr(got, field.name), getattr(want, field.name)
                 if isinstance(a, np.ndarray):
                     assert a.dtype == b.dtype and np.array_equal(a, b), field.name
+                    for view in (a, a.base):
+                        with pytest.raises(ValueError, match="read-only"):
+                            view[0] = 1
                 else:
                     assert a == b, field.name
+
+    def test_one_normal_calibration_for_all_orderings(self, rng, monkeypatch):
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return normal_interval(*args)
+
+        monkeypatch.setattr(stabilized, "normal_interval", counted)
+        data = random_dataset(rng, n=30, p=4)
+        out = multi_ordering_test(data, orderings=10, seed=4)
+        assert len(calls) == 1
+        assert len(out.p_values) == 10
 
 
 def signal_with_noise_columns(rng, n, p, columns):
@@ -645,3 +666,62 @@ class TestErrorPrecedence:
         monkeypatch.setattr(censoring, "EPS_G", 0.99)
         with pytest.raises(DegeneracyError, match="censoring survival 0.977"):
             stabilized_estimate(data, q_n=2, variant=variant)
+
+    @staticmethod
+    def often_failing(rng):
+        """Small datasets whose steps often fail: times 1 or 3, some censored,
+        sometimes a duplicated block of rows, a near-constant predictor 0 and
+        a balanced binary predictor 1.  A prefix where the binary slope
+        cancels exactly selects the fallback predictor 0, which fails its
+        variance floor, so a step can fail after steps that pass."""
+        n = int(rng.integers(6, 16))
+        x = rng.choice([1.0, 3.0], n)
+        status = (rng.random(n) < rng.choice([1.0, 0.7])).astype(float)
+        status[0] = 1.0
+        u = np.column_stack((1e-6 * rng.standard_normal(n),
+                             np.resize([0.0, 1.0], n)[rng.permutation(n)]))
+        if rng.random() < 0.25:
+            d = int(rng.integers(2, n // 2 + 1))
+            x[1:d], status[1:d], u[1:d] = x[0], status[0], u[0]
+        return ingest(np.column_stack((x, status, u)), standardize=False)
+
+    @pytest.mark.parametrize("variant", ["full", "prefix"])
+    def test_first_failing_ordering_wins(self, rng, monkeypatch, variant):
+        # the error of R orderings is that of the first ordering that fails,
+        # even when a later ordering fails at an earlier step
+        first_failing_step = []
+
+        def spy(*checks):
+            failing = np.logical_or.reduce([bad for bad, _ in checks])
+            if failing.any():
+                first_failing_step.append(int(np.argmax(failing)))
+            return _raise_first(*checks)
+
+        def error_of(run, *args, **kwargs):
+            try:
+                run(*args, **kwargs)
+            except SurvScreenError as error:
+                return type(error), str(error)
+            return None
+
+        monkeypatch.setattr(stabilized, "_raise_first", spy)
+        later_fails_earlier = 0
+        for _ in range(120):
+            data = self.often_failing(rng)
+            q, orderings = int(rng.integers(2, data.n - 1)), int(rng.integers(2, 5))
+            seed = int(rng.integers(1000))
+            want, steps = None, []
+            for r in range(orderings):
+                first_failing_step.clear()
+                error = error_of(stabilized_estimate, data, q_n=q, variant=variant,
+                                 ordering=stream(seed, r).permutation(data.n))
+                steps.append(first_failing_step[0] if first_failing_step else None)
+                if error and want is None:
+                    want, first = error, r
+            got = error_of(multi_ordering_test, data, orderings=orderings, q_n=q,
+                           variant=variant, seed=seed)
+            assert got == want
+            if want is not None:
+                later_fails_earlier += any(
+                    step is not None and step < steps[first] for step in steps[first + 1:])
+        assert later_fails_earlier > 0
