@@ -17,7 +17,7 @@ import numpy as np
 
 from . import __version__
 from .dataset import read_csv
-from .errors import DegeneracyError, InputError
+from .errors import DegeneracyError, InputError, _level
 from .onestep import bonferroni, bonferroni_test, one_step
 from .simulate import METHODS as SIM_METHODS
 from .simulate import MonteCarloReport, ScenarioSpec, monte_carlo_rejection
@@ -35,12 +35,9 @@ def _qn_value(text: str):
 
 def _alpha_value(text: str) -> float:
     try:
-        alpha = float(text)
-        if 0.0 < alpha < 1.0:
-            return alpha
-    except ValueError:
-        pass
-    raise argparse.ArgumentTypeError(f"--alpha must be a number in (0, 1), got {text!r}")
+        return _level(float(text))
+    except (ValueError, InputError):
+        raise argparse.ArgumentTypeError(f"--alpha must be a number in (0, 1), got {text!r}") from None
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -26,7 +26,6 @@ order as a 1-D array and a column's results do not depend on its block.
 """
 
 import math
-import numbers
 from dataclasses import dataclass
 from typing import NamedTuple, Optional
 
@@ -35,7 +34,7 @@ import numpy as np
 from ._normal import ndtr, ndtri
 from .censoring import KaplanMeierFit, fit_censoring_km, synthetic_response
 from .dataset import SurvivalDataset
-from .errors import DegeneracyError, InputError, SurvScreenError
+from .errors import DegeneracyError, SurvScreenError, _integer, _level, _real
 from .residual_life import EPS_VAR, ResidualLifeModel, fit_residual_life_arrays
 
 EPS_SIGMA = 1e-8
@@ -148,9 +147,11 @@ def _raise_first(*checks):
         raise next(error(c) for bad, error in checks if bad[c])
 
 
-def _variance_floor(u_var, ks):
+def _variance_floor(u_var, ks, where=lambda c: ""):
+    """The variance-floor check of _raise_first; ``where(c)`` ends the
+    message with column c's location, if the caller has one."""
     return u_var < EPS_VAR, lambda c: DegeneracyError(
-        f"predictor {ks[c]} has sample variance {u_var[c]:.3g} below {EPS_VAR}"
+        f"predictor {ks[c]} has sample variance {u_var[c]:.3g} below {EPS_VAR}{where(c)}"
     )
 
 
@@ -243,14 +244,9 @@ class OneStepResult:
         self.if_values.flags.writeable = False
 
 
-def _check_predictor(data: SurvivalDataset, k):
-    if not isinstance(k, numbers.Integral) or not 0 <= k < data.p:
-        raise InputError(f"predictor index must be an integer in [0, p), got k={k} for p={data.p}")
-
-
 def one_step(data: SurvivalDataset, k: int, alpha: float = 0.05) -> OneStepResult:
     """One-step estimate for predictor k over the whole sample."""
-    _check_predictor(data, k)
+    k, alpha = _integer("k", k, 0, data.p - 1), _level(alpha)
     km = fit_censoring_km(data.x, data.delta)
     y = synthetic_response(data, km)
     block = _one_step_block(data.predictors[:, [k]], data.x, data.delta, y, km, (k,), alpha)
@@ -286,6 +282,7 @@ class BonferroniResult:
 
 def bonferroni_test(data: SurvivalDataset, alpha: float = 0.05) -> BonferroniResult:
     """Test every predictor marginally; reject if min p < alpha / p."""
+    alpha = _level(alpha)
     km = fit_censoring_km(data.x, data.delta)
     y = synthetic_response(data, km)
     p_values = np.empty(data.p)
@@ -315,7 +312,9 @@ def conservative_variance(data: SurvivalDataset, k: int, m_bound: Optional[float
     larger of its values at the two ends.  Default half-width is 4 standard
     deviations of the predicted responses.
     """
-    _check_predictor(data, k)
+    k = _integer("k", k, 0, data.p - 1)
+    if m_bound is not None:
+        m_bound = _real("m_bound", m_bound, 0, math.inf)
     km = fit_censoring_km(data.x, data.delta)
     y = synthetic_response(data, km)
     U = data.predictors[:, [k]]
@@ -327,8 +326,8 @@ def conservative_variance(data: SurvivalDataset, k: int, m_bound: Optional[float
         rl = bundle.rl
         e_vals = rl.intercepts[0] + rl.slopes[0] * (U - rl.u_centers[0])
         m_bound = 4.0 * float(e_vals[:, 0].std())
-    if m_bound <= 0.0:
-        raise SurvScreenError(f"m_bound must be positive, got {m_bound}")
+        if not m_bound > 0.0:
+            raise SurvScreenError(f"default m_bound is {m_bound}: predicted responses do not vary")
     cu = U[:, 0] - bundle.u_mean[0]
     v = bundle.u_var[0]
     base = (cu * cu - v) / (v * v)

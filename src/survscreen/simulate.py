@@ -29,7 +29,7 @@ import numpy as np
 
 from ._rng import stream
 from .dataset import _build
-from .errors import DegeneracyError, InputError, SurvScreenError
+from .errors import DegeneracyError, InputError, SurvScreenError, _choice, _integer, _level, _real
 from .onestep import bonferroni_test, one_step
 from .stabilized import multi_ordering_test, stabilized_estimate
 
@@ -63,20 +63,17 @@ class ScenarioSpec:
     seed: int = 0
 
     def __post_init__(self):
-        if self.model not in MODELS:
-            raise InputError(f"model must be one of {MODELS}, got {self.model!r}")
-        if self.error not in ERRORS:
-            raise InputError(f"error must be one of {ERRORS}, got {self.error!r}")
-        if self.censoring not in CENSORING_TARGETS:
-            raise InputError(f"censoring must be one of {tuple(CENSORING_TARGETS)}")
+        _choice("model", self.model, MODELS)
+        _choice("error", self.error, ERRORS)
+        _choice("censoring", self.censoring, CENSORING_TARGETS)
+        # frozen: the checked ints replace what was passed
+        object.__setattr__(self, "n", _integer("n", self.n, 2))
+        object.__setattr__(self, "p", _integer("p", self.p, 1))
+        object.__setattr__(self, "seed", _integer("seed", self.seed))
         if self.model == "A2" and self.p < 10:
             raise InputError(f"model A2 sets 10 coefficients; needs p >= 10, got {self.p}")
         if not 0.0 <= self.rho < 1.0:
             raise InputError(f"rho must be in [0, 1), got {self.rho}")
-        if self.n < 2:
-            raise InputError(f"n must be >= 2, got {self.n}")
-        if self.p < 1:
-            raise InputError(f"p must be >= 1, got {self.p}")
 
 
 def model_betas(spec: ScenarioSpec) -> np.ndarray:
@@ -129,8 +126,7 @@ def calibrate_censoring_rate(model: str, error: str, target: float) -> float:
     calibrated rates are reproducible artifacts.  The censoring fraction is
     monotone increasing in the rate.
     """
-    if not 0.0 < target < 1.0:
-        raise InputError(f"target censoring fraction must be in (0, 1), got {target}")
+    target = _real("target", target, 0, 1)
     key = (model, error, round(target, 10))
     if key in _calibration_cache:
         return _calibration_cache[key]
@@ -167,7 +163,7 @@ def generate_scenario(spec: ScenarioSpec, rep: int = 0):
     Deterministic in (spec.seed, rep); the follow-up cap is the largest
     observed time (no truncation) and predictors are standardized.
     """
-    rng = stream(spec.seed, 4 * rep)
+    rng = stream(spec.seed, 4 * _integer("rep", rep, 0))
     u, t = _survival_times(rng, spec, spec.n, spec.p)
     if spec.censoring == "none":
         x = t
@@ -278,14 +274,11 @@ def monte_carlo_rejection(
     that asks for parallelism calls this under ``if __name__ == "__main__":``;
     without it the workers die and the call raises SurvScreenError.
     """
-    if reps < 1:
-        raise InputError(f"reps must be >= 1, got {reps}")
-    if method not in METHODS:
-        raise InputError(f"method must be one of {METHODS}, got {method!r}")
-    if parallelism < 1:
-        raise InputError(f"parallelism must be >= 1, got {parallelism}")
-    if orderings < 1:
-        raise InputError(f"orderings must be >= 1, got {orderings}")
+    reps = _integer("reps", reps, 1)
+    _choice("method", method, METHODS)
+    parallelism = _integer("parallelism", parallelism, 1)
+    orderings = _integer("orderings", orderings, 1)
+    alpha = _level(alpha)
     # calibrate once here; the workers receive the rate through the initializer
     if spec.censoring != "none":
         calibrate_censoring_rate(spec.model, spec.error, CENSORING_TARGETS[spec.censoring])

@@ -36,7 +36,7 @@ import numpy as np
 from ._rng import stream
 from .censoring import fit_censoring_km, synthetic_response
 from .dataset import SurvivalDataset
-from .errors import DegeneracyError, InputError
+from .errors import DegeneracyError, InputError, _choice, _integer, _level
 from .onestep import (BLOCK_COLUMNS, EPS_SIGMA, _raise_first, _variance_floor, bonferroni,
                       influence_block, normal_interval, plugin_slope)
 from .residual_life import EPS_VAR
@@ -430,24 +430,18 @@ def _select_steps(U, perms, weights, first):
 
 def select_predictor(data: SurvivalDataset, j: Optional[int] = None):
     """Most associated predictor (index, sign) from the first j rows."""
-    j = data.n if j is None else j
-    if not 2 <= j <= data.n:
-        raise InputError(f"prefix size must be in [2, n], got {j} for n={data.n}")
+    j = _integer("j", data.n if j is None else j, 2, data.n)
     perms = [np.arange(data.n)]
     weights = _selection_weights(data.x, data.delta, perms, j, j)
     ks, ms = _select_steps(data.predictors, perms, weights, j)
     return int(ks[0, 0]), int(ms[0, 0])
 
 
-def _check_settings(n: int, q_n: Optional[int], variant: str) -> int:
-    if q_n is not None and not float(q_n).is_integer():
-        raise InputError(f"q_n must be an integer, got {q_n}")
-    q = default_qn(n) if q_n is None else int(q_n)
-    if not 2 <= q <= n - 1:
-        raise InputError(f"q_n must be in [2, n-1], got {q} for n={n}")
-    if variant not in VARIANTS:
-        raise InputError(f"variant must be one of {VARIANTS}, got {variant!r}")
-    return q
+def _check_settings(n: int, q_n: Optional[int], variant: str, alpha: float):
+    """The checked (q_n, alpha); q_n defaults to default_qn(n)."""
+    q = _integer("q_n", default_qn(n) if q_n is None else q_n, 2, n - 1)
+    _choice("variant", variant, VARIANTS)
+    return q, _level(alpha)
 
 
 def stabilized_estimate(
@@ -462,13 +456,15 @@ def stabilized_estimate(
     ``ordering`` is a permutation of 0..n-1 (default: identity).
     """
     n = data.n
-    q = _check_settings(n, q_n, variant)
-    if ordering is None:
-        perm = np.arange(n)
-    else:
-        perm = np.asarray(ordering, dtype=np.intp)
-        if len(perm) != n or not np.array_equal(np.sort(perm), np.arange(n)):
-            raise InputError("ordering must be a permutation of 0..n-1")
+    q, alpha = _check_settings(n, q_n, variant, alpha)
+    perm = np.arange(n)
+    if ordering is not None:
+        # compared as given: a cast first would truncate 0.5, 1.5, ... to a permutation
+        ordering = np.asarray(ordering)
+        if (ordering.dtype.kind not in "iuf" or ordering.shape != (n,)
+                or not np.array_equal(np.sort(ordering), perm)):
+            raise InputError(f"ordering must be a permutation of 0..{n - 1}")
+        perm = ordering.astype(np.intp)
     return _screen(data, q, variant, [perm], alpha)[0]
 
 
@@ -486,11 +482,15 @@ def _screen(data, q, variant, perms, alpha):
     (_full_sample_steps if variant == "full" else _prefix_steps)(
         data, km, y, perms, ks, q, sig2, raws, u_var)
     sigmas = np.sqrt(np.maximum(sig2, 0.0))
+
+    def where(c):
+        return f" in ordering {c // steps} at prefix size {q + c % steps}"
+
     _raise_first(
-        _variance_floor(u_var.ravel(), ks.ravel()),
+        _variance_floor(u_var.ravel(), ks.ravel(), where),
         (sigmas.ravel() < EPS_SIGMA, lambda c: DegeneracyError(
-            f"influence dispersion {sigmas.flat[c]:.3g} below {EPS_SIGMA} at prefix size "
-            f"{q + c % steps} (predictor {ks.flat[c]})")),
+            f"influence dispersion {sigmas.flat[c]:.3g} below {EPS_SIGMA}{where(c)} "
+            f"(predictor {ks.flat[c]})")),
     )
 
     # each row is contiguous, so its sums are the pairwise sums of a 1-D row
@@ -591,9 +591,8 @@ def multi_ordering_test(
     (seed, r), and each ordering equals stabilized_estimate under that
     permutation.  Selection for all orderings shares one pass over U.
     """
-    if orderings < 1:
-        raise InputError(f"orderings must be >= 1, got {orderings}")
-    q = _check_settings(data.n, q_n, variant)
+    orderings, seed = _integer("orderings", orderings, 1), _integer("seed", seed)
+    q, alpha = _check_settings(data.n, q_n, variant, alpha)
     perms = [stream(seed, r).permutation(data.n) for r in range(orderings)]
     results = _screen(data, q, variant, perms, alpha)
 

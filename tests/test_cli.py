@@ -212,7 +212,7 @@ class TestSimulateCommand:
 
     @pytest.mark.parametrize("argv,code,message", [
         (["--method", "stabilized_full", "--n", "3", "--p", "2"], 2,
-         "error: replicate 0 (seed 1) failed: q_n must be in [2, n-1]"),
+         "error: replicate 0 (seed 1) failed: q_n must be in [2, 2], got 1"),
         (["--method", "oracle", "--n", "2", "--p", "2"], 3,
          "numerical degeneracy: replicate 0 (seed 1) failed"),
         (["--p", "0"], 2, "error: p must be >= 1"),

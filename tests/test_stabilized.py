@@ -1,4 +1,5 @@
 import math
+import re
 from dataclasses import fields
 
 import numpy as np
@@ -16,8 +17,7 @@ from survscreen._rng import stream
 from survscreen.censoring import _weighted_response, fit_censoring_km, survival_at
 from survscreen.dataset import ingest
 from survscreen.errors import DegeneracyError, InputError, SurvScreenError
-from survscreen.onestep import (BLOCK_COLUMNS, _raise_first, influence_block, normal_interval,
-                                plugin_slope)
+from survscreen.onestep import BLOCK_COLUMNS, influence_block, normal_interval, plugin_slope
 from survscreen.stabilized import (StabilizedResult, _prefix_variance, _selection_weights,
                                    _WindowBound, default_qn)
 
@@ -636,8 +636,8 @@ class TestErrorPrecedence:
         return ingest(np.column_stack((x, delta, u)), standardize=False)
 
     @pytest.mark.parametrize("variant,message", [
-        ("full", "dispersion 0 below .* prefix size 2"),
-        ("prefix", "predictor 0 has sample variance 0"),
+        ("full", "^influence dispersion 0 below .* in ordering 0 at prefix size 2 "),
+        ("prefix", "^predictor 0 has sample variance 0 below .* in ordering 0 at prefix size 2$"),
     ])
     def test_earlier_dispersion_failure_wins(self, rng, variant, message):
         # two identical rows: the step at prefix size 2 fails its nuisance
@@ -686,42 +686,36 @@ class TestErrorPrecedence:
         return ingest(np.column_stack((x, status, u)), standardize=False)
 
     @pytest.mark.parametrize("variant", ["full", "prefix"])
-    def test_first_failing_ordering_wins(self, rng, monkeypatch, variant):
+    def test_first_failing_ordering_wins(self, rng, variant):
         # the error of R orderings is that of the first ordering that fails,
-        # even when a later ordering fails at an earlier step
-        first_failing_step = []
-
-        def spy(*checks):
-            failing = np.logical_or.reduce([bad for bad, _ in checks])
-            if failing.any():
-                first_failing_step.append(int(np.argmax(failing)))
-            return _raise_first(*checks)
-
+        # at its first failing step, even when a later ordering fails at an
+        # earlier step; errors compare by type and location
         def error_of(run, *args, **kwargs):
             try:
                 run(*args, **kwargs)
             except SurvScreenError as error:
-                return type(error), str(error)
+                where = re.search(r" in ordering (\d+) at prefix size (\d+)", str(error))
+                assert where, error
+                return type(error), int(where[1]), int(where[2])
             return None
 
-        monkeypatch.setattr(stabilized, "_raise_first", spy)
         later_fails_earlier = 0
         for _ in range(120):
             data = self.often_failing(rng)
             q, orderings = int(rng.integers(2, data.n - 1)), int(rng.integers(2, 5))
             seed = int(rng.integers(1000))
-            want, steps = None, []
-            for r in range(orderings):
-                first_failing_step.clear()
-                error = error_of(stabilized_estimate, data, q_n=q, variant=variant,
-                                 ordering=stream(seed, r).permutation(data.n))
-                steps.append(first_failing_step[0] if first_failing_step else None)
-                if error and want is None:
-                    want, first = error, r
+            # each ordering screened alone, where it is ordering 0
+            alone = [error_of(stabilized_estimate, data, q_n=q, variant=variant,
+                              ordering=stream(seed, r).permutation(data.n))
+                     for r in range(orderings)]
+            failing = [r for r, error in enumerate(alone) if error]
             got = error_of(multi_ordering_test, data, orderings=orderings, q_n=q,
                            variant=variant, seed=seed)
-            assert got == want
-            if want is not None:
-                later_fails_earlier += any(
-                    step is not None and step < steps[first] for step in steps[first + 1:])
+            if not failing:
+                assert got is None
+                continue
+            first = failing[0]
+            kind, _, size = alone[first]
+            assert got == (kind, first, size)
+            later_fails_earlier += any(alone[r][2] < size for r in failing[1:])
         assert later_fails_earlier > 0

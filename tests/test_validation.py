@@ -1,0 +1,132 @@
+"""Every public entry point checks its counts, indices, test level and
+choices the same way: a bad value raises InputError naming the argument,
+and an integral value of another numeric type gives the plain-int result."""
+
+from dataclasses import fields, is_dataclass
+
+import numpy as np
+import pytest
+
+from survscreen import (
+    ScenarioSpec,
+    bonferroni_test,
+    calibrate_censoring_rate,
+    conservative_variance,
+    generate_scenario,
+    monte_carlo_rejection,
+    multi_ordering_test,
+    one_step,
+    select_predictor,
+    stabilized_estimate,
+)
+from survscreen.errors import InputError
+
+from conftest import random_dataset, same_bits
+
+N, P = 20, 3
+
+# each entry point called on an n=20, p=3 dataset with valid values for the
+# arguments a row does not set
+CALLS = {
+    "one_step": lambda data, **kw: one_step(data, **{"k": 0, **kw}),
+    "conservative_variance": lambda data, **kw: conservative_variance(data, **{"k": 0, **kw}),
+    "bonferroni_test": bonferroni_test,
+    "select_predictor": select_predictor,
+    "stabilized_estimate": stabilized_estimate,
+    "multi_ordering_test": lambda data, **kw: multi_ordering_test(data, **{"orderings": 2, **kw}),
+    "ScenarioSpec": lambda data, **kw: ScenarioSpec(**{"n": N, "p": P, **kw}),
+    "generate_scenario": lambda data, **kw: generate_scenario(ScenarioSpec(n=N, p=P), **kw),
+    "calibrate_censoring_rate":
+        lambda data, **kw: calibrate_censoring_rate("N", "independent", **kw),
+    "monte_carlo_rejection": lambda data, **kw: monte_carlo_rejection(
+        ScenarioSpec(n=N, p=P), **{"method": "oracle", "reps": 1, **kw}),
+}
+
+NAN, INF = float("nan"), float("inf")
+LEVELS = [0, 0.0, 1, 1.0, -1, 1.5, True, False, NAN, "0.05", None]
+
+BAD = {
+    ("one_step", "k"): [True, False, 0.5, "0", NAN, -1, P, 5.0, None],
+    ("one_step", "alpha"): LEVELS,
+    ("conservative_variance", "k"): [True, 1.5, "0", -1, P],
+    ("conservative_variance", "m_bound"): [NAN, INF, -INF, -1.0, 0.0, True, "1"],
+    ("bonferroni_test", "alpha"): LEVELS,
+    ("select_predictor", "j"): [True, 5.5, "5", NAN, 1, N + 1],
+    ("stabilized_estimate", "q_n"): ["5", True, 5.5, NAN, INF, 1, N],
+    ("stabilized_estimate", "variant"): ["both", 1, True],
+    ("stabilized_estimate", "alpha"): LEVELS,
+    ("stabilized_estimate", "ordering"): [
+        np.arange(N) + 0.5, np.arange(N) * 1.01, np.zeros(N), np.arange(N - 1),
+        np.arange(N).reshape(4, 5), np.arange(N) % 2 == 0, [str(i) for i in range(N)], 3],
+    ("multi_ordering_test", "orderings"): [True, False, 2.5, "2", NAN, 0, -3],
+    ("multi_ordering_test", "seed"): [1.5, "1", True, NAN, None],
+    ("multi_ordering_test", "q_n"): ["5", 1.5],
+    ("multi_ordering_test", "variant"): ["both"],
+    ("multi_ordering_test", "alpha"): [0.0, 1.5, True],
+    ("ScenarioSpec", "n"): [20.5, True, "20", 1, NAN],
+    ("ScenarioSpec", "p"): [5.5, True, "5", 0],
+    ("ScenarioSpec", "seed"): [1.5, "1", True, None],
+    ("ScenarioSpec", "model"): ["X", 1, None],
+    ("ScenarioSpec", "error"): ["correlated"],
+    ("ScenarioSpec", "censoring"): ["medium", None],
+    ("generate_scenario", "rep"): [1.5, -1, True, "0"],
+    ("calibrate_censoring_rate", "target"): [0.0, 1.0, NAN, True, "0.1"],
+    ("monte_carlo_rejection", "reps"): [True, 2.5, "2", 0],
+    ("monte_carlo_rejection", "parallelism"): [True, 1.5, 0],
+    ("monte_carlo_rejection", "orderings"): [True, 2.5, 0],
+    ("monte_carlo_rejection", "method"): ["wald", None],
+    ("monte_carlo_rejection", "alpha"): [0, 1, -1, 1.5, True],
+}
+
+
+@pytest.fixture(scope="module")
+def data():
+    return random_dataset(np.random.default_rng(16), n=N, p=P)
+
+
+@pytest.mark.parametrize("entry,argument,value", [
+    (entry, argument, value) for (entry, argument), values in BAD.items() for value in values
+])
+def test_bad_argument_raises_input_error_naming_it(data, entry, argument, value):
+    with pytest.raises(InputError, match=f"^{argument} must be "):
+        CALLS[entry](data, **{argument: value})
+
+
+def assert_same(a, b):
+    """Results equal field by field, to the type and the bits."""
+    assert type(a) is type(b)
+    if is_dataclass(a):
+        for field in fields(a):
+            assert_same(getattr(a, field.name), getattr(b, field.name))
+    elif isinstance(a, tuple):
+        assert len(a) == len(b)
+        for x, y in zip(a, b):
+            assert_same(x, y)
+    else:
+        assert same_bits(a, b)
+
+
+@pytest.mark.parametrize("entry,same,plain", [
+    ("one_step", {"k": np.int64(2)}, {"k": 2}),
+    ("one_step", {"alpha": np.float64(0.1)}, {"alpha": 0.1}),
+    ("conservative_variance", {"k": np.int64(2)}, {"k": 2}),
+    ("conservative_variance", {"m_bound": np.float64(0.5)}, {"m_bound": 0.5}),
+    ("select_predictor", {"j": 5.0}, {"j": 5}),
+    ("select_predictor", {"j": np.int32(5)}, {"j": 5}),
+    ("stabilized_estimate", {"q_n": 5.0}, {"q_n": 5}),
+    ("stabilized_estimate", {"ordering": np.arange(N)[::-1] * 1.0}, {"ordering": np.arange(N)[::-1]}),
+    ("stabilized_estimate", {"ordering": list(range(N))}, {}),
+    ("multi_ordering_test", {"orderings": 2.0, "seed": 3.0}, {"orderings": 2, "seed": 3}),
+    ("multi_ordering_test", {"orderings": np.int64(2), "seed": np.uint64(3)},
+     {"orderings": 2, "seed": 3}),
+    ("generate_scenario", {"rep": 1.0}, {"rep": 1}),
+])
+def test_integral_values_give_the_plain_int_result(data, entry, same, plain):
+    assert_same(CALLS[entry](data, **same), CALLS[entry](data, **plain))
+
+
+def test_scenario_counts_are_stored_as_ints():
+    spec = ScenarioSpec(n=np.int64(N), p=5.0, seed=np.uint8(7))
+    assert spec == ScenarioSpec(n=N, p=5, seed=7)
+    assert (type(spec.n), type(spec.p), type(spec.seed)) == (int, int, int)
+    assert_same(generate_scenario(spec), generate_scenario(ScenarioSpec(n=N, p=5, seed=7)))
