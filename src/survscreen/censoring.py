@@ -48,11 +48,7 @@ def fit_censoring_km(x: np.ndarray, delta: np.ndarray) -> KaplanMeierFit:
     n = len(x)
     if n == 0:
         raise InputError("cannot fit a censoring distribution on an empty sample")
-    cens_times = x[delta == 0]
-    if len(cens_times) == 0:
-        empty = np.empty(0)
-        return KaplanMeierFit(empty, empty.copy(), empty.copy(), n)
-    jump_times, counts = np.unique(cens_times, return_counts=True)
+    jump_times, counts = np.unique(x[delta == 0], return_counts=True)
     xs = np.sort(x)
     at_risk = n - np.searchsorted(xs, jump_times, side="left")
     hazard = counts / at_risk

@@ -56,6 +56,8 @@ class SurvivalDataset:
 
     def column(self, name: str) -> int:
         """Resolve a predictor name (or 1-based index string) to a column."""
+        if not isinstance(name, str):
+            raise InputError(f"name must be a string, got {name!r}")
         if name in self.predictor_names:
             return self.predictor_names.index(name)
         if name.lstrip("+-").isdigit():
@@ -66,9 +68,7 @@ class SurvivalDataset:
 
 
 def lower_quantile(values: np.ndarray, q: float) -> float:
-    """Lower empirical (type-1) quantile, the ceil(n*q)-th order statistic."""
-    if not 0.0 < q <= 1.0:
-        raise InputError(f"quantile must be in (0, 1], got {q}")
+    """Lower empirical (type-1) quantile, the ceil(n*q)-th order statistic; q in (0, 1]."""
     xs = np.sort(values)
     idx = max(0, math.ceil(len(xs) * q) - 1)
     return float(xs[idx])
@@ -76,6 +76,8 @@ def lower_quantile(values: np.ndarray, q: float) -> float:
 
 def parse_tau_rule(rule: str) -> float:
     """The quantile level of the follow-up cap: 'max' is 1.0, 'q:<x>' is x."""
+    if not isinstance(rule, str):
+        raise InputError(f"tau_rule must be a string, got {rule!r}")
     if rule == "max":
         return 1.0
     if rule.startswith("q:"):
@@ -87,6 +89,13 @@ def parse_tau_rule(rule: str) -> float:
             raise InputError(f"tau quantile must be in (0, 1], got {q}")
         return q
     raise InputError(f"bad tau rule {rule!r}; expected 'max' or 'q:<x>'")
+
+
+def _tau_level(tau_rule, standardize) -> float:
+    """The level of ``tau_rule``, once ``standardize`` is checked too."""
+    if not isinstance(standardize, bool):
+        raise InputError(f"standardize must be a bool, got {standardize!r}")
+    return parse_tau_rule(tau_rule)
 
 
 def _row(index: int) -> str:
@@ -106,13 +115,14 @@ def ingest(
     rescaled to sample mean 0 and variance 1 (divisor n).  The records are
     copied, never written or aliased.
     """
+    level = _tau_level(tau_rule, standardize)
     table = np.asarray(rows, dtype=np.float64)
     if table.ndim != 2 or table.shape[1] < 3:
         raise InputError("need columns (time, status, u1, ...) with at least one predictor")
-    return _build(table[:, 0], table[:, 1], table[:, 2:], tau_rule, standardize, names)
+    return _build(table[:, 0], table[:, 1], table[:, 2:], level, standardize, names)
 
 
-def _build(time, status, predictors, tau_rule, standardize, names, locate=_row) -> SurvivalDataset:
+def _build(time, status, predictors, level, standardize, names, locate=_row) -> SurvivalDataset:
     """The dataset of one table split into time, status and predictor columns.
 
     The caller's arrays are only read.  The one n x p array built here is the
@@ -140,7 +150,7 @@ def _build(time, status, predictors, tau_rule, standardize, names, locate=_row) 
         raise InputError(f"non-finite predictor value in {locate(int(bad_row))}, "
                          f"column {bad_col + 1} ({names[bad_col]!r})")
 
-    tau = lower_quantile(time, parse_tau_rule(tau_rule))  # level 1.0 is the largest time
+    tau = lower_quantile(time, level)  # level 1.0 is the largest time
     time = time.copy()
     delta = status.astype(np.int64)
     over = time > tau
@@ -232,6 +242,7 @@ def read_csv(path: str, tau_rule: str = "max", standardize: bool = True) -> Surv
     damaged or non-gzip ``.gz`` stream are input errors naming the path and
     the cause.
     """
+    level = _tau_level(tau_rule, standardize)
     try:
         fh = _open_text(path)
     except OSError as exc:
@@ -267,7 +278,7 @@ def read_csv(path: str, tau_rule: str = "max", standardize: bool = True) -> Surv
         return f"row {index + 1} (line {lineno})"
 
     try:
-        return _build(table[:, 0], table[:, 1], table[:, 2:], tau_rule, standardize,
+        return _build(table[:, 0], table[:, 1], table[:, 2:], level, standardize,
                       header[2:], locate)
     except InputError as exc:
         raise InputError(f"{path}: {exc}") from None

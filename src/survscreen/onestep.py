@@ -111,8 +111,6 @@ def martingale_values(rl: ResidualLifeModel, km: KaplanMeierFit, U, x, delta) ->
     x = np.asarray(x, dtype=np.float64)
     delta = np.asarray(delta)
     jt = km.jump_times
-    if len(jt) == 0:
-        return np.zeros(U.shape)
     rows = rl.coefficient_rows(jt)
     hazard = km.hazard_increments[:, None]
     a_eff = rl.intercepts - rl.slopes * rl.u_centers

@@ -11,14 +11,17 @@ two predictors, built from a shared factor so cost stays O(np)):
 The noise is N(0, 1), or, in the "dependent" case, normal with *variance*
 0.7 * (|U_1| + 0.7).  Censoring times are logs of exponential variables
 whose rate is calibrated by bisection against a fixed Monte-Carlo sample to
-hit a target censoring fraction (light 10%, heavy 30%).
+hit a target censoring fraction (light 10%, heavy 30%).  Each process, and
+so each spawned Monte-Carlo worker, calibrates a rate once: about 40 ms.
 
 Replicate r of a study draws its data from the counter-based stream
 (seed, 4r) and its orderings from (seed, 4r + 1), so runs are reproducible
 under any degree of parallelism.
 """
 
+import functools
 import math
+import numbers
 import os
 import time
 from contextlib import contextmanager
@@ -47,8 +50,6 @@ CALIBRATION_TOL = 0.005
 # BLAS thread-count variables a spawned Monte-Carlo worker starts with set to 1
 BLAS_THREAD_ENV = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
-_calibration_cache = {}
-
 
 @dataclass(frozen=True)
 class ScenarioSpec:
@@ -72,8 +73,10 @@ class ScenarioSpec:
         object.__setattr__(self, "seed", _integer("seed", self.seed))
         if self.model == "A2" and self.p < 10:
             raise InputError(f"model A2 sets 10 coefficients; needs p >= 10, got {self.p}")
-        if not 0.0 <= self.rho < 1.0:
-            raise InputError(f"rho must be in [0, 1), got {self.rho}")
+        rho = self.rho
+        if isinstance(rho, bool) or not isinstance(rho, numbers.Real) or not 0.0 <= rho < 1.0:
+            raise InputError(f"rho must be a number in [0, 1), got {rho!r}")
+        object.__setattr__(self, "rho", float(rho))
 
 
 def model_betas(spec: ScenarioSpec) -> np.ndarray:
@@ -124,13 +127,15 @@ def calibrate_censoring_rate(model: str, error: str, target: float) -> float:
 
     Bisection against a fixed 1e5-draw Monte-Carlo sample (its own seed), so
     calibrated rates are reproducible artifacts.  The censoring fraction is
-    monotone increasing in the rate.
+    monotone increasing in the rate.  Each process computes a rate once.
     """
-    target = _real("target", target, 0, 1)
-    key = (model, error, round(target, 10))
-    if key in _calibration_cache:
-        return _calibration_cache[key]
+    _choice("model", model, MODELS)
+    _choice("error", error, ERRORS)
+    return _calibrated_rate(model, error, _real("target", target, 0, 1))
 
+
+@functools.cache
+def _calibrated_rate(model: str, error: str, target: float) -> float:
     probe_spec = ScenarioSpec(model=model, error=error, censoring="none", n=2, p=10, seed=0)
     rng = stream(CALIBRATION_SEED, 0)
     _, t = _survival_times(rng, probe_spec, CALIBRATION_DRAWS, 10)
@@ -147,9 +152,7 @@ def calibrate_censoring_rate(model: str, error: str, target: float) -> float:
         mid = 0.5 * (lo + hi)
         f = fraction(mid)
         if abs(f - target) <= CALIBRATION_TOL:
-            rate = math.exp(mid)
-            _calibration_cache[key] = rate
-            return rate
+            return math.exp(mid)
         if f < target:
             lo = mid
         else:
@@ -173,7 +176,7 @@ def generate_scenario(spec: ScenarioSpec, rep: int = 0):
         c = np.log(rng.exponential(1.0, spec.n)) - math.log(rate)
         x = np.minimum(t, c)
         status = (t <= c).astype(np.float64)
-    data = _build(x, status, u, tau_rule="max", standardize=True, names=None)
+    data = _build(x, status, u, level=1.0, standardize=True, names=None)
     return data, marginal_slopes(spec)
 
 
@@ -202,9 +205,8 @@ class MonteCarloReport:
         )
 
 
-def _run_replicate(args) -> tuple:
+def _run_replicate(spec, method, alpha, orderings, rep) -> tuple:
     """(rejected, covered-or-None, runtime_ms) for one replicate."""
-    spec, method, alpha, orderings, rep = args
     try:
         data, truth = generate_scenario(spec, rep)
         target = float(np.max(np.abs(truth)))
@@ -234,11 +236,6 @@ def _run_replicate(args) -> tuple:
         return rejected, covered, ms
     except SurvScreenError as exc:  # keeps its class, so the CLI exit code stays right
         raise type(exc)(f"replicate {rep} (seed {spec.seed}) failed: {exc}") from exc
-
-
-def _seed_calibration_cache(entries: dict) -> None:
-    """Pool initializer: a worker starts with the parent's calibrated rates."""
-    _calibration_cache.update(entries)
 
 
 @contextmanager
@@ -279,11 +276,8 @@ def monte_carlo_rejection(
     parallelism = _integer("parallelism", parallelism, 1)
     orderings = _integer("orderings", orderings, 1)
     alpha = _level(alpha)
-    # calibrate once here; the workers receive the rate through the initializer
-    if spec.censoring != "none":
-        calibrate_censoring_rate(spec.model, spec.error, CENSORING_TARGETS[spec.censoring])
 
-    tasks = [(spec, method, alpha, orderings, rep) for rep in range(reps)]
+    replicate = functools.partial(_run_replicate, spec, method, alpha, orderings)
     if parallelism > 1:
         # loaded here: the serial path never needs the process pool machinery
         import multiprocessing
@@ -294,12 +288,11 @@ def monte_carlo_rejection(
         try:
             with ProcessPoolExecutor(
                 max_workers=min(parallelism, reps), mp_context=multiprocessing.get_context("spawn"),
-                initializer=_seed_calibration_cache, initargs=(dict(_calibration_cache),),
             ) as pool:
                 # a spawned worker starts when map submits its tasks, and its BLAS
                 # reads the thread count from the environment as numpy loads
                 with _one_blas_thread():
-                    results = pool.map(_run_replicate, tasks, chunksize=chunk)
+                    results = pool.map(replicate, range(reps), chunksize=chunk)
                 outcomes = list(results)
         except BrokenProcessPool as exc:
             raise SurvScreenError(
@@ -309,7 +302,7 @@ def monte_carlo_rejection(
                 "the script's main module"
             ) from exc
     else:
-        outcomes = [_run_replicate(t) for t in tasks]
+        outcomes = [replicate(rep) for rep in range(reps)]
 
     rejections = sum(1 for rej, _, _ in outcomes if rej)
     runtimes = [ms for _, _, ms in outcomes]

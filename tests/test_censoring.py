@@ -10,13 +10,15 @@ from survscreen.onestep import martingale_values
 from survscreen.residual_life import ResidualLifeModel
 from survscreen.simulate import ScenarioSpec, generate_scenario
 
-from conftest import random_dataset
+from conftest import random_dataset, same_bits
 
 
 class TestCensoringFit:
     def test_no_censoring_gives_unit_survival(self):
         km = fit_censoring_km(np.array([1.0, 2.0, 3.0]), np.array([1, 1, 1]))
-        assert len(km.jump_times) == 0
+        for arr in (km.jump_times, km.survival_after, km.hazard_increments):
+            assert same_bits(arr, np.empty(0))
+        assert km.n_used == 3
         assert np.all(survival_at(km, [0.5, 2.0, 99.0]) == 1.0)
 
     def test_hand_product_limit(self):
@@ -145,8 +147,9 @@ def integrate(e, km, u, x, delta):
 class TestMartingaleIntegral:
     def test_no_censoring_vanishes(self):
         km = fit_censoring_km(np.array([1.0, 2.0]), np.array([1, 1]))
-        got = integrate(lambda u, s: 3.3, km, 0.0, [1.0, 2.0], [1, 1])
-        assert np.all(got == 0.0)
+        # +0.0 at every row, also where the slope term is 0.0 * u = -0.0
+        got = integrate(lambda u, s: 3.3, km, [-1.5, 2.0], [1.0, 2.0], [1, 1])
+        assert same_bits(got, np.zeros(2))
 
     def test_single_censored_observation_cancels(self):
         km = fit_censoring_km(np.array([1.0]), np.array([0]))

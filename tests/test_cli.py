@@ -221,6 +221,7 @@ class TestSimulateCommand:
          "error: orderings must be >= 1, got 0"),
         (["--method", "stabilized_multiR", "--orderings", "-5", "--n", "40", "--p", "5"], 2,
          "error: orderings must be >= 1, got -5"),
+        (["--rho", "nan"], 2, "error: rho must be a number in [0, 1), got nan"),
     ])
     def test_failures_map_to_exit_codes(self, capsys, argv, code, message):
         rc, out, err = run_cli(capsys, ["simulate", "--reps", "1", "--seed", "1"] + argv)

@@ -16,6 +16,7 @@ from survscreen.simulate import (
     METHODS,
     MonteCarloReport,
     ScenarioSpec,
+    _calibrated_rate,
     calibrate_censoring_rate,
     generate_scenario,
     marginal_slopes,
@@ -219,7 +220,10 @@ class TestMonteCarlo:
     def test_parallel_matches_serial(self, method):
         spec = ScenarioSpec(model="A1", n=60, p=4, seed=11)
         serial = monte_carlo_rejection(spec, method, reps=8, parallelism=1)
+        # no rate in this process: each worker calibrates its own
+        _calibrated_rate.cache_clear()
         parallel = monte_carlo_rejection(spec, method, reps=8, parallelism=2)
+        assert _calibrated_rate.cache_info().currsize == 0
         for field in dataclasses.fields(MonteCarloReport):
             if field.name != "mean_runtime_ms":
                 assert getattr(serial, field.name) == getattr(parallel, field.name), field.name

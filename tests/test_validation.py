@@ -1,5 +1,5 @@
-"""Every public entry point checks its counts, indices, test level and
-choices the same way: a bad value raises InputError naming the argument,
+"""Every public entry point checks its counts, indices, test level, options
+and choices the same way: a bad value raises InputError naming the argument,
 and an integral value of another numeric type gives the plain-int result."""
 
 from dataclasses import fields, is_dataclass
@@ -13,9 +13,11 @@ from survscreen import (
     calibrate_censoring_rate,
     conservative_variance,
     generate_scenario,
+    ingest,
     monte_carlo_rejection,
     multi_ordering_test,
     one_step,
+    read_csv,
     select_predictor,
     stabilized_estimate,
 )
@@ -36,10 +38,15 @@ CALLS = {
     "multi_ordering_test": lambda data, **kw: multi_ordering_test(data, **{"orderings": 2, **kw}),
     "ScenarioSpec": lambda data, **kw: ScenarioSpec(**{"n": N, "p": P, **kw}),
     "generate_scenario": lambda data, **kw: generate_scenario(ScenarioSpec(n=N, p=P), **kw),
-    "calibrate_censoring_rate":
-        lambda data, **kw: calibrate_censoring_rate("N", "independent", **kw),
+    "calibrate_censoring_rate": lambda data, **kw: calibrate_censoring_rate(
+        **{"model": "N", "error": "independent", "target": 0.1, **kw}),
     "monte_carlo_rejection": lambda data, **kw: monte_carlo_rejection(
         ScenarioSpec(n=N, p=P), **{"method": "oracle", "reps": 1, **kw}),
+    "ingest": lambda data, **kw: ingest(np.column_stack((data.x, data.delta, data.predictors)),
+                                        **kw),
+    # no such file: an option is checked before the file is opened
+    "read_csv": lambda data, **kw: read_csv("missing.csv", **kw),
+    "column": lambda data, **kw: data.column(**kw),
 }
 
 NAN, INF = float("nan"), float("inf")
@@ -69,13 +76,21 @@ BAD = {
     ("ScenarioSpec", "model"): ["X", 1, None],
     ("ScenarioSpec", "error"): ["correlated"],
     ("ScenarioSpec", "censoring"): ["medium", None],
+    ("ScenarioSpec", "rho"): ["0.5", False, None],
     ("generate_scenario", "rep"): [1.5, -1, True, "0"],
     ("calibrate_censoring_rate", "target"): [0.0, 1.0, NAN, True, "0.1"],
+    ("calibrate_censoring_rate", "model"): [["N"], {"N": 1}],
+    ("calibrate_censoring_rate", "error"): [["independent"]],
     ("monte_carlo_rejection", "reps"): [True, 2.5, "2", 0],
     ("monte_carlo_rejection", "parallelism"): [True, 1.5, 0],
     ("monte_carlo_rejection", "orderings"): [True, 2.5, 0],
     ("monte_carlo_rejection", "method"): ["wald", None],
     ("monte_carlo_rejection", "alpha"): [0, 1, -1, 1.5, True],
+    ("ingest", "tau_rule"): [5, None, 1.0],
+    ("ingest", "standardize"): ["no", 0, 1, None],
+    ("read_csv", "tau_rule"): [5, None],
+    ("read_csv", "standardize"): ["no", 0],
+    ("column", "name"): [3, 0, None],
 }
 
 
@@ -130,3 +145,9 @@ def test_scenario_counts_are_stored_as_ints():
     assert spec == ScenarioSpec(n=N, p=5, seed=7)
     assert (type(spec.n), type(spec.p), type(spec.seed)) == (int, int, int)
     assert_same(generate_scenario(spec), generate_scenario(ScenarioSpec(n=N, p=5, seed=7)))
+
+
+def test_scenario_rho_is_stored_as_a_float():
+    spec = ScenarioSpec(n=N, p=5, rho=np.float64(0.5))
+    assert type(spec.rho) is float
+    assert_same(generate_scenario(spec), generate_scenario(ScenarioSpec(n=N, p=5, rho=0.5)))
