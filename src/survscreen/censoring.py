@@ -17,7 +17,7 @@ from typing import Optional
 import numpy as np
 
 from .dataset import SurvivalDataset
-from .errors import DegeneracyError, InputError
+from .errors import DegeneracyError, InputError, _instance
 
 EPS_G = 1e-10
 
@@ -34,7 +34,6 @@ class KaplanMeierFit:
     jump_times: np.ndarray
     survival_after: np.ndarray
     hazard_increments: np.ndarray
-    n_used: int
 
     def __post_init__(self):
         for arr in (self.jump_times, self.survival_after, self.hazard_increments):
@@ -53,7 +52,7 @@ def fit_censoring_km(x: np.ndarray, delta: np.ndarray) -> KaplanMeierFit:
     at_risk = n - np.searchsorted(xs, jump_times, side="left")
     hazard = counts / at_risk
     survival = np.cumprod(1.0 - hazard)
-    return KaplanMeierFit(jump_times, survival, hazard, n)
+    return KaplanMeierFit(jump_times, survival, hazard)
 
 
 def survival_at(km: KaplanMeierFit, t) -> np.ndarray:
@@ -72,6 +71,7 @@ def synthetic_response(data: SurvivalDataset, km: Optional[KaplanMeierFit] = Non
     only a ``km`` not fitted on ``data`` can cause: with the data's own fit,
     G(x-) >= 1/n at every event.
     """
+    _instance("data", data, SurvivalDataset)
     if km is None:
         km = fit_censoring_km(data.x, data.delta)
     return _weighted_response(data.x, data.delta, survival_at(km, data.x))

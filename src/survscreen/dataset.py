@@ -18,7 +18,6 @@ import itertools
 import math
 import warnings
 from dataclasses import dataclass
-from typing import Optional, Sequence
 
 import numpy as np
 
@@ -37,7 +36,6 @@ class SurvivalDataset:
     predictors: np.ndarray
     predictor_names: tuple
     tau: float
-    standardized: bool
 
     def __post_init__(self):
         for arr in (self.x, self.delta, self.predictors):
@@ -102,12 +100,7 @@ def _row(index: int) -> str:
     return f"row {index + 1}"
 
 
-def ingest(
-    rows,
-    tau_rule: str = "max",
-    standardize: bool = True,
-    names: Optional[Sequence[str]] = None,
-) -> SurvivalDataset:
+def ingest(rows, tau_rule: str = "max", standardize: bool = True) -> SurvivalDataset:
     """Build a dataset from tabular records (time, status, u1, ..., up).
 
     Rows observed past the follow-up cap are administratively censored at it
@@ -119,24 +112,28 @@ def ingest(
     table = np.asarray(rows, dtype=np.float64)
     if table.ndim != 2 or table.shape[1] < 3:
         raise InputError("need columns (time, status, u1, ...) with at least one predictor")
-    return _build(table[:, 0], table[:, 1], table[:, 2:], level, standardize, names)
+    return _build(table[:, 0], table[:, 1], table[:, 2:], level, standardize, None)
 
 
 def _build(time, status, predictors, level, standardize, names, locate=_row) -> SurvivalDataset:
     """The dataset of one table split into time, status and predictor columns.
 
     The caller's arrays are only read.  The one n x p array built here is the
-    column-major copy of the predictors, standardized in place.  ``locate``
-    names a data row (by 0-based index) in error messages.
+    column-major copy of the predictors, standardized in place.  ``names`` is
+    a tuple of distinct predictor names (None: u1..up), and ``locate`` names
+    a data row (by 0-based index) in error messages.
     """
     n, p = predictors.shape
     if n < 2:
         raise InputError(f"need at least 2 observations, got {n}")
     if names is None:
         names = tuple(f"u{k + 1}" for k in range(p))
-    elif len(names) != p:
-        raise InputError(f"{len(names)} predictor names for {p} columns")
-    names = tuple(names)
+    else:
+        first = {}
+        for col, name in enumerate(names):
+            if first.setdefault(name, col) != col:
+                raise InputError(f"predictor columns {first[name] + 1} and {col + 1} "
+                                 f"are both named {name!r}")
 
     if not np.all(np.isfinite(time)):
         bad = int(np.flatnonzero(~np.isfinite(time))[0])
@@ -175,7 +172,6 @@ def _build(time, status, predictors, level, standardize, names, locate=_row) -> 
         predictors=u,
         predictor_names=names,
         tau=tau,
-        standardized=standardize,
     )
 
 
@@ -252,7 +248,7 @@ def read_csv(path: str, tau_rule: str = "max", standardize: bool = True) -> Surv
             header = next(csv.reader(fh), None)
             if header is None:
                 raise InputError(f"{path}: empty file")
-            header = [h.strip() for h in header]
+            header = tuple(h.strip() for h in header)
             if len(header) < 3 or header[0] != CSV_TIME_COLUMN or header[1] != CSV_STATUS_COLUMN:
                 raise InputError(
                     f"{path}: header must be '{CSV_TIME_COLUMN},{CSV_STATUS_COLUMN},u1,...'"

@@ -53,6 +53,12 @@ def _level(alpha) -> float:
     return _real("alpha", alpha, 0, 1)
 
 
+def _instance(name, value, cls) -> None:
+    """``value`` must be a ``cls``: an entry point's dataset or scenario."""
+    if not isinstance(value, cls):
+        raise InputError(f"{name} must be a {cls.__name__}, got {type(value).__name__}")
+
+
 def _choice(name, value, options) -> None:
     """``value`` must be one of the strings ``options``."""
     if not (isinstance(value, str) and value in options):

@@ -34,7 +34,7 @@ import numpy as np
 from ._normal import ndtr, ndtri
 from .censoring import KaplanMeierFit, fit_censoring_km, synthetic_response
 from .dataset import SurvivalDataset
-from .errors import DegeneracyError, SurvScreenError, _integer, _level, _real
+from .errors import DegeneracyError, SurvScreenError, _instance, _integer, _level, _real
 from .residual_life import EPS_VAR, ResidualLifeModel, fit_residual_life_arrays
 
 EPS_SIGMA = 1e-8
@@ -69,31 +69,14 @@ def _colmean(a: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class NuisanceBundle:
-    """Fitted nuisances for a block of predictors over one declared sample.
+    """Fitted nuisances of a block: the residual-life model and the moments,
+    one entry per block column."""
 
-    ``km`` is the censoring fit the synthetic responses and martingale terms
-    are taken against; it may come from a larger sample than the regression
-    moments.  The moments are arrays with one entry per block column.
-    """
-
-    km: KaplanMeierFit
     rl: ResidualLifeModel
     u_mean: np.ndarray
     u_var: np.ndarray
     e_mean: np.ndarray
     cov_u_e: np.ndarray
-
-
-def make_bundle(U, x, delta, y, km: KaplanMeierFit) -> NuisanceBundle:
-    """Fit the residual-life model and predictor moments of an (m x b) block."""
-    U = np.asarray(U, dtype=np.float64)
-    rl = fit_residual_life_arrays(x, delta, y, U)
-    e_vals = rl.intercepts[0] + rl.slopes[0] * (U - rl.u_centers[0])
-    u_mean = _colmean(U)
-    u_var = _colmean(U * U) - u_mean * u_mean
-    e_mean = _colmean(e_vals)
-    cov_u_e = _colmean(U * e_vals) - u_mean * e_mean
-    return NuisanceBundle(km=km, rl=rl, u_mean=u_mean, u_var=u_var, e_mean=e_mean, cov_u_e=cov_u_e)
 
 
 def plugin_slope(bundle: NuisanceBundle) -> np.ndarray:
@@ -124,14 +107,14 @@ def martingale_values(rl: ResidualLifeModel, km: KaplanMeierFit, U, x, delta) ->
     return np.where(delta[:, None] == 0, at_x, 0.0) - jump_sum
 
 
-def influence_values(bundle: NuisanceBundle, U, x, delta, y):
-    """(ipw, car) influence arrays for the given evaluation rows of the block."""
+def influence_values(bundle: NuisanceBundle, km: KaplanMeierFit, U, x, delta, y):
+    """(ipw, car) influence arrays at the given rows of the block, against ``km``."""
     U = np.asarray(U, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)[:, None]
     cu = U - bundle.u_mean
     v = bundle.u_var
     ipw = cu * (y - bundle.e_mean) / v - bundle.cov_u_e * cu * cu / (v * v)
-    car = cu / v * martingale_values(bundle.rl, bundle.km, U, x, delta)
+    car = cu / v * martingale_values(bundle.rl, km, U, x, delta)
     return ipw, car
 
 
@@ -155,13 +138,17 @@ def _variance_floor(u_var, ks, where=lambda c: ""):
 
 def influence_block(U, x, delta, y, km: KaplanMeierFit, fit_rows=None):
     """Nuisances of an (m x b) block fitted on its rows :fit_rows (default:
-    all), and (ipw, car) at every row.  Returns (bundle, ipw, car); nothing
-    is checked, so the caller raises the variance floor where its error
-    order requires."""
+    all), and (ipw, car) at every row against ``km``, which may be fitted on
+    more rows.  Returns (bundle, ipw, car); nothing is checked, so the caller
+    raises the variance floor where its error order requires."""
     fit = slice(fit_rows)
-    bundle = make_bundle(U[fit], x[fit], delta[fit], y[fit], km)
-    ipw, car = influence_values(bundle, U, x, delta, y)
-    return bundle, ipw, car
+    Uf = U[fit]
+    rl = fit_residual_life_arrays(x[fit], delta[fit], y[fit], Uf)
+    e_vals = rl.intercepts[0] + rl.slopes[0] * (Uf - rl.u_centers[0])
+    u_mean, e_mean = _colmean(Uf), _colmean(e_vals)
+    u_var = _colmean(Uf * Uf) - u_mean * u_mean
+    bundle = NuisanceBundle(rl, u_mean, u_var, e_mean, _colmean(Uf * e_vals) - u_mean * e_mean)
+    return bundle, *influence_values(bundle, km, U, x, delta, y)
 
 
 def normal_interval(estimate, sigma, m: int, alpha: float):
@@ -224,7 +211,7 @@ def _one_step_block(U, x, delta, y, km: KaplanMeierFit, ks, alpha: float) -> _On
 @dataclass(frozen=True)
 class OneStepResult:
     """One-step slope inference for a single predictor; ``statistic`` is
-    sqrt(n_used) * s_onestep / sigma_hat."""
+    sqrt(n) * s_onestep / sigma_hat, n = len(if_values)."""
 
     k: int
     psi_plugin: float
@@ -235,7 +222,6 @@ class OneStepResult:
     ci_high: float
     statistic: float
     p_value: float
-    n_used: int
     alpha: float
 
     def __post_init__(self):
@@ -244,6 +230,7 @@ class OneStepResult:
 
 def one_step(data: SurvivalDataset, k: int, alpha: float = 0.05) -> OneStepResult:
     """One-step estimate for predictor k over the whole sample."""
+    _instance("data", data, SurvivalDataset)
     k, alpha = _integer("k", k, 0, data.p - 1), _level(alpha)
     km = fit_censoring_km(data.x, data.delta)
     y = synthetic_response(data, km)
@@ -253,7 +240,7 @@ def one_step(data: SurvivalDataset, k: int, alpha: float = 0.05) -> OneStepResul
         if_values=block.if_values[:, 0], sigma_hat=float(block.sigma[0]),
         ci_low=float(block.ci_low[0]), ci_high=float(block.ci_high[0]),
         statistic=float(block.statistic[0]), p_value=float(block.p_value[0]),
-        n_used=data.n, alpha=alpha,
+        alpha=alpha,
     )
 
 
@@ -280,6 +267,7 @@ class BonferroniResult:
 
 def bonferroni_test(data: SurvivalDataset, alpha: float = 0.05) -> BonferroniResult:
     """Test every predictor marginally; reject if min p < alpha / p."""
+    _instance("data", data, SurvivalDataset)
     alpha = _level(alpha)
     km = fit_censoring_km(data.x, data.delta)
     y = synthetic_response(data, km)
@@ -310,6 +298,7 @@ def conservative_variance(data: SurvivalDataset, k: int, m_bound: Optional[float
     larger of its values at the two ends.  Default half-width is 4 standard
     deviations of the predicted responses.
     """
+    _instance("data", data, SurvivalDataset)
     k = _integer("k", k, 0, data.p - 1)
     if m_bound is not None:
         m_bound = _real("m_bound", m_bound, 0, math.inf)

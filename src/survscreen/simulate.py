@@ -32,7 +32,8 @@ import numpy as np
 
 from ._rng import stream
 from .dataset import _build
-from .errors import DegeneracyError, InputError, SurvScreenError, _choice, _integer, _level, _real
+from .errors import (DegeneracyError, InputError, SurvScreenError, _choice, _instance, _integer,
+                     _level, _real)
 from .onestep import bonferroni_test, one_step
 from .stabilized import multi_ordering_test, stabilized_estimate
 
@@ -166,6 +167,7 @@ def generate_scenario(spec: ScenarioSpec, rep: int = 0):
     Deterministic in (spec.seed, rep); the follow-up cap is the largest
     observed time (no truncation) and predictors are standardized.
     """
+    _instance("spec", spec, ScenarioSpec)
     rng = stream(spec.seed, 4 * _integer("rep", rep, 0))
     u, t = _survival_times(rng, spec, spec.n, spec.p)
     if spec.censoring == "none":
@@ -271,6 +273,7 @@ def monte_carlo_rejection(
     that asks for parallelism calls this under ``if __name__ == "__main__":``;
     without it the workers die and the call raises SurvScreenError.
     """
+    _instance("spec", spec, ScenarioSpec)
     reps = _integer("reps", reps, 1)
     _choice("method", method, METHODS)
     parallelism = _integer("parallelism", parallelism, 1)

@@ -36,7 +36,7 @@ import numpy as np
 from ._rng import stream
 from .censoring import fit_censoring_km, synthetic_response
 from .dataset import SurvivalDataset
-from .errors import DegeneracyError, InputError, _choice, _integer, _level
+from .errors import DegeneracyError, InputError, _choice, _instance, _integer, _level
 from .onestep import (BLOCK_COLUMNS, EPS_SIGMA, _raise_first, _variance_floor, bonferroni,
                       influence_block, normal_interval, plugin_slope)
 from .residual_life import EPS_VAR
@@ -224,8 +224,9 @@ def _prefix_variance(rows, first, steps, m1, m2):
 
     The first ``first`` values are summed pairwise, then one value is added
     per step, the order of a step-by-step running sum; the variance is the
-    uncentred m2 - m1**2.  Each predictor's values are summed on their own,
-    so its variances do not depend on which predictors share ``rows``.
+    uncentred m2 - m1**2.  ``rows`` must be C-contiguous, as _select_steps
+    makes it: then each predictor's values are summed on their own, so its
+    variances do not depend on which predictors share ``rows``.
     """
     sizes = np.arange(first, first + steps, dtype=np.float64)[:, None]
     head, tail = rows[:, :first], rows[:, first:first + steps - 1].T
@@ -430,6 +431,7 @@ def _select_steps(U, perms, weights, first):
 
 def select_predictor(data: SurvivalDataset, j: Optional[int] = None):
     """Most associated predictor (index, sign) from the first j rows."""
+    _instance("data", data, SurvivalDataset)
     j = _integer("j", data.n if j is None else j, 2, data.n)
     perms = [np.arange(data.n)]
     weights = _selection_weights(data.x, data.delta, perms, j, j)
@@ -455,6 +457,7 @@ def stabilized_estimate(
 
     ``ordering`` is a permutation of 0..n-1 (default: identity).
     """
+    _instance("data", data, SurvivalDataset)
     n = data.n
     q, alpha = _check_settings(n, q_n, variant, alpha)
     perm = np.arange(n)
@@ -591,6 +594,7 @@ def multi_ordering_test(
     (seed, r), and each ordering equals stabilized_estimate under that
     permutation.  Selection for all orderings shares one pass over U.
     """
+    _instance("data", data, SurvivalDataset)
     orderings, seed = _integer("orderings", orderings, 1), _integer("seed", seed)
     q, alpha = _check_settings(data.n, q_n, variant, alpha)
     perms = [stream(seed, r).permutation(data.n) for r in range(orderings)]

@@ -18,7 +18,6 @@ class TestCensoringFit:
         km = fit_censoring_km(np.array([1.0, 2.0, 3.0]), np.array([1, 1, 1]))
         for arr in (km.jump_times, km.survival_after, km.hazard_increments):
             assert same_bits(arr, np.empty(0))
-        assert km.n_used == 3
         assert np.all(survival_at(km, [0.5, 2.0, 99.0]) == 1.0)
 
     def test_hand_product_limit(self):
@@ -106,9 +105,7 @@ class TestSyntheticResponse:
 
     def test_weight_floor_raises(self):
         data = ingest([[1, 1, 0.1], [2, 1, 0.2]], standardize=False)
-        tiny = KaplanMeierFit(
-            np.array([0.5]), np.array([1e-12]), np.array([1.0 - 1e-12]), 2
-        )
+        tiny = KaplanMeierFit(np.array([0.5]), np.array([1e-12]), np.array([1.0 - 1e-12]))
         with pytest.raises(DegeneracyError, match="tau"):
             synthetic_response(data, tiny)
 

@@ -145,6 +145,15 @@ class TestScreen:
         assert rc == 2
         assert "row 2" in err
 
+    def test_repeated_predictor_name_exits_2(self, capsys, tmp_path):
+        path = tmp_path / "dup.csv"
+        path.write_text("time,status,u,u\n1.0,1,0.5,1\n2.0,0,0.1,3\n3.0,1,0.7,2\n")
+        rc, out, err = run_cli(capsys, ["screen", str(path), "--method", "oracle",
+                                        "--oracle-k", "u", "--seed", "1"])
+        assert rc == 2
+        assert out == ""
+        assert f"{path}: predictor columns 1 and 2 are both named 'u'" in err
+
     def test_degenerate_input_exits_3(self, capsys, tmp_path):
         path = tmp_path / "cens.csv"
         rows = [f"{0.5 + 0.1 * i},0,{(-1) ** i * (1 + i)}" for i in range(12)]

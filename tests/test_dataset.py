@@ -46,9 +46,12 @@ def test_non_binary_status_printed_as_plain_number():
         ingest([[1, 1, 0.5], [2, 2, -0.1]])
 
 
-def test_non_finite_predictor_named():
-    with pytest.raises(InputError, match=r"^non-finite predictor value in row 2, column 2 \('dose'\)$"):
-        ingest([[1, 1, 0.5, 1.0], [2, 0, -0.1, np.nan]], names=["age", "dose"])
+def test_non_finite_predictor_named(tmp_path):
+    path = tmp_path / "named.csv"
+    _write_csv(path, "time,status,age,dose\n1,1,0.5,1.0\n2,0,-0.1,nan\n")
+    with pytest.raises(InputError) as exc:
+        read_csv(str(path))
+    assert str(exc.value) == f"{path}: non-finite predictor value in row 2 (line 3), column 2 ('dose')"
 
 
 def test_nan_rejected():
@@ -88,8 +91,11 @@ def test_dataset_is_immutable():
         data.predictors[0, 0] = 5.0
 
 
-def test_column_resolution():
-    data = ingest([[1, 1, 0.5, 1.0], [2, 0, -0.1, 2.0]], standardize=False, names=["age", "dose"])
+def test_column_resolution(tmp_path):
+    path = tmp_path / "named.csv"
+    _write_csv(path, "time,status,age,dose\n1,1,0.5,1.0\n2,0,-0.1,2.0\n")
+    data = read_csv(str(path), standardize=False)
+    assert data.predictor_names == ("age", "dose")
     assert data.column("dose") == 1
     assert data.column("2") == 1
     with pytest.raises(InputError):
@@ -131,6 +137,23 @@ def test_read_csv_schema_errors(tmp_path):
 
     with pytest.raises(InputError, match="cannot open"):
         read_csv(str(tmp_path / "missing.csv"))
+
+
+@pytest.mark.parametrize("names,message", [
+    ("u,u", "predictor columns 1 and 2 are both named 'u'"),
+    ("x,x,x", "predictor columns 1 and 2 are both named 'x'"),
+    ("a,b,a,b", "predictor columns 1 and 3 are both named 'a'"),
+    ("u1, u2 ,u2 ", "predictor columns 2 and 3 are both named 'u2'"),  # names are stripped
+])
+def test_read_csv_rejects_a_repeated_predictor_name(tmp_path, names, message):
+    path = tmp_path / "dup.csv"
+    width = names.count(",") + 1
+    rows = "".join(f"{i},{i % 2}," + ",".join(str(i * k) for k in range(width)) + "\n"
+                   for i in range(1, 4))
+    _write_csv(path, f"time,status,{names}\n" + rows)
+    with pytest.raises(InputError) as exc:
+        read_csv(str(path))
+    assert str(exc.value) == f"{path}: {message}"
 
 
 def _table(rng, n, p):

@@ -37,17 +37,18 @@ def constant_model(value):
     )
 
 
-def toy_bundle(km, u_mean=0.0, u_var=1.0, e_mean=1.0, cov_u_e=0.5, model=None):
+def toy_bundle(u_mean=0.0, u_var=1.0, e_mean=1.0, cov_u_e=0.5, model=None):
     return NuisanceBundle(
-        km=km, rl=model or constant_model(1.0), u_mean=np.array([u_mean]),
+        rl=model or constant_model(1.0), u_mean=np.array([u_mean]),
         u_var=np.array([u_var]), e_mean=np.array([e_mean]), cov_u_e=np.array([cov_u_e]),
     )
 
 
-def pieces(bundle, u, x, delta, y=0.0):
-    """(ipw, car) of the block kernel for one observation of a one-column block."""
+def pieces(bundle, km, u, x, delta, y=0.0):
+    """(ipw, car) of the block kernel for one observation of a one-column
+    block, against the censoring fit km."""
     ipw, car = influence_values(
-        bundle, np.array([[u]]), np.array([x]), np.array([delta]), np.array([y])
+        bundle, km, np.array([[u]]), np.array([x]), np.array([delta]), np.array([y])
     )
     return float(ipw[0, 0]), float(car[0, 0])
 
@@ -132,29 +133,24 @@ class TestTailFunctions:
 class TestInfluencePieces:
     def test_ipw_hand_value(self):
         km = fit_censoring_km(np.array([1.0, 2.0]), np.array([1, 1]))
-        bundle = toy_bundle(km)
-        assert pieces(bundle, 1.0, 2.0, 1, 3.0)[0] == pytest.approx(1.5, abs=1e-14)
+        assert pieces(toy_bundle(), km, 1.0, 2.0, 1, 3.0)[0] == pytest.approx(1.5, abs=1e-14)
 
     def test_ipw_vanishes_at_mean(self):
         km = fit_censoring_km(np.array([1.0, 2.0]), np.array([1, 1]))
-        bundle = toy_bundle(km)
-        assert pieces(bundle, 0.0, 2.0, 1, 3.7)[0] == 0.0
+        assert pieces(toy_bundle(), km, 0.0, 2.0, 1, 3.7)[0] == 0.0
 
     def test_car_no_censoring_vanishes(self):
         km = fit_censoring_km(np.array([1.0, 2.0]), np.array([1, 1]))
-        bundle = toy_bundle(km)
-        assert pieces(bundle, 1.3, 2.0, 1)[1] == 0.0
+        assert pieces(toy_bundle(), km, 1.3, 2.0, 1)[1] == 0.0
 
     def test_car_vanishes_at_mean(self):
         km = fit_censoring_km(np.array([1.0, 2.0]), np.array([0, 1]))
-        bundle = toy_bundle(km)
-        assert pieces(bundle, 0.0, 2.0, 1)[1] == 0.0
+        assert pieces(toy_bundle(), km, 0.0, 2.0, 1)[1] == 0.0
 
     def test_car_two_observation_composition(self):
         # constant prediction 1; event observation with (u - ubar) / var = 2
         km = fit_censoring_km(np.array([1.0, 2.0]), np.array([0, 1]))
-        bundle = toy_bundle(km)
-        assert pieces(bundle, 2.0, 2.0, 1)[1] == pytest.approx(-1.0, abs=1e-14)
+        assert pieces(toy_bundle(), km, 2.0, 2.0, 1)[1] == pytest.approx(-1.0, abs=1e-14)
 
     def test_star_is_difference(self, rng):
         # one_step's influence values are the kernel's ipw - car, and match the oracle
@@ -165,7 +161,7 @@ class TestInfluencePieces:
             want = oracles.one_step(list(data.x), list(data.delta), list(data.predictors[:, 0]))
             assert np.allclose(ipw - car, want["if_values"], atol=1e-12)
         km = fit_censoring_km(np.array([1.0, 2.0]), np.array([0, 1]))
-        assert pieces(toy_bundle(km), 0.0, 2.0, 1, 4.2) == (0.0, 0.0)  # u at the mean
+        assert pieces(toy_bundle(), km, 0.0, 2.0, 1, 4.2) == (0.0, 0.0)  # u at the mean
 
     def test_star_equals_ipw_on_uncensored_data(self, rng):
         data = random_dataset(rng, censor=0.0)
@@ -262,7 +258,7 @@ class TestOneStep:
                 float((r.if_values ** 2).mean()), abs=1e-12
             )
             assert r.ci_low <= r.s_onestep <= r.ci_high
-            want_p = 2.0 * (1.0 - norm.cdf(abs(math.sqrt(r.n_used) * r.s_onestep / r.sigma_hat)))
+            want_p = 2.0 * (1.0 - norm.cdf(abs(math.sqrt(data.n) * r.s_onestep / r.sigma_hat)))
             assert r.p_value == pytest.approx(want_p, abs=1e-12)
 
     @pytest.mark.parametrize("method", [one_step, conservative_variance])

@@ -21,7 +21,7 @@ from survscreen.onestep import BLOCK_COLUMNS, influence_block, normal_interval, 
 from survscreen.stabilized import (StabilizedResult, _prefix_variance, _selection_weights,
                                    _WindowBound, default_qn)
 
-from conftest import random_dataset, run_python
+from conftest import random_dataset, run_python, same_bits
 
 
 def fixed_example():
@@ -398,9 +398,17 @@ def bound_columns(rng, n, case):
     return np.asfortranarray(u)
 
 
+def ordered_rows(U, perm):
+    """U's columns as C-contiguous rows, each in the ordering, as _select_steps
+    passes them to _prefix_variance."""
+    return np.take(U.T, perm, axis=1, out=np.empty((U.shape[1], len(perm))), mode="clip")
+
+
+BOUND_CASES = ["normal", "standardized", "near-constant", "large means", "ties", "duplicates"]
+
+
 class TestCertifiedSelection:
-    @pytest.mark.parametrize("case", ["normal", "standardized", "near-constant", "large means",
-                                      "ties", "duplicates"])
+    @pytest.mark.parametrize("case", BOUND_CASES)
     def test_bound_is_below_every_computed_variance(self, rng, case):
         checked = 0
         for n in (7, 40, 137, 300):
@@ -415,13 +423,25 @@ class TestCertifiedSelection:
                 bound.load(U, np.empty_like(U, order="F"))
                 m1, m2 = np.empty((steps, U.shape[1])), np.empty((steps, U.shape[1]))
                 for r, perm in enumerate(perms):
-                    var = _prefix_variance(U.T[:, perm], first, steps, m1, m2)
+                    var = _prefix_variance(ordered_rows(U, perm), first, steps, m1, m2)
                     lower = bound.lower(r)[np.arange(steps) // stabilized._WINDOW]
                     assert np.all(var >= lower)
                     checked += 1
                     if case in ("normal", "standardized") and first >= 100:  # tight enough
                         assert np.all(lower > 0.5 * var)
         assert checked >= 36
+
+    @pytest.mark.parametrize("case", BOUND_CASES)
+    def test_column_variances_are_the_same_alone_and_in_a_block(self, rng, case):
+        # F-order rows, such as U.T[:, perm], differ here in the last bits
+        for n, first in ((40, 5), (137, 68), (300, 150)):
+            U = bound_columns(rng, n, case)
+            rows, steps, p = ordered_rows(U, rng.permutation(n)), n - first, U.shape[1]
+            block = _prefix_variance(rows, first, steps, np.empty((steps, p)), np.empty((steps, p)))
+            for c in range(p):
+                alone = _prefix_variance(rows[c:c + 1], first, steps, np.empty((steps, 1)),
+                                         np.empty((steps, 1)))
+                assert same_bits(alone[:, 0], block[:, c])
 
     @staticmethod
     def assert_pruned_matches_oracle(monkeypatch, data, js, want_k):

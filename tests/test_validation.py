@@ -20,6 +20,7 @@ from survscreen import (
     read_csv,
     select_predictor,
     stabilized_estimate,
+    synthetic_response,
 )
 from survscreen.errors import InputError
 
@@ -27,21 +28,23 @@ from conftest import random_dataset, same_bits
 
 N, P = 20, 3
 
-# each entry point called on an n=20, p=3 dataset with valid values for the
-# arguments a row does not set
+# each entry point called on an n=20, p=3 dataset (or a spec of that size)
+# with valid values for the arguments a row does not set
 CALLS = {
     "one_step": lambda data, **kw: one_step(data, **{"k": 0, **kw}),
     "conservative_variance": lambda data, **kw: conservative_variance(data, **{"k": 0, **kw}),
     "bonferroni_test": bonferroni_test,
     "select_predictor": select_predictor,
     "stabilized_estimate": stabilized_estimate,
+    "synthetic_response": synthetic_response,
     "multi_ordering_test": lambda data, **kw: multi_ordering_test(data, **{"orderings": 2, **kw}),
     "ScenarioSpec": lambda data, **kw: ScenarioSpec(**{"n": N, "p": P, **kw}),
-    "generate_scenario": lambda data, **kw: generate_scenario(ScenarioSpec(n=N, p=P), **kw),
+    "generate_scenario": lambda data, **kw: generate_scenario(
+        **{"spec": ScenarioSpec(n=N, p=P), **kw}),
     "calibrate_censoring_rate": lambda data, **kw: calibrate_censoring_rate(
         **{"model": "N", "error": "independent", "target": 0.1, **kw}),
     "monte_carlo_rejection": lambda data, **kw: monte_carlo_rejection(
-        ScenarioSpec(n=N, p=P), **{"method": "oracle", "reps": 1, **kw}),
+        **{"spec": ScenarioSpec(n=N, p=P), "method": "oracle", "reps": 1, **kw}),
     "ingest": lambda data, **kw: ingest(np.column_stack((data.x, data.delta, data.predictors)),
                                         **kw),
     # no such file: an option is checked before the file is opened
@@ -51,6 +54,8 @@ CALLS = {
 
 NAN, INF = float("nan"), float("inf")
 LEVELS = [0, 0.0, 1, 1.0, -1, 1.5, True, False, NAN, "0.05", None]
+NOT_DATA = [None, np.zeros((N, P + 2)), "data.csv"]  # the table or path a dataset is read from
+NOT_SPEC = [None, np.array([N, P]), "N"]
 
 BAD = {
     ("one_step", "k"): [True, False, 0.5, "0", NAN, -1, P, 5.0, None],
@@ -91,6 +96,15 @@ BAD = {
     ("read_csv", "tau_rule"): [5, None],
     ("read_csv", "standardize"): ["no", 0],
     ("column", "name"): [3, 0, None],
+    ("one_step", "data"): NOT_DATA,
+    ("conservative_variance", "data"): NOT_DATA,
+    ("bonferroni_test", "data"): NOT_DATA,
+    ("select_predictor", "data"): NOT_DATA,
+    ("stabilized_estimate", "data"): NOT_DATA,
+    ("multi_ordering_test", "data"): NOT_DATA,
+    ("synthetic_response", "data"): NOT_DATA,
+    ("generate_scenario", "spec"): NOT_SPEC,
+    ("monte_carlo_rejection", "spec"): NOT_SPEC,
 }
 
 
@@ -104,7 +118,7 @@ def data():
 ])
 def test_bad_argument_raises_input_error_naming_it(data, entry, argument, value):
     with pytest.raises(InputError, match=f"^{argument} must be "):
-        CALLS[entry](data, **{argument: value})
+        CALLS[entry](**{"data": data, argument: value})
 
 
 def assert_same(a, b):
