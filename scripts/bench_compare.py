@@ -14,7 +14,10 @@ the change is better in at least MIN_WINS of the pairs, ties counting for
 neither, and the gap between the medians is larger than the parent's
 interquartile range.  The machine fingerprint (cores, CPU, L3, BLAS and its
 pool size, library versions, thread variables) is the one perfbench wrote
-for the change's last run, under its ``.perfbench/results/``.
+for the change's last run, under its ``.perfbench/results/``.  Each run also
+records the host's load read from /proc just before and after it: the 1-,
+5- and 15-minute load averages and the CPU time stolen by the hypervisor, so
+that a record shows which pairs ran on a busy host.
 """
 
 import argparse
@@ -33,12 +36,28 @@ def quartiles(values):
     return {"median": med, "q1": q1, "q3": q3, "runs": values}
 
 
+def host_load():
+    """The load averages and the cumulative steal time in seconds (all CPUs),
+    or None where /proc does not give them."""
+    try:
+        with open("/proc/loadavg") as fh:
+            loadavg = [float(v) for v in fh.read().split()[:3]]
+        with open("/proc/stat") as fh:
+            cpu = fh.readline().split()  # cpu user nice system idle iowait irq softirq steal ...
+        steal = int(cpu[8]) / os.sysconf("SC_CLK_TCK")
+    except (OSError, IndexError, ValueError):
+        return None
+    return {"loadavg": loadavg, "steal_s": steal}
+
+
 def perfbench(root, workload, seed, seconds):
+    before = host_load()
     done = subprocess.run([sys.executable, "perfbench/run.py", "--workload", workload,
                            "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"],
                           cwd=root, capture_output=True, text=True, check=True)
+    host = {"before": before, "after": host_load()}
     result = json.loads(done.stdout.strip().splitlines()[-1])
-    return {"failed": result["failed"], "attempted": result["attempted"],
+    return {"failed": result["failed"], "attempted": result["attempted"], "host": host,
             **{k: v["value"] for k, v in result["metrics"].items()}}
 
 
@@ -74,7 +93,8 @@ def main(argv=None):
                 runs[side].append(run)
                 print(workload, i + 1, side, run, file=sys.stderr, flush=True)
         row = {"seeds": list(range(1, PAIRS + 1)),
-               "failed": {side: sum(r["failed"] for r in rs) for side, rs in runs.items()}}
+               "failed": {side: sum(r["failed"] for r in rs) for side, rs in runs.items()},
+               "host_load": {side: [r["host"] for r in rs] for side, rs in runs.items()}}
         for metric in spec["end_to_end"]:
             name = metric["name"]
             row[name] = compare([r[name] for r in runs["parent"]],
@@ -93,6 +113,9 @@ def main(argv=None):
                        "even seeds change first",
             "win_rule": f"change better in at least {MIN_WINS} of {PAIRS} pairs, and the median "
                         "gap larger than the parent's interquartile range",
+            "host_load": "per run, in seed order: /proc/loadavg's 1-, 5- and 15-minute load "
+                         "averages and /proc/stat's cumulative steal time (s) just before "
+                         "and just after it",
         },
         "machine": machine,
         "end_to_end": end_to_end,

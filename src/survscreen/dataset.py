@@ -10,6 +10,11 @@ because the kernels read it by columns: the stabilized selection streams it
 once per screen in blocks of adjacent columns, each block one contiguous
 slab, and the one-step kernel sums each column in one contiguous pass, so a
 column's results do not depend on the block it is evaluated in.
+
+Building that matrix is one pass over blocks of ``BLOCK_COLUMNS`` adjacent
+columns of the caller's predictors: a block's variances, its copy into the
+matrix and its standardization all run while the block is in cache, so the
+matrix is the only n-by-p array made.
 """
 
 import csv
@@ -25,6 +30,13 @@ from .errors import InputError
 
 CSV_TIME_COLUMN = "time"
 CSV_STATUS_COLUMN = "status"
+
+# Predictor columns per block in every blocked loop (building a dataset,
+# bonferroni_test, and the screen's selection and full-sample nuisances): at
+# n=500 each n x b temporary is 1 MB, so a block and its per-step arrays stay
+# in cache.  Much narrower blocks make building slower, since numpy reduces a
+# row-major block row by row in loops of b elements.
+BLOCK_COLUMNS = 256
 
 
 @dataclass(frozen=True)
@@ -119,21 +131,18 @@ def _build(time, status, predictors, level, standardize, names, locate=_row) -> 
     """The dataset of one table split into time, status and predictor columns.
 
     The caller's arrays are only read.  The one n x p array built here is the
-    column-major copy of the predictors, standardized in place.  ``names`` is
-    a tuple of distinct predictor names (None: u1..up), and ``locate`` names
-    a data row (by 0-based index) in error messages.
+    column-major copy of the predictors, filled block by block: each block's
+    variances are taken on a view of the caller's array, in its layout, so
+    they are bitwise those of ``predictors.var(axis=0)``; the block is then
+    copied and standardized in place.  ``names`` is a tuple of predictor
+    names (None: u1..up), and ``locate`` names a data row (by 0-based index)
+    in error messages.
     """
     n, p = predictors.shape
     if n < 2:
         raise InputError(f"need at least 2 observations, got {n}")
     if names is None:
         names = tuple(f"u{k + 1}" for k in range(p))
-    else:
-        first = {}
-        for col, name in enumerate(names):
-            if first.setdefault(name, col) != col:
-                raise InputError(f"predictor columns {first[name] + 1} and {col + 1} "
-                                 f"are both named {name!r}")
 
     if not np.all(np.isfinite(time)):
         bad = int(np.flatnonzero(~np.isfinite(time))[0])
@@ -142,10 +151,6 @@ def _build(time, status, predictors, level, standardize, names, locate=_row) -> 
     if np.any(bad_status):
         bad = int(np.flatnonzero(bad_status)[0])
         raise InputError(f"non-binary status {float(status[bad])} in {locate(bad)}")
-    if not np.all(np.isfinite(predictors)):
-        bad_row, bad_col = np.argwhere(~np.isfinite(predictors))[0]
-        raise InputError(f"non-finite predictor value in {locate(int(bad_row))}, "
-                         f"column {bad_col + 1} ({names[bad_col]!r})")
 
     tau = lower_quantile(time, level)  # level 1.0 is the largest time
     time = time.copy()
@@ -154,17 +159,28 @@ def _build(time, status, predictors, level, standardize, names, locate=_row) -> 
     time[over] = tau
     delta[over] = 0
 
-    # In the caller's layout (row by row for a C-order table).  Its n x p
-    # temporary is freed before the copy below is made.
-    variances = predictors.var(axis=0)
-    if np.any(variances <= 0.0):
-        bad = int(np.flatnonzero(variances <= 0.0)[0])
-        raise InputError(f"predictor column {names[bad]!r} (index {bad + 1}) has zero variance")
-
-    u = np.array(predictors, order="F")  # always a copy, even of F-order input
-    if standardize:
-        u -= u.mean(axis=0)
-        u /= np.sqrt(variances)
+    u = np.empty((n, p), order="F")
+    zero = None  # the first zero-variance column; reported once no value is non-finite
+    cuts = list(range(BLOCK_COLUMNS, p, BLOCK_COLUMNS))
+    if cuts and cuts[-1] == p - 1:
+        cuts.pop()  # numpy sums a lone strided column pairwise, a wider block row by row
+    for a, b in zip([0, *cuts], [*cuts, p]):
+        block = predictors[:, a:b]
+        with np.errstate(over="ignore", invalid="ignore"):  # a non-finite variance is raised
+            variances = block.var(axis=0)
+        if not np.all(np.isfinite(variances)):
+            raise _non_finite(predictors, a + int(np.flatnonzero(~np.isfinite(variances))[0]),
+                              names, locate)
+        if zero is None and np.any(variances <= 0.0):
+            zero = a + int(np.flatnonzero(variances <= 0.0)[0])
+        if zero is None:
+            ub = u[:, a:b]
+            ub[...] = block
+            if standardize:
+                ub -= ub.mean(axis=0)
+                ub /= np.sqrt(variances)
+    if zero is not None:
+        raise InputError(f"predictor column {names[zero]!r} (index {zero + 1}) has zero variance")
 
     return SurvivalDataset(
         x=time,
@@ -173,6 +189,18 @@ def _build(time, status, predictors, level, standardize, names, locate=_row) -> 
         predictor_names=names,
         tau=tau,
     )
+
+
+def _non_finite(predictors, col, names, locate) -> InputError:
+    """The error for a non-finite variance first met at column ``col``: the
+    first non-finite value in row-major order, else ``col``'s overflow."""
+    bad = np.argwhere(~np.isfinite(predictors))
+    if len(bad):
+        row, bad_col = (int(i) for i in bad[0])
+        return InputError(f"non-finite predictor value in {locate(row)}, "
+                          f"column {bad_col + 1} ({names[bad_col]!r})")
+    return InputError(f"predictor column {names[col]!r} (index {col + 1}) has a variance "
+                      "that overflows float64")
 
 
 def _open_text(path: str):
@@ -253,6 +281,11 @@ def read_csv(path: str, tau_rule: str = "max", standardize: bool = True) -> Surv
                 raise InputError(
                     f"{path}: header must be '{CSV_TIME_COLUMN},{CSV_STATUS_COLUMN},u1,...'"
                 )
+            first = {}
+            for col, name in enumerate(header[2:]):
+                if first.setdefault(name, col) != col:
+                    raise InputError(f"{path}: predictor columns {first[name] + 1} and "
+                                     f"{col + 1} are both named {name!r}")
             # comments=None: a row starting with '#' is malformed, not skipped
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore", UserWarning)  # no data rows, reported below

@@ -33,17 +33,12 @@ import numpy as np
 
 from ._normal import ndtr, ndtri
 from .censoring import KaplanMeierFit, fit_censoring_km, synthetic_response
-from .dataset import SurvivalDataset
+from .dataset import BLOCK_COLUMNS, SurvivalDataset
 from .errors import DegeneracyError, SurvScreenError, _instance, _integer, _level, _real
 from .residual_life import EPS_VAR, ResidualLifeModel, fit_residual_life_arrays
 
 EPS_SIGMA = 1e-8
 DUAL_FORM_TOL = 1e-8
-
-# Predictor columns per block in every blocked loop (bonferroni_test, and the
-# screen's selection and full-sample nuisances): at n=500 each n x b
-# temporary is 1 MB, so a block and its per-step arrays stay in cache.
-BLOCK_COLUMNS = 256
 
 # The 95% normal quantile is used as the literal constant 1.96; other levels
 # go through the exact quantile function.  ndtr and ndtri are ports of the

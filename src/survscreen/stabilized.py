@@ -35,10 +35,10 @@ import numpy as np
 
 from ._rng import stream
 from .censoring import fit_censoring_km, synthetic_response
-from .dataset import SurvivalDataset
+from .dataset import BLOCK_COLUMNS, SurvivalDataset
 from .errors import DegeneracyError, InputError, _choice, _instance, _integer, _level
-from .onestep import (BLOCK_COLUMNS, EPS_SIGMA, _raise_first, _variance_floor, bonferroni,
-                      influence_block, normal_interval, plugin_slope)
+from .onestep import (EPS_SIGMA, _raise_first, _variance_floor, bonferroni, influence_block,
+                      normal_interval, plugin_slope)
 from .residual_life import EPS_VAR
 
 VARIANTS = ("prefix", "full")

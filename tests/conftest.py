@@ -33,9 +33,13 @@ def ingest_out_of_place(rows, tau_rule="max", standardize=True):
     """(x, delta, U, tau) of ``ingest`` by its formulas written out of place:
     the predictor view's variance, a Fortran copy, then (U - mean) / sd."""
     table = np.asarray(rows, dtype=np.float64)
-    x = table[:, 0].copy()
-    delta = table[:, 1].astype(np.int64)
-    predictors = table[:, 2:]
+    return build_out_of_place(table[:, 0], table[:, 1], table[:, 2:], tau_rule, standardize)
+
+
+def build_out_of_place(time, status, predictors, tau_rule="max", standardize=True):
+    """``ingest_out_of_place`` of a table already split into its columns."""
+    x = np.array(time, dtype=np.float64)
+    delta = status.astype(np.int64)
     if tau_rule == "max":
         tau = float(np.max(x))
     else:
