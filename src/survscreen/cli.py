@@ -4,7 +4,8 @@
 report; ``survscreen simulate`` runs seeded Monte-Carlo studies and prints
 CSV.  Exit codes: 0 on successful computation (the statistical decision
 lives in the report, never in the exit code), 2 on input errors, 3 on
-numerical-degeneracy errors.
+numerical-degeneracy errors, 1 on any other failure the package reports
+(such as a Monte-Carlo worker process that died).
 """
 
 import argparse
@@ -17,7 +18,7 @@ import numpy as np
 
 from . import __version__
 from .dataset import read_csv
-from .errors import DegeneracyError, InputError, _level
+from .errors import DegeneracyError, InputError, SurvScreenError, _level
 from .onestep import bonferroni, bonferroni_test, one_step
 from .simulate import METHODS as SIM_METHODS
 from .simulate import MonteCarloReport, ScenarioSpec, monte_carlo_rejection
@@ -201,6 +202,9 @@ def main(argv=None) -> int:
     except DegeneracyError as exc:
         print(f"survscreen: numerical degeneracy: {exc}", file=sys.stderr)
         return 3
+    except SurvScreenError as exc:
+        print(f"survscreen: error: {exc}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

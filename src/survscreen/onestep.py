@@ -19,10 +19,13 @@ cross-checked: (a) plug-in + mean influence, and (b) the simplified
 weighted-response form  mean((U - ubar) Y) / V - mean(car).
 
 Every function here works on an (m x b) column block of predictors: one
-predictor is a block of one, and ``bonferroni_test`` walks the predictor
-matrix in blocks of ``BLOCK_COLUMNS``.  Column means are taken over
-Fortran-ordered arrays, so each column is summed in the same (pairwise)
-order as a 1-D array and a column's results do not depend on its block.
+predictor is a block of one.  ``_Kernel`` is the one code path: it builds a
+sample's frame once, and ``bonferroni_test`` and the screen's full-sample
+nuisances pass it every block of ``BLOCK_COLUMNS`` columns.  Each elementwise
+operation keeps the operands and order of the formulas above, writing into
+Fortran-order scratch, and column means are taken over Fortran-ordered
+arrays, so each column is summed in the same (pairwise) order as a 1-D array
+and a column's results do not depend on its block.
 """
 
 import math
@@ -35,7 +38,7 @@ from ._normal import ndtr, ndtri
 from .censoring import KaplanMeierFit, fit_censoring_km, synthetic_response
 from .dataset import BLOCK_COLUMNS, SurvivalDataset
 from .errors import DegeneracyError, SurvScreenError, _instance, _integer, _level, _real
-from .residual_life import EPS_VAR, ResidualLifeModel, fit_residual_life_arrays
+from .residual_life import EPS_VAR, AtRiskFit, ResidualLifeModel
 
 EPS_SIGMA = 1e-8
 DUAL_FORM_TOL = 1e-8
@@ -57,11 +60,6 @@ def two_sided_p(z):
     return 2.0 * ndtr(-np.abs(z))
 
 
-def _colmean(a: np.ndarray) -> np.ndarray:
-    """Column means, each summed like a 1-D array whatever the block width."""
-    return np.asfortranarray(a).mean(axis=0)
-
-
 @dataclass(frozen=True)
 class NuisanceBundle:
     """Fitted nuisances of a block: the residual-life model and the moments,
@@ -78,39 +76,92 @@ def plugin_slope(bundle: NuisanceBundle) -> np.ndarray:
     return bundle.cov_u_e / bundle.u_var
 
 
-def martingale_values(rl: ResidualLifeModel, km: KaplanMeierFit, U, x, delta) -> np.ndarray:
-    """Integral of the residual-life prediction against dM, one value per row
-    and block column.
+def _gather(a: np.ndarray, rows: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """out = a[rows] for Fortran-order a and out.  The take runs on the
+    transposes, so it fills each column of ``out`` in one unbuffered pass;
+    a[rows] itself would be C-order."""
+    a.T.take(rows, 1, out.T, "clip")  # every row index is valid
+    return out
 
-    For row i this is E(u_i, x_i) if censored, minus the sum of
+
+def _colmean(a: np.ndarray) -> np.ndarray:
+    """Column means of a Fortran-order block, bitwise a.mean(axis=0) without
+    its Python overhead.  Each column is contiguous, so it is summed
+    pairwise as a 1-D array is, and its bits do not depend on its block."""
+    return np.add.reduce(a, axis=0) / len(a)
+
+
+class _Martingale:
+    """Martingale integrals of the residual-life predictions of a sample's
+    rows, for blocks of at most ``width`` columns: where the rows and the
+    censoring fit's jumps fall among the knots is found once.
+
+    For row i the integral is E(u_i, x_i) if censored, minus the sum of
     E(u_i, s) * dLambda(s) over hazard jumps s <= x_i.
     """
-    U = np.asarray(U, dtype=np.float64)
-    x = np.asarray(x, dtype=np.float64)
-    delta = np.asarray(delta)
-    jt = km.jump_times
-    rows = rl.coefficient_rows(jt)
-    hazard = km.hazard_increments[:, None]
-    a_eff = rl.intercepts - rl.slopes * rl.u_centers
-    zero = np.zeros((1, U.shape[1]))
-    cum_a = np.concatenate((zero, np.cumsum(a_eff[rows] * hazard, axis=0)))
-    cum_b = np.concatenate((zero, np.cumsum(rl.slopes[rows] * hazard, axis=0)))
-    n_jumps = np.searchsorted(jt, x, side="right")
-    jump_sum = cum_a[n_jumps] + cum_b[n_jumps] * U
-    rx = rl.coefficient_rows(x)
-    at_x = a_eff[rx] + rl.slopes[rx] * U
-    return np.where(delta[:, None] == 0, at_x, 0.0) - jump_sum
+
+    def __init__(self, knots, km: KaplanMeierFit, x, delta, width: int):
+        jt = km.jump_times
+        self.jump_rows = np.searchsorted(knots, jt, side="right")
+        self.hazard = km.hazard_increments[:, None]
+        self.n_jumps = np.searchsorted(jt, x, side="right")
+        self.x_rows = np.searchsorted(knots, x, side="right")
+        self.events = np.asarray(delta) != 0
+        self._a_eff = np.empty((len(knots) + 1, width), order="F")
+        self._terms = np.empty((len(jt), width), order="F")
+        self._cum = np.zeros((len(jt) + 1, 2 * width), order="F")  # row 0 stays 0
+        self._width = width
+
+    def values(self, intercepts, slopes, u_centers, U, out, t1, t2) -> np.ndarray:
+        """The integrals of an (m x b) block into ``out``; t1 and t2 are scratch."""
+        b = U.shape[1]
+        a_eff = self._a_eff[:, :b]
+        np.subtract(intercepts, np.multiply(slopes, u_centers, out=a_eff), out=a_eff)
+        terms = self._terms[:, :b]
+        cum_a, cum_b = self._cum[:, :b], self._cum[:, self._width:self._width + b]
+        for coefficients, cum in ((a_eff, cum_a), (slopes, cum_b)):
+            np.multiply(_gather(coefficients, self.jump_rows, terms), self.hazard, out=terms)
+            np.cumsum(terms, axis=0, out=cum[1:])
+        np.multiply(_gather(slopes, self.x_rows, t1), U, out=t1)
+        np.add(_gather(a_eff, self.x_rows, out), t1, out=out)
+        out[self.events] = 0.0
+        np.multiply(_gather(cum_b, self.n_jumps, t1), U, out=t1)
+        np.add(_gather(cum_a, self.n_jumps, t2), t1, out=t1)
+        return np.subtract(out, t1, out=out)
+
+
+def _influence(bundle: NuisanceBundle, U, y, mv, cu, ipw, tmp):
+    """(ipw, car) of a block from its moments: cu = U - ubar into ``cu``, ipw
+    into ``ipw``, and car = cu / V * mv over the martingale integrals ``mv``."""
+    v = bundle.u_var
+    np.subtract(U, bundle.u_mean, out=cu)
+    np.subtract(y, bundle.e_mean, out=ipw)
+    np.multiply(cu, ipw, out=ipw)
+    np.divide(ipw, v, out=ipw)
+    np.multiply(bundle.cov_u_e, cu, out=tmp)
+    np.multiply(tmp, cu, out=tmp)
+    np.divide(tmp, v * v, out=tmp)
+    np.subtract(ipw, tmp, out=ipw)
+    np.divide(cu, v, out=tmp)
+    return ipw, np.multiply(tmp, mv, out=mv)
+
+
+def martingale_values(rl: ResidualLifeModel, km: KaplanMeierFit, U, x, delta) -> np.ndarray:
+    """Integral of the residual-life prediction against dM, one value per row
+    and block column."""
+    U = np.asfortranarray(U, dtype=np.float64)
+    mart = _Martingale(rl.knot_times, km, np.asarray(x, dtype=np.float64), delta, U.shape[1])
+    out, t1, t2 = (np.empty(U.shape, order="F") for _ in range(3))
+    return mart.values(rl.intercepts, rl.slopes, rl.u_centers, U, out, t1, t2)
 
 
 def influence_values(bundle: NuisanceBundle, km: KaplanMeierFit, U, x, delta, y):
     """(ipw, car) influence arrays at the given rows of the block, against ``km``."""
-    U = np.asarray(U, dtype=np.float64)
+    U = np.asfortranarray(U, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)[:, None]
-    cu = U - bundle.u_mean
-    v = bundle.u_var
-    ipw = cu * (y - bundle.e_mean) / v - bundle.cov_u_e * cu * cu / (v * v)
-    car = cu / v * martingale_values(bundle.rl, km, U, x, delta)
-    return ipw, car
+    mv = martingale_values(bundle.rl, km, U, x, delta)
+    cu, ipw, tmp = (np.empty(U.shape, order="F") for _ in range(3))
+    return _influence(bundle, U, y, mv, cu, ipw, tmp)
 
 
 def _raise_first(*checks):
@@ -129,21 +180,6 @@ def _variance_floor(u_var, ks, where=lambda c: ""):
     return u_var < EPS_VAR, lambda c: DegeneracyError(
         f"predictor {ks[c]} has sample variance {u_var[c]:.3g} below {EPS_VAR}{where(c)}"
     )
-
-
-def influence_block(U, x, delta, y, km: KaplanMeierFit, fit_rows=None):
-    """Nuisances of an (m x b) block fitted on its rows :fit_rows (default:
-    all), and (ipw, car) at every row against ``km``, which may be fitted on
-    more rows.  Returns (bundle, ipw, car); nothing is checked, so the caller
-    raises the variance floor where its error order requires."""
-    fit = slice(fit_rows)
-    Uf = U[fit]
-    rl = fit_residual_life_arrays(x[fit], delta[fit], y[fit], Uf)
-    e_vals = rl.intercepts[0] + rl.slopes[0] * (Uf - rl.u_centers[0])
-    u_mean, e_mean = _colmean(Uf), _colmean(e_vals)
-    u_var = _colmean(Uf * Uf) - u_mean * u_mean
-    bundle = NuisanceBundle(rl, u_mean, u_var, e_mean, _colmean(Uf * e_vals) - u_mean * e_mean)
-    return bundle, *influence_values(bundle, km, U, x, delta, y)
 
 
 def normal_interval(estimate, sigma, m: int, alpha: float):
@@ -175,32 +211,94 @@ class _OneStepBlock(NamedTuple):
     p_value: np.ndarray
 
 
-def _one_step_block(U, x, delta, y, km: KaplanMeierFit, ks, alpha: float) -> _OneStepBlock:
-    """One-step inference for every column of an (m x b) block.
+class _Kernel:
+    """The one-step kernel of one sample, for (m x b) blocks of predictors
+    of at most ``width`` columns, each passed in Fortran order.
 
-    Both forms of the estimator are computed and must agree; the simplified
-    form is returned.  A failing column raises the error that testing the
-    block's predictors one at a time, in order, would raise.
+    Nuisances are fitted on the first ``fit_rows`` rows (default: all), and
+    the influence values are taken at every row against ``km``, which may be
+    fitted on more rows.  The sample's frame (the at-risk fit's sort, knots
+    and intercepts, and where the rows and the censoring jumps fall among
+    them) is built once.  Every m x b array of a block is a Fortran-order
+    view of scratch allocated here, valid until the next block: each column
+    is contiguous, so its mean is summed as a 1-D array's and no column's
+    bits depend on its block.
     """
-    y = np.asarray(y, dtype=np.float64)
-    with np.errstate(divide="ignore", invalid="ignore"):  # floored columns raise below
-        bundle, ipw, car = influence_block(U, x, delta, y, km)
-        if_values = ipw - car
-        psi = plugin_slope(bundle)
-        form_a = psi + _colmean(if_values)
-        cu = U - bundle.u_mean
-        form_b = _colmean(cu * y[:, None]) / bundle.u_var - _colmean(car)
-        gap = np.abs(form_a - form_b)
-        sigma = np.sqrt(_colmean(if_values * if_values))
-    _raise_first(
-        _variance_floor(bundle.u_var, ks),
-        (gap > DUAL_FORM_TOL, lambda c: SurvScreenError(
-            f"one-step forms disagree by {gap[c]:.3g} for predictor {ks[c]}")),
-        (sigma < EPS_SIGMA, lambda c: DegeneracyError(
-            f"influence second moment below floor for predictor {ks[c]}")),
-    )
-    interval = normal_interval(form_b, sigma, len(x), alpha)
-    return _OneStepBlock(psi, form_b, if_values, sigma, *interval)
+
+    def __init__(self, x, delta, y, km: KaplanMeierFit, width: int, fit_rows=None):
+        x = np.asarray(x, dtype=np.float64)
+        delta = np.asarray(delta)
+        y = np.asarray(y, dtype=np.float64)
+        m = len(x)
+        n_fit = m if fit_rows is None else fit_rows
+        self.fit = AtRiskFit(x[:n_fit], delta[:n_fit], y[:n_fit], width)
+        self.mart = _Martingale(self.fit.knots, km, x, delta, width)
+        self.y = y[:, None]
+        scratch = np.empty((m, 5 * width), order="F")
+        self._cu, self._ipw, self._car, self._t1, self._t2 = (
+            scratch[:, i * width:(i + 1) * width] for i in range(5))
+        self._e = np.empty((n_fit, width), order="F")
+        self._prod = self._t1 if n_fit == m else np.empty((n_fit, width), order="F")
+        self.e_vals = None  # the last block's predicted responses at the fitting rows
+
+    def influence(self, U):
+        """(bundle, ipw, car) of a block; nothing is checked, so the caller
+        raises the variance floor where its error order requires."""
+        m, b = U.shape
+        n_fit = len(self._e)
+        Uf = U if n_fit == m else np.asfortranarray(U[:n_fit])
+        slopes, u_centers = self.fit.fit(Uf)
+        a = self.fit.intercepts
+        e_vals = self._e[:, :b]
+        np.subtract(Uf, u_centers[0], out=e_vals)
+        np.multiply(slopes[0], e_vals, out=e_vals)
+        np.add(a[0], e_vals, out=e_vals)
+        self.e_vals = e_vals
+        prod = self._prod[:, :b]
+        u_mean, e_mean = _colmean(Uf), _colmean(e_vals)
+        u_var = _colmean(np.multiply(Uf, Uf, out=prod)) - u_mean * u_mean
+        cov_u_e = _colmean(np.multiply(Uf, e_vals, out=prod)) - u_mean * e_mean
+        bundle = NuisanceBundle(ResidualLifeModel(self.fit.knots, a, slopes, u_centers),
+                                u_mean, u_var, e_mean, cov_u_e)
+        t1, t2 = self._t1[:, :b], self._t2[:, :b]
+        mv = self.mart.values(a, slopes, u_centers, U, self._car[:, :b], t1, t2)
+        return (bundle, *_influence(bundle, U, self.y, mv, self._cu[:, :b], self._ipw[:, :b], t1))
+
+    def one_step(self, U, ks, alpha: float) -> _OneStepBlock:
+        """One-step inference for every column of a block.
+
+        Both forms of the estimator are computed and must agree; the
+        simplified form is returned.  A failing column raises the error that
+        testing the block's predictors one at a time, in order, would raise.
+        """
+        b = U.shape[1]
+        t1 = self._t1[:, :b]
+        with np.errstate(divide="ignore", invalid="ignore"):  # floored columns raise below
+            bundle, ipw, car = self.influence(U)
+            if_values = np.subtract(ipw, car, out=ipw)
+            psi = plugin_slope(bundle)
+            form_a = psi + _colmean(if_values)
+            cu_y = np.multiply(self._cu[:, :b], self.y, out=t1)
+            form_b = _colmean(cu_y) / bundle.u_var - _colmean(car)
+            gap = np.abs(form_a - form_b)
+            sigma = np.sqrt(_colmean(np.multiply(if_values, if_values, out=t1)))
+        _raise_first(
+            _variance_floor(bundle.u_var, ks),
+            (gap > DUAL_FORM_TOL, lambda c: DegeneracyError(
+                f"one-step forms disagree by {gap[c]:.3g} for predictor {ks[c]}")),
+            (sigma < EPS_SIGMA, lambda c: DegeneracyError(
+                f"influence second moment below floor for predictor {ks[c]}")),
+        )
+        interval = normal_interval(form_b, sigma, len(self.y), alpha)
+        return _OneStepBlock(psi, form_b, if_values, sigma, *interval)
+
+
+def influence_block(U, x, delta, y, km: KaplanMeierFit, fit_rows=None):
+    """Nuisances of an (m x b) block fitted on its rows :fit_rows (default:
+    all), and (ipw, car) at every row against ``km``, which may be fitted on
+    more rows.  Returns (bundle, ipw, car); nothing is checked."""
+    U = np.asfortranarray(U, dtype=np.float64)
+    return _Kernel(x, delta, y, km, U.shape[1], fit_rows).influence(U)
 
 
 @dataclass(frozen=True)
@@ -223,20 +321,24 @@ class OneStepResult:
         self.if_values.flags.writeable = False
 
 
+def _result(block: _OneStepBlock, c: int, k: int, alpha: float) -> OneStepResult:
+    """Column c of a block, predictor k, as a result of its own."""
+    return OneStepResult(
+        k=k, psi_plugin=float(block.psi[c]), s_onestep=float(block.s_onestep[c]),
+        if_values=block.if_values[:, c].copy(), sigma_hat=float(block.sigma[c]),
+        ci_low=float(block.ci_low[c]), ci_high=float(block.ci_high[c]),
+        statistic=float(block.statistic[c]), p_value=float(block.p_value[c]), alpha=alpha,
+    )
+
+
 def one_step(data: SurvivalDataset, k: int, alpha: float = 0.05) -> OneStepResult:
     """One-step estimate for predictor k over the whole sample."""
     _instance("data", data, SurvivalDataset)
     k, alpha = _integer("k", k, 0, data.p - 1), _level(alpha)
     km = fit_censoring_km(data.x, data.delta)
     y = synthetic_response(data, km)
-    block = _one_step_block(data.predictors[:, [k]], data.x, data.delta, y, km, (k,), alpha)
-    return OneStepResult(
-        k=k, psi_plugin=float(block.psi[0]), s_onestep=float(block.s_onestep[0]),
-        if_values=block.if_values[:, 0], sigma_hat=float(block.sigma[0]),
-        ci_low=float(block.ci_low[0]), ci_high=float(block.ci_high[0]),
-        statistic=float(block.statistic[0]), p_value=float(block.p_value[0]),
-        alpha=alpha,
-    )
+    kernel = _Kernel(data.x, data.delta, y, km, 1)
+    return _result(kernel.one_step(data.predictors[:, k:k + 1], (k,), alpha), 0, k, alpha)
 
 
 @dataclass(frozen=True)
@@ -261,24 +363,31 @@ class BonferroniResult:
 
 
 def bonferroni_test(data: SurvivalDataset, alpha: float = 0.05) -> BonferroniResult:
-    """Test every predictor marginally; reject if min p < alpha / p."""
+    """Test every predictor marginally; reject if min p < alpha / p.
+
+    The blocks share one kernel, and the running best (argmin's rule: the
+    smallest p, the lowest index on a tie) keeps its column's result, so the
+    winner is not refitted.
+    """
     _instance("data", data, SurvivalDataset)
     alpha = _level(alpha)
     km = fit_censoring_km(data.x, data.delta)
     y = synthetic_response(data, km)
+    kernel = _Kernel(data.x, data.delta, y, km, min(data.p, BLOCK_COLUMNS))
     p_values = np.empty(data.p)
     statistics = np.empty(data.p)
+    best = None
     for start in range(0, data.p, BLOCK_COLUMNS):
         cols = range(start, min(start + BLOCK_COLUMNS, data.p))
-        block = _one_step_block(
-            data.predictors[:, cols.start:cols.stop], data.x, data.delta, y, km, cols, alpha
-        )
+        block = kernel.one_step(data.predictors[:, cols.start:cols.stop], cols, alpha)
         p_values[cols.start:cols.stop] = block.p_value
         statistics[cols.start:cols.stop] = block.statistic
+        c = int(np.argmin(block.p_value))
+        if best is None or np.argmin((best.p_value, block.p_value[c])) == 1:
+            best = _result(block, c, cols[c], alpha)
     selected, min_p, adjusted_p, reject = bonferroni(p_values, alpha)
     return BonferroniResult(
-        p_values=p_values, statistics=statistics, selected=selected,
-        best=one_step(data, selected, alpha=alpha),
+        p_values=p_values, statistics=statistics, selected=selected, best=best,
         min_p=min_p, adjusted_p=adjusted_p, alpha=alpha, reject=reject,
     )
 
@@ -299,15 +408,14 @@ def conservative_variance(data: SurvivalDataset, k: int, m_bound: Optional[float
         m_bound = _real("m_bound", m_bound, 0, math.inf)
     km = fit_censoring_km(data.x, data.delta)
     y = synthetic_response(data, km)
-    U = data.predictors[:, [k]]
+    U = data.predictors[:, k:k + 1]
+    kernel = _Kernel(data.x, data.delta, y, km, 1)
     with np.errstate(divide="ignore", invalid="ignore"):  # a floored column raises below
-        bundle, ipw, car = influence_block(U, data.x, data.delta, y, km)
+        bundle, ipw, car = kernel.influence(U)
     _raise_first(_variance_floor(bundle.u_var, (k,)))
     star = (ipw - car)[:, 0]
     if m_bound is None:
-        rl = bundle.rl
-        e_vals = rl.intercepts[0] + rl.slopes[0] * (U - rl.u_centers[0])
-        m_bound = 4.0 * float(e_vals[:, 0].std())
+        m_bound = 4.0 * float(kernel.e_vals[:, 0].std())
         if not m_bound > 0.0:
             raise SurvScreenError(f"default m_bound is {m_bound}: predicted responses do not vary")
     cu = U[:, 0] - bundle.u_mean[0]

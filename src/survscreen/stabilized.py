@@ -37,8 +37,8 @@ from ._rng import stream
 from .censoring import fit_censoring_km, synthetic_response
 from .dataset import BLOCK_COLUMNS, SurvivalDataset
 from .errors import DegeneracyError, InputError, _choice, _instance, _integer, _level
-from .onestep import (EPS_SIGMA, _raise_first, _variance_floor, bonferroni, influence_block,
-                      normal_interval, plugin_slope)
+from .onestep import (EPS_SIGMA, _Kernel, _raise_first, _variance_floor, bonferroni,
+                      influence_block, normal_interval, plugin_slope)
 from .residual_life import EPS_VAR
 
 VARIANTS = ("prefix", "full")
@@ -521,12 +521,12 @@ def _full_sample_steps(data, km, y, perms, ks, q, sig2, raws, u_var):
     distinct = np.unique(ks)
     if_values = np.empty((data.n, len(distinct)))
     psi, var = np.empty(len(distinct)), np.empty(len(distinct))
+    kernel = _Kernel(data.x, data.delta, y, km, min(len(distinct), BLOCK_COLUMNS))
     with np.errstate(all="ignore"):  # a floored column is raised at its first step
         for c0 in range(0, len(distinct), BLOCK_COLUMNS):
             cols = slice(c0, c0 + BLOCK_COLUMNS)
-            U = data.predictors[:, distinct[cols]]
-            bundle, ipw, car = influence_block(U, data.x, data.delta, y, km)
-            if_values[:, cols] = ipw - car
+            bundle, ipw, car = kernel.influence(data.predictors[:, distinct[cols]])
+            np.subtract(ipw, car, out=if_values[:, cols])
             psi[cols] = plugin_slope(bundle)
             var[cols] = bundle.u_var
 

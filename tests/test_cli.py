@@ -162,6 +162,30 @@ class TestScreen:
         assert rc == 3
         assert "degeneracy" in err
 
+    @pytest.mark.parametrize("method", [["bonferroni"], ["oracle", "--oracle-k", "u1"]])
+    def test_dual_form_disagreement_exits_3(self, capsys, tmp_path, method):
+        # far from zero, the uncentred moments lose the digits the two forms share
+        data, _ = survscreen.generate_scenario(
+            survscreen.ScenarioSpec(model="A1", censoring="light", n=300, p=2, seed=3))
+        table = np.column_stack((data.x, data.delta, 1e4 + 1e-3 * data.predictors[:, 0],
+                                 data.predictors[:, 1]))
+        path = tmp_path / "far.csv"
+        np.savetxt(path, table, delimiter=",", fmt="%.17g", header="time,status,u1,u2",
+                   comments="")
+        rc, out, err = run_cli(capsys, ["screen", str(path), "--no-standardize", "--seed", "1",
+                                        "--method", *method])
+        assert (rc, out) == (3, "")
+        assert err == ("survscreen: numerical degeneracy: one-step forms disagree by 0.322 "
+                       "for predictor 0\n")
+
+    def test_other_package_errors_exit_1_in_one_line(self, capsys, monkeypatch):
+        def fail(*args, **kwargs):
+            raise survscreen.SurvScreenError("a worker process died")
+
+        monkeypatch.setattr(survscreen.cli, "monte_carlo_rejection", fail)
+        rc, out, err = run_cli(capsys, ["simulate", "--reps", "1", "--seed", "1"])
+        assert (rc, out, err) == (1, "", "survscreen: error: a worker process died\n")
+
     @pytest.mark.parametrize("name,content", [
         ("body.csv", b"time,status,u1\n1.0,1,0.5\n2.0,0,\xff\n3.0,1,0.7\n"),
         ("header.csv", b"time,status,u\xff1\n1.0,1,0.5\n2.0,0,0.1\n3.0,1,0.7\n"),

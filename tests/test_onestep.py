@@ -5,6 +5,7 @@ import pytest
 from scipy.stats import norm
 
 import oracles
+import reference_kernel
 from survscreen import (
     bonferroni_test,
     conservative_variance,
@@ -13,7 +14,8 @@ from survscreen import (
 from survscreen.censoring import fit_censoring_km, synthetic_response
 from survscreen.dataset import ingest
 from survscreen._normal import MAXLOG
-from survscreen.errors import DegeneracyError, InputError
+from survscreen import onestep
+from survscreen.errors import DegeneracyError, InputError, SurvScreenError
 from survscreen.onestep import (
     BLOCK_COLUMNS,
     NuisanceBundle,
@@ -28,7 +30,7 @@ from survscreen.onestep import (
 from survscreen.residual_life import ResidualLifeModel, fit_residual_life_arrays
 from survscreen.simulate import ScenarioSpec, generate_scenario, monte_carlo_rejection
 
-from conftest import random_dataset
+from conftest import random_dataset, same_bits
 
 
 def constant_model(value):
@@ -381,6 +383,135 @@ class TestBonferroni:
         spec = ScenarioSpec(model="N", n=500, p=100, seed=31)
         report = monte_carlo_rejection(spec, "bonferroni", reps=500, parallelism=2)
         assert report.rejection_rate <= 0.07
+
+
+class TestKernelGate:
+    """The block kernel returns the bits of the frozen reference copy in
+    tests/reference_kernel.py: every p-value and statistic, and every error
+    with its type, text and order.  The one intended difference: a dual-form
+    disagreement is a DegeneracyError, where the reference raised a bare
+    SurvScreenError."""
+
+    @staticmethod
+    def gate_dataset(rng):
+        """A random dataset: n in 2..400 and p in 1..700, log-uniform; 0-80%
+        censoring, all events or all censored; tied times; near-constant
+        and far-from-zero columns, which hit the variance floor and the
+        dual-form check; either standardization."""
+        n = int(np.exp(rng.uniform(np.log(2), np.log(401))))
+        p = int(np.exp(rng.uniform(0.0, np.log(701))))
+        u = rng.standard_normal((n, p))
+        t = u[:, 0] * rng.normal(0.0, 0.5) + rng.standard_normal(n)
+        c = rng.standard_normal(n) + np.quantile(t, 1.0 - rng.uniform(0.0, 0.8))
+        x, status = np.minimum(t, c), (t <= c).astype(float)
+        kind = rng.integers(0, 10)
+        if kind == 0:
+            x, status = t, np.ones(n)
+        elif kind == 1:
+            status = np.zeros(n)
+        if rng.random() < 0.4:
+            x = np.round(x, int(rng.integers(0, 2)))
+        if rng.random() < 0.2:
+            j = int(rng.integers(0, p))
+            u[:, j] = 1.0 + 1e-6 * u[:, j]
+        if rng.random() < 0.15:
+            j = int(rng.integers(0, p))
+            u[:, j] = 1e4 + 1e-3 * u[:, j]
+        return ingest(np.column_stack((x, status, u)), standardize=bool(rng.random() < 0.5))
+
+    @staticmethod
+    def outcome(run):
+        try:
+            return run(), None
+        except SurvScreenError as exc:
+            return None, (type(exc), str(exc))
+
+    def test_bitwise_equal_to_the_reference_kernel(self):
+        rng = np.random.default_rng(2026)
+        seen = {"passed": 0, "variance": 0, "forms": 0, "dispersion": 0}
+        for _ in range(1000):
+            data = self.gate_dataset(rng)
+            km = fit_censoring_km(data.x, data.delta)
+            y = synthetic_response(data, km)
+            want, want_error = self.outcome(
+                lambda: reference_kernel.bonferroni_arrays(data, km, y, BLOCK_COLUMNS))
+            got, got_error = self.outcome(lambda: bonferroni_test(data))
+            if want_error is not None:
+                kind, text = want_error
+                if text.startswith("one-step forms disagree"):
+                    kind = DegeneracyError
+                assert got_error == (kind, text)
+                seen["forms" if "forms" in text else
+                     "variance" if "variance" in text else "dispersion"] += 1
+                continue
+            assert got_error is None, got_error
+            assert same_bits(got.p_values, want[0])
+            assert same_bits(got.statistics, want[1])
+            # the selected predictor's result, if_values included
+            k = got.selected
+            block = reference_kernel.one_step_block(data.predictors[:, [k]], data.x,
+                                                    data.delta, y, km, (k,))
+            best = got.best
+            assert same_bits(
+                [best.psi_plugin, best.s_onestep, best.sigma_hat, best.ci_low, best.ci_high,
+                 best.statistic, best.p_value],
+                [block[i][0] for i in (0, 1, 3, 4, 5, 6, 7)])
+            assert same_bits(best.if_values, block[2][:, 0])
+            seen["passed"] += 1
+        assert min(seen.values()) >= 10, seen
+
+    def test_block_width_does_not_change_bits(self, monkeypatch):
+        rng = np.random.default_rng(8)
+        n, p = 150, 600
+        u = rng.standard_normal((n, p))
+        t = u[:, 3] + rng.standard_normal(n)
+        c = rng.standard_normal(n) + np.quantile(t, 0.5)
+        x = np.round(np.minimum(t, c), 1)  # tied times
+        data = ingest(np.column_stack((x, (t <= c).astype(float), u)), standardize=False)
+        results = []
+        for width in (1, 7, 256):
+            monkeypatch.setattr(onestep, "BLOCK_COLUMNS", width)
+            results.append(bonferroni_test(data))
+        for other in results[1:]:
+            assert same_bits(other.p_values, results[0].p_values)
+            assert same_bits(other.statistics, results[0].statistics)
+            assert same_bits(other.best.if_values, results[0].best.if_values)
+
+    @pytest.mark.parametrize("width", [1, 7, 256])
+    def test_best_is_bitwise_one_step_of_the_selected_predictor(self, monkeypatch, width):
+        monkeypatch.setattr(onestep, "BLOCK_COLUMNS", width)
+        data = TestBonferroni.wide_heavy_dataset()
+        b = bonferroni_test(data)
+        want = one_step(data, b.selected)
+        assert b.best.k == b.selected == want.k
+        for field in ("psi_plugin", "s_onestep", "sigma_hat", "ci_low", "ci_high",
+                      "statistic", "p_value", "alpha"):
+            assert getattr(b.best, field) == getattr(want, field), field
+        assert same_bits(b.best.if_values, want.if_values)
+        assert not b.best.if_values.flags.writeable
+
+    @pytest.mark.parametrize("width", [1, 2, 256])
+    def test_tie_keeps_the_lowest_index(self, rng, monkeypatch, width):
+        # equal smallest p within a block and across blocks
+        monkeypatch.setattr(onestep, "BLOCK_COLUMNS", width)
+        data = random_dataset(rng, n=40, p=1)
+        signal = data.x + 0.3 * rng.standard_normal(40)
+        noise = rng.standard_normal((40, 2))
+        u = np.column_stack((noise[:, 0], signal, signal, noise[:, 1], signal))
+        twins = ingest(np.column_stack((data.x, data.delta, u)), standardize=False)
+        b = bonferroni_test(twins)
+        assert b.p_values[1] == b.p_values[2] == b.p_values[4] == b.min_p
+        assert b.selected == b.best.k == 1
+
+    def test_dual_form_disagreement_is_a_degeneracy(self):
+        # far from zero, the uncentred moments lose the digits the two forms share
+        data, _ = generate_scenario(ScenarioSpec(model="A1", censoring="light", n=300, p=2, seed=3))
+        u = np.column_stack((1e4 + 1e-3 * data.predictors[:, 0], data.predictors[:, 1]))
+        shifted = ingest(np.column_stack((data.x, data.delta, u)), standardize=False)
+        message = r"^one-step forms disagree by .* for predictor 0$"
+        for run in (lambda: bonferroni_test(shifted), lambda: one_step(shifted, 0)):
+            with pytest.raises(DegeneracyError, match=message):
+                run()
 
 
 class TestOracle:

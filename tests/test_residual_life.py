@@ -2,11 +2,12 @@ import numpy as np
 import pytest
 
 import oracles
-from survscreen import synthetic_response
+import reference_kernel
+from survscreen import residual_life, synthetic_response
 from survscreen.dataset import ingest
-from survscreen.residual_life import EPS_VAR, fit_residual_life_arrays
+from survscreen.residual_life import EPS_VAR, fit_residual_life_arrays, suffix_sweep
 
-from conftest import random_dataset
+from conftest import random_dataset, same_bits
 
 
 def ols_line(u, y):
@@ -162,3 +163,46 @@ class TestCachedModel:
         assert model.slopes[0, 0] == 0.0
         # intercept-only: prediction is the indicator mean of y
         assert predict(model, 123.0, -np.inf) == pytest.approx(4.0 / 3.0)
+
+
+class TestSuffixSweep:
+    """The row sweep and cumsum give the at-risk sums bit for bit, so the
+    block width that chooses between them changes speed only."""
+
+    @staticmethod
+    def reversed_cumsum_at(rows, starts):
+        zero = np.zeros((1, rows.shape[1]))
+        padded = np.concatenate((np.cumsum(rows[::-1], axis=0)[::-1], zero))
+        return padded[starts]
+
+    def test_equals_the_reversed_cumsum(self, rng):
+        for n in (1, 2, 5, 37, 200):
+            rows = rng.standard_normal((n, 12)) * 10.0 ** rng.integers(-8, 9, 12)
+            rows[-1, :4] = -0.0  # a leading -0.0 stays -0.0
+            rows[:, 4] = -0.0
+            buf = np.zeros((n + 1, 12))  # the row of zeros below reads as starts == n
+            buf[:n] = rows
+            assert suffix_sweep(buf[:n]).base is buf
+            # tied starts, and starts at n
+            starts = np.sort(np.concatenate(([0, 0], rng.integers(0, n + 1, 6), [n, n])))
+            assert same_bits(buf.take(starts, 0), self.reversed_cumsum_at(rows, starts))
+            assert np.signbit(buf[n - 1, :5]).all()
+
+    @pytest.mark.parametrize("threshold", [0, 10 ** 9], ids=["sweep", "cumsum"])
+    def test_fit_equals_the_reference_fit(self, rng, monkeypatch, threshold):
+        monkeypatch.setattr(residual_life, "SWEEP_MIN_COLUMNS", threshold)
+        for _ in range(20):
+            n = int(rng.integers(2, 120))
+            data = random_dataset(rng, n=n, p=int(rng.integers(1, 90)),
+                                  censor=float(rng.uniform(0.0, 0.8)))
+            # tied times, and the smallest time censored: starts 0 twice
+            x = np.round(data.x, 1)
+            delta = data.delta.copy()
+            delta[np.argmin(x)] = 0
+            y = synthetic_response(ingest(np.column_stack((x, delta, data.predictors)),
+                                          standardize=False))
+            got = fit_residual_life_arrays(x, delta, y, data.predictors)
+            knots, a, slope, ubar = reference_kernel.fit_residual_life(x, delta, y,
+                                                                       data.predictors)
+            assert same_bits(got.knot_times, knots) and same_bits(got.intercepts, a)
+            assert same_bits(got.slopes, slope) and same_bits(got.u_centers, ubar)
