@@ -65,12 +65,13 @@ class SurvivalDataset:
         return float(np.mean(self.delta == 0))
 
     def column(self, name: str) -> int:
-        """Resolve a predictor name (or 1-based index string) to a column."""
+        """Resolve a predictor name, or a 1-based index in ASCII digits, to a column."""
         if not isinstance(name, str):
             raise InputError(f"name must be a string, got {name!r}")
         if name in self.predictor_names:
             return self.predictor_names.index(name)
-        if name.lstrip("+-").isdigit():
+        digits = name[1:] if name[:1] in ("+", "-") else name
+        if digits.isascii() and digits.isdigit():  # int() takes other digits too
             k = int(name)
             if 1 <= k <= self.p:
                 return k - 1
@@ -118,10 +119,17 @@ def ingest(rows, tau_rule: str = "max", standardize: bool = True) -> SurvivalDat
     Rows observed past the follow-up cap are administratively censored at it
     (x <- tau, delta <- 0).  With ``standardize`` each predictor column is
     rescaled to sample mean 0 and variance 1 (divisor n).  The records are
-    copied, never written or aliased.
+    copied, never written or aliased.  Records that are not real numbers
+    (text that is not a number, complex values) and ragged rows are input
+    errors.
     """
     level = _tau_level(tau_rule, standardize)
-    table = np.asarray(rows, dtype=np.float64)
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # a complex array's imaginary parts dropped
+            table = np.asarray(rows, dtype=np.float64)
+    except (ValueError, TypeError, Warning) as exc:
+        raise InputError(f"rows must be a rectangular table of real numbers: {exc}") from None
     if table.ndim != 2 or table.shape[1] < 3:
         raise InputError("need columns (time, status, u1, ...) with at least one predictor")
     return _build(table[:, 0], table[:, 1], table[:, 2:], level, standardize, None)

@@ -20,12 +20,17 @@ weighted-response form  mean((U - ubar) Y) / V - mean(car).
 
 Every function here works on an (m x b) column block of predictors: one
 predictor is a block of one.  ``_Kernel`` is the one code path: it builds a
-sample's frame once, and ``bonferroni_test`` and the screen's full-sample
-nuisances pass it every block of ``BLOCK_COLUMNS`` columns.  Each elementwise
-operation keeps the operands and order of the formulas above, writing into
-Fortran-order scratch, and column means are taken over Fortran-ordered
-arrays, so each column is summed in the same (pairwise) order as a 1-D array
-and a column's results do not depend on its block.
+sample's frame (a ``residual_life.AtRiskFit`` and a ``_Martingale``) once,
+``_Kernel.influence`` returns a block's moments and (ipw, car), and
+``_Kernel.one_step`` adds the checks and the normal interval.  ``one_step``,
+``bonferroni_test``, ``conservative_variance`` and both screen variants
+reach the influence values only through it; ``bonferroni_test`` and the
+screen's full-sample nuisances pass it every block of ``BLOCK_COLUMNS``
+columns.  Each elementwise operation keeps the operands and order of the
+formulas above, writing into Fortran-order scratch, and column means are
+taken over Fortran-ordered arrays, so each column is summed in the same
+(pairwise) order as a 1-D array and a column's results do not depend on its
+block.
 """
 
 import math
@@ -37,8 +42,8 @@ import numpy as np
 from ._normal import ndtr, ndtri
 from .censoring import KaplanMeierFit, fit_censoring_km, synthetic_response
 from .dataset import BLOCK_COLUMNS, SurvivalDataset
-from .errors import DegeneracyError, SurvScreenError, _instance, _integer, _level, _real
-from .residual_life import EPS_VAR, AtRiskFit, ResidualLifeModel
+from .errors import DegeneracyError, _instance, _integer, _level, _real
+from .residual_life import EPS_VAR, AtRiskFit
 
 EPS_SIGMA = 1e-8
 DUAL_FORM_TOL = 1e-8
@@ -62,10 +67,8 @@ def two_sided_p(z):
 
 @dataclass(frozen=True)
 class NuisanceBundle:
-    """Fitted nuisances of a block: the residual-life model and the moments,
-    one entry per block column."""
+    """Fitted moments of a block, one entry per block column."""
 
-    rl: ResidualLifeModel
     u_mean: np.ndarray
     u_var: np.ndarray
     e_mean: np.ndarray
@@ -144,24 +147,6 @@ def _influence(bundle: NuisanceBundle, U, y, mv, cu, ipw, tmp):
     np.subtract(ipw, tmp, out=ipw)
     np.divide(cu, v, out=tmp)
     return ipw, np.multiply(tmp, mv, out=mv)
-
-
-def martingale_values(rl: ResidualLifeModel, km: KaplanMeierFit, U, x, delta) -> np.ndarray:
-    """Integral of the residual-life prediction against dM, one value per row
-    and block column."""
-    U = np.asfortranarray(U, dtype=np.float64)
-    mart = _Martingale(rl.knot_times, km, np.asarray(x, dtype=np.float64), delta, U.shape[1])
-    out, t1, t2 = (np.empty(U.shape, order="F") for _ in range(3))
-    return mart.values(rl.intercepts, rl.slopes, rl.u_centers, U, out, t1, t2)
-
-
-def influence_values(bundle: NuisanceBundle, km: KaplanMeierFit, U, x, delta, y):
-    """(ipw, car) influence arrays at the given rows of the block, against ``km``."""
-    U = np.asfortranarray(U, dtype=np.float64)
-    y = np.asarray(y, dtype=np.float64)[:, None]
-    mv = martingale_values(bundle.rl, km, U, x, delta)
-    cu, ipw, tmp = (np.empty(U.shape, order="F") for _ in range(3))
-    return _influence(bundle, U, y, mv, cu, ipw, tmp)
 
 
 def _raise_first(*checks):
@@ -258,8 +243,7 @@ class _Kernel:
         u_mean, e_mean = _colmean(Uf), _colmean(e_vals)
         u_var = _colmean(np.multiply(Uf, Uf, out=prod)) - u_mean * u_mean
         cov_u_e = _colmean(np.multiply(Uf, e_vals, out=prod)) - u_mean * e_mean
-        bundle = NuisanceBundle(ResidualLifeModel(self.fit.knots, a, slopes, u_centers),
-                                u_mean, u_var, e_mean, cov_u_e)
+        bundle = NuisanceBundle(u_mean, u_var, e_mean, cov_u_e)
         t1, t2 = self._t1[:, :b], self._t2[:, :b]
         mv = self.mart.values(a, slopes, u_centers, U, self._car[:, :b], t1, t2)
         return (bundle, *_influence(bundle, U, self.y, mv, self._cu[:, :b], self._ipw[:, :b], t1))
@@ -291,14 +275,6 @@ class _Kernel:
         )
         interval = normal_interval(form_b, sigma, len(self.y), alpha)
         return _OneStepBlock(psi, form_b, if_values, sigma, *interval)
-
-
-def influence_block(U, x, delta, y, km: KaplanMeierFit, fit_rows=None):
-    """Nuisances of an (m x b) block fitted on its rows :fit_rows (default:
-    all), and (ipw, car) at every row against ``km``, which may be fitted on
-    more rows.  Returns (bundle, ipw, car); nothing is checked."""
-    U = np.asfortranarray(U, dtype=np.float64)
-    return _Kernel(x, delta, y, km, U.shape[1], fit_rows).influence(U)
 
 
 @dataclass(frozen=True)
@@ -417,7 +393,7 @@ def conservative_variance(data: SurvivalDataset, k: int, m_bound: Optional[float
     if m_bound is None:
         m_bound = 4.0 * float(kernel.e_vals[:, 0].std())
         if not m_bound > 0.0:
-            raise SurvScreenError(f"default m_bound is {m_bound}: predicted responses do not vary")
+            raise DegeneracyError(f"default m_bound is {m_bound}: predicted responses do not vary")
     cu = U[:, 0] - bundle.u_mean[0]
     v = bundle.u_var[0]
     base = (cu * cu - v) / (v * v)

@@ -9,18 +9,18 @@ n):
     b(s)    = cov(u * 1(x >= s), y * 1(x >= s)) / var(u * 1(x >= s))
     ubar(s) = mean(u * 1(x >= s))
 
-Coefficients are cached at s = -inf and at each distinct censoring time of
-the fitting sample; the martingale integrals that consume the model only
-probe those times, so the cache is exact there.  When the indicator-weighted
-predictor variance drops below the floor, the slope is set to 0 and the
-intercept-only fit is returned.
+Coefficients are computed at s = -inf (row 0) and at each distinct censoring
+time of the fitting sample (the knots); the coefficients at any s are those
+of the last knot <= s.  The martingale integrals that consume them
+(``onestep._Martingale``) only probe those times, so they are exact there.
+When the indicator-weighted predictor variance drops below the floor, the
+slope is set to 0 and the intercept-only fit is returned.
 
-``AtRiskFit`` fits the blocks of one sample: the sort by x, the knots, their
-first at-risk rows and the intercepts are computed once, and each block
-costs three at-risk sums per column, read only at the knots.
+``AtRiskFit`` is the one entry point.  It fits the blocks of one sample: the
+sort by x, the ``knots``, their first at-risk rows and the ``intercepts``
+are computed once, and each ``fit`` of a block costs three at-risk sums per
+column, read only at the knots.
 """
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -32,28 +32,6 @@ EPS_VAR = 1e-8
 # call overhead per row, and cumsum about 4 ns per element; timed fits at
 # n = 100, 500 and 2000 break even between 32 and 64 columns (CHANGES.md).
 SWEEP_MIN_COLUMNS = 64
-
-
-@dataclass(frozen=True)
-class ResidualLifeModel:
-    """Piecewise-constant (in s) linear coefficients; row 0 is s = -inf.
-
-    ``intercepts`` is a (K+1, 1) column shared by every predictor of the
-    block; ``slopes`` and ``u_centers`` are (K+1, b), one column each.
-    """
-
-    knot_times: np.ndarray
-    intercepts: np.ndarray
-    slopes: np.ndarray
-    u_centers: np.ndarray
-
-    def __post_init__(self):
-        for arr in (self.knot_times, self.intercepts, self.slopes, self.u_centers):
-            arr.flags.writeable = False
-
-    def coefficient_rows(self, s) -> np.ndarray:
-        """Cache row for each s: 0 for s = -inf, else largest cached time <= s."""
-        return np.searchsorted(self.knot_times, np.asarray(s, dtype=np.float64), side="right")
 
 
 def suffix_sweep(rows: np.ndarray) -> np.ndarray:
@@ -130,12 +108,3 @@ class AtRiskFit:
         u_centers[...] = ubar
         return slopes, u_centers
 
-
-def fit_residual_life_arrays(
-    x: np.ndarray, delta: np.ndarray, y: np.ndarray, U: np.ndarray
-) -> ResidualLifeModel:
-    """Fit an (m x b) predictor block; knots are the sample's distinct censoring times."""
-    U = np.asfortranarray(U, dtype=np.float64)
-    fit = AtRiskFit(x, delta, y, U.shape[1])
-    slopes, u_centers = fit.fit(U)
-    return ResidualLifeModel(fit.knots, fit.intercepts, slopes, u_centers)

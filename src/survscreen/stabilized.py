@@ -38,7 +38,7 @@ from .censoring import fit_censoring_km, synthetic_response
 from .dataset import BLOCK_COLUMNS, SurvivalDataset
 from .errors import DegeneracyError, InputError, _choice, _instance, _integer, _level
 from .onestep import (EPS_SIGMA, _Kernel, _raise_first, _variance_floor, bonferroni,
-                      influence_block, normal_interval, plugin_slope)
+                      normal_interval, plugin_slope)
 from .residual_life import EPS_VAR
 
 VARIANTS = ("prefix", "full")
@@ -554,8 +554,8 @@ def _prefix_steps(data, km, y, perms, ks, q, sig2, raws, u_var):
             xp, dp, yp = data.x[perm], data.delta[perm], y[perm]
             for j, k in enumerate(ks[r], start=q):
                 u = data.predictors[perm[:j + 1], k:k + 1]
-                bundle, ipw, car = influence_block(u, xp[:j + 1], dp[:j + 1], yp[:j + 1], km,
-                                                   fit_rows=j)
+                kernel = _Kernel(xp[:j + 1], dp[:j + 1], yp[:j + 1], km, 1, fit_rows=j)
+                bundle, ipw, car = kernel.influence(u)
                 if_values = (ipw - car)[:, 0]
                 sig2[r, j - q] = if_values[:j].var()
                 raws[r, j - q] = float(plugin_slope(bundle)[0]) + float(if_values[j])

@@ -18,7 +18,7 @@ import oracles
 from survscreen import one_step, stabilized_estimate
 from survscreen.censoring import fit_censoring_km, synthetic_response
 from survscreen.errors import DegeneracyError
-from survscreen.onestep import influence_block
+from survscreen.onestep import _Kernel
 from survscreen.simulate import ScenarioSpec, generate_scenario, monte_carlo_rejection
 from survscreen._rng import stream
 
@@ -133,7 +133,7 @@ def test_criterion_3_mean_zero_identity():
         k = int(rng.integers(0, data.p))
         km = fit_censoring_km(data.x, data.delta)
         y = synthetic_response(data, km)
-        _, ipw, _ = influence_block(data.predictors[:, [k]], data.x, data.delta, y, km)
+        _, ipw, _ = _Kernel(data.x, data.delta, y, km, 1).influence(data.predictors[:, [k]])
         worst = max(worst, abs(float(ipw.mean())))
     assert worst < 1e-10
     report(3, f"1000 instances; max |mean inverse-weighting influence| = {worst:.2e}")

@@ -6,8 +6,7 @@ from survscreen import survival_at, synthetic_response
 from survscreen.censoring import KaplanMeierFit, fit_censoring_km
 from survscreen.dataset import ingest
 from survscreen.errors import DegeneracyError
-from survscreen.onestep import martingale_values
-from survscreen.residual_life import ResidualLifeModel
+from survscreen.onestep import _Martingale
 from survscreen.simulate import ScenarioSpec, generate_scenario
 
 from conftest import random_dataset, same_bits
@@ -122,23 +121,25 @@ class TestSyntheticResponse:
         assert hits >= 19
 
 
-def integrand_model(km, e):
-    """The residual-life model whose prediction at a censoring jump s is
-    e(u, s) = e(0, s) + e_u * u, for an integrand e linear in u; the
-    martingale integral only evaluates it at those jumps, never at the
+def integrand_coefficients(km, e):
+    """(knots, intercepts, slopes, u_centers) whose prediction at a censoring
+    jump s is e(u, s) = e(0, s) + e_u * u, for an integrand e linear in u;
+    the martingale integral only evaluates it at those jumps, never at the
     s = -inf row."""
     t = km.jump_times
     at_zero = np.array([[0.0]] + [[e(0.0, float(s))] for s in t])
     slope = e(1.0, 0.0) - e(0.0, 0.0)
-    return ResidualLifeModel(t, at_zero, np.full(at_zero.shape, slope), np.zeros(at_zero.shape))
+    return t, at_zero, np.full(at_zero.shape, slope), np.zeros(at_zero.shape)
 
 
 def integrate(e, km, u, x, delta):
     """The kernel's martingale integrals of e, one per observation."""
-    u = np.broadcast_to(np.asarray(u, dtype=np.float64), np.shape(x))
-    return martingale_values(
-        integrand_model(km, e), km, u[:, None], np.asarray(x, dtype=np.float64), np.asarray(delta)
-    )[:, 0]
+    x = np.asarray(x, dtype=np.float64)
+    U = np.broadcast_to(np.asarray(u, dtype=np.float64), x.shape)[:, None].copy()
+    knots, intercepts, slopes, u_centers = integrand_coefficients(km, e)
+    out, t1, t2 = (np.empty(U.shape) for _ in range(3))
+    mart = _Martingale(knots, km, x, np.asarray(delta), 1)
+    return mart.values(intercepts, slopes, u_centers, U, out, t1, t2)[:, 0]
 
 
 class TestMartingaleIntegral:

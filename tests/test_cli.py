@@ -119,6 +119,15 @@ class TestScreen:
         assert report["selected"] == {"index": 2, "name": "u2"}
         assert report["adjusted_p_value"] == report["p_value"]
 
+    @pytest.mark.parametrize("k", ["²", "١"])
+    def test_oracle_k_in_digits_that_are_not_ascii_exits_2(self, capsys, k):
+        # int() reads both, as 2 and 1; only ASCII digits index a column
+        rc, out, err = run_cli(capsys, ["screen", TOY, "--method", "oracle", "--oracle-k", k,
+                                        "--seed", "1"])
+        assert rc == 2
+        assert out == ""
+        assert f"unknown predictor {k!r}" in err
+
     def test_oracle_requires_k(self, capsys):
         # checked before the CSV is read, so the missing file is not reached
         rc, _, err = run_cli(capsys, ["screen", "/nonexistent.csv", "--method", "oracle",

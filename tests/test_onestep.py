@@ -20,38 +20,36 @@ from survscreen.onestep import (
     BLOCK_COLUMNS,
     NuisanceBundle,
     Z_95,
+    _influence,
+    _Kernel,
+    _Martingale,
     _raise_first,
     _variance_floor,
-    influence_block,
-    influence_values,
     two_sided_p,
     z_value,
 )
-from survscreen.residual_life import ResidualLifeModel, fit_residual_life_arrays
+from survscreen.residual_life import AtRiskFit
 from survscreen.simulate import ScenarioSpec, generate_scenario, monte_carlo_rejection
 
 from conftest import random_dataset, same_bits
 
 
-def constant_model(value):
-    return ResidualLifeModel(
-        np.array([]), np.array([[value]]), np.array([[0.0]]), np.array([[0.0]])
-    )
-
-
-def toy_bundle(u_mean=0.0, u_var=1.0, e_mean=1.0, cov_u_e=0.5, model=None):
+def toy_bundle(u_mean=0.0, u_var=1.0, e_mean=1.0, cov_u_e=0.5):
     return NuisanceBundle(
-        rl=model or constant_model(1.0), u_mean=np.array([u_mean]),
-        u_var=np.array([u_var]), e_mean=np.array([e_mean]), cov_u_e=np.array([cov_u_e]),
+        u_mean=np.array([u_mean]), u_var=np.array([u_var]), e_mean=np.array([e_mean]),
+        cov_u_e=np.array([cov_u_e]),
     )
 
 
 def pieces(bundle, km, u, x, delta, y=0.0):
     """(ipw, car) of the block kernel for one observation of a one-column
-    block, against the censoring fit km."""
-    ipw, car = influence_values(
-        bundle, km, np.array([[u]]), np.array([x]), np.array([delta]), np.array([y])
-    )
+    block, against the censoring fit km, with the constant prediction 1:
+    no knots, intercept 1 and slope 0."""
+    U = np.array([[u]])
+    mv, cu, ipw, tmp, t1, t2 = (np.empty((1, 1)) for _ in range(6))
+    mart = _Martingale(np.array([]), km, np.array([x]), np.array([delta]), 1)
+    mart.values(np.array([[1.0]]), np.array([[0.0]]), np.array([[0.0]]), U, mv, t1, t2)
+    ipw, car = _influence(bundle, U, np.array([[y]]), mv, cu, ipw, tmp)
     return float(ipw[0, 0]), float(car[0, 0])
 
 
@@ -59,15 +57,15 @@ def column_bundle(data, k=0):
     """Full-sample nuisances and (ipw, car) for column k as a block of one."""
     km = fit_censoring_km(data.x, data.delta)
     y = synthetic_response(data, km)
-    bundle, ipw, car = influence_block(data.predictors[:, [k]], data.x, data.delta, y, km)
+    bundle, ipw, car = _Kernel(data.x, data.delta, y, km, 1).influence(data.predictors[:, [k]])
     return bundle, ipw[:, 0], car[:, 0], y
 
 
 def ksv_slope(u, y):
     """cov(U, Y) / var(U) as the residual-life kernel's slope at s = -inf."""
     n = len(u)
-    model = fit_residual_life_arrays(np.zeros(n), np.ones(n), y, np.asarray(u)[:, None])
-    return float(model.slopes[0, 0])
+    slopes, _ = AtRiskFit(np.zeros(n), np.ones(n), y, 1).fit(np.asarray(u)[:, None])
+    return float(slopes[0, 0])
 
 
 def neighbours(v, k=64):
@@ -191,7 +189,7 @@ class TestSlope:
         km = fit_censoring_km(x, delta)
         U = np.column_stack((np.array([0.0, 1.0, 2.0]), np.full(3, 2.0)))
         with np.errstate(divide="ignore", invalid="ignore"):
-            bundle, _, _ = influence_block(U, x, delta, x, km)
+            bundle, _, _ = _Kernel(x, delta, x, km, 2).influence(np.asfortranarray(U))
         with pytest.raises(DegeneracyError, match="predictor 7 "):
             _raise_first(_variance_floor(bundle.u_var, (6, 7)))
 
@@ -551,6 +549,15 @@ class TestConservativeVariance:
                     list(data.x), list(data.delta), list(data.predictors[:, 1]), 0.8, grid_size
                 )
                 assert got == pytest.approx(want, abs=1e-11)
+
+    def test_default_bound_on_responses_that_do_not_vary_is_a_degeneracy(self):
+        # every row censored: every predicted response is 0
+        data = ingest([[0.5 + 0.1 * i, 0, (-1) ** i * (1 + i)] for i in range(12)],
+                      standardize=False)
+        with pytest.raises(DegeneracyError, match="^default m_bound is 0.0: predicted "):
+            conservative_variance(data, 0)
+        with pytest.raises(DegeneracyError):
+            one_step(data, 0)
 
     def test_default_bound_is_positive_and_finite(self, rng):
         data = random_dataset(rng)

@@ -1,3 +1,5 @@
+from typing import NamedTuple
+
 import numpy as np
 import pytest
 
@@ -5,7 +7,7 @@ import oracles
 import reference_kernel
 from survscreen import residual_life, synthetic_response
 from survscreen.dataset import ingest
-from survscreen.residual_life import EPS_VAR, fit_residual_life_arrays, suffix_sweep
+from survscreen.residual_life import EPS_VAR, AtRiskFit, suffix_sweep
 
 from conftest import random_dataset, same_bits
 
@@ -15,14 +17,29 @@ def ols_line(u, y):
     return y.mean() + b * (u - u.mean())
 
 
+class Fitted(NamedTuple):
+    knots: np.ndarray
+    intercepts: np.ndarray
+    slopes: np.ndarray
+    u_centers: np.ndarray
+
+
+def fit_block(x, delta, y, U):
+    """The at-risk fit of an (n x b) block: its knots and intercepts, and
+    the block's slopes and u_centers."""
+    at_risk = AtRiskFit(x, delta, y, U.shape[1])
+    return Fitted(at_risk.knots, at_risk.intercepts, *at_risk.fit(U))
+
+
 def fit(data, y, k=0):
-    return fit_residual_life_arrays(data.x, data.delta, y, data.predictors[:, [k]])
+    return fit_block(data.x, data.delta, y, data.predictors[:, [k]])
 
 
 def predict(model, u, s, c=0):
     """The fitted block's prediction for column c at paired (u, s), read from
-    the cached coefficient row that covers each s."""
-    idx = model.coefficient_rows(s)
+    the coefficient row that covers each s: 0 for s = -inf, else that of the
+    largest knot <= s."""
+    idx = np.searchsorted(model.knots, np.asarray(s, dtype=np.float64), side="right")
     centered = np.asarray(u) - model.u_centers[idx, c]
     return model.intercepts[idx, 0] + model.slopes[idx, c] * centered
 
@@ -39,7 +56,7 @@ class TestExactFormula:
         x = np.array([1.0, 2.0, 3.0])
         y = np.array([1.0, 2.0, 3.0])
         u = np.array([0.0, 1.0, 2.0])
-        model = fit_residual_life_arrays(x, np.array([1, 0, 1]), y, u[:, None])
+        model = fit_block(x, np.array([1, 0, 1]), y, u[:, None])
         assert predict(model, 0.0, 2.0) == pytest.approx(1.0 / 6.0, abs=1e-12)
         assert predict(model, 2.0, 2.0) == pytest.approx(19.0 / 6.0, abs=1e-12)
         assert oracle_at(x, y, u, 0.0, 1.5) == pytest.approx(1.0 / 6.0, abs=1e-12)
@@ -49,7 +66,7 @@ class TestExactFormula:
         y = 2.0 * u + rng.standard_normal(30)
         x = rng.exponential(1.0, 30)
         delta = (rng.uniform(size=30) > 0.3).astype(int)
-        model = fit_residual_life_arrays(x, delta, y, u[:, None])
+        model = fit_block(x, delta, y, u[:, None])
         got = predict(model, u, np.full(30, -np.inf))
         assert np.allclose(got, ols_line(u, y), atol=1e-12)
 
@@ -58,7 +75,7 @@ class TestExactFormula:
         x = np.array([1.0, 2.0, 3.0])
         y = np.array([1.0, 4.0, 7.0])
         u = np.array([5.0, 5.0, 5.0])
-        model = fit_residual_life_arrays(x, np.array([1, 1, 1]), y, u[:, None])
+        model = fit_block(x, np.array([1, 1, 1]), y, u[:, None])
         assert predict(model, 99.0, 0.5) == pytest.approx(4.0)
 
 
@@ -69,7 +86,7 @@ class TestCachedModel:
         )
         y = synthetic_response(data)
         model = fit(data, y)
-        assert np.array_equal(model.knot_times, [1.0, 2.0])
+        assert np.array_equal(model.knots, [1.0, 2.0])
         u = data.predictors[:, 0]
         assert np.allclose(
             predict(model, u, np.full(data.n, -np.inf)), ols_line(u, y), atol=1e-12
@@ -81,12 +98,12 @@ class TestCachedModel:
             y = synthetic_response(data)
             u = data.predictors[:, 0]
             model = fit(data, y)
-            below = (data.x.min() if len(model.knot_times) == 0 else model.knot_times[0]) - 1.0
+            below = (data.x.min() if len(model.knots) == 0 else model.knots[0]) - 1.0
             for u0 in rng.standard_normal(3):
                 want_ols = oracle_at(data.x, y, u, u0, -np.inf)
                 assert predict(model, u0, -np.inf) == pytest.approx(want_ols, abs=1e-11)
                 assert predict(model, u0, below) == pytest.approx(want_ols, abs=1e-11)
-                for s in model.knot_times:
+                for s in model.knots:
                     assert predict(model, u0, s) == pytest.approx(
                         oracle_at(data.x, y, u, u0, s), abs=1e-11
                     )
@@ -96,11 +113,11 @@ class TestCachedModel:
             data = random_dataset(rng, n=20)
             y = synthetic_response(data)
             model = fit(data, y)
-            if len(model.knot_times) == 0:
+            if len(model.knots) == 0:
                 continue
-            edges = np.concatenate((model.knot_times, [model.knot_times[-1] + 1.0]))
+            edges = np.concatenate((model.knots, [model.knots[-1] + 1.0]))
             for _ in range(100):
-                seg = int(rng.integers(0, len(model.knot_times)))
+                seg = int(rng.integers(0, len(model.knots)))
                 lo, hi = edges[seg], edges[seg + 1]
                 s1, s2 = rng.uniform(lo, hi, 2)
                 u0 = float(rng.standard_normal())
@@ -113,7 +130,7 @@ class TestCachedModel:
             u = data.predictors[:, 0]
             model = fit(data, y)
             rows = oracles.residual_model(list(data.x), list(data.delta), list(y), list(u))
-            probes = np.concatenate((model.knot_times, rng.uniform(data.x.min() - 1, data.x.max() + 1, 10)))
+            probes = np.concatenate((model.knots, rng.uniform(data.x.min() - 1, data.x.max() + 1, 10)))
             for s in probes:
                 for u0 in (-0.7, 1.3):
                     assert predict(model, u0, float(s)) == pytest.approx(
@@ -124,7 +141,7 @@ class TestCachedModel:
         for _ in range(10):
             data = random_dataset(rng, p=5)
             y = synthetic_response(data)
-            block = fit_residual_life_arrays(data.x, data.delta, y, data.predictors)
+            block = fit_block(data.x, data.delta, y, data.predictors)
             for k in range(data.p):
                 single = fit(data, y, k)
                 assert np.array_equal(block.intercepts, single.intercepts)
@@ -154,7 +171,7 @@ class TestCachedModel:
         assert predict(m1, 0.3, 1.0) == predict(m2, 0.3, 1.0)
 
     def test_variance_floor_flag(self):
-        model = fit_residual_life_arrays(
+        model = fit_block(
             np.array([1.0, 2.0, 3.0]),
             np.array([1, 0, 1]),
             np.array([1.0, 0.0, 3.0]),
@@ -201,8 +218,8 @@ class TestSuffixSweep:
             delta[np.argmin(x)] = 0
             y = synthetic_response(ingest(np.column_stack((x, delta, data.predictors)),
                                           standardize=False))
-            got = fit_residual_life_arrays(x, delta, y, data.predictors)
+            got = fit_block(x, delta, y, data.predictors)
             knots, a, slope, ubar = reference_kernel.fit_residual_life(x, delta, y,
                                                                        data.predictors)
-            assert same_bits(got.knot_times, knots) and same_bits(got.intercepts, a)
+            assert same_bits(got.knots, knots) and same_bits(got.intercepts, a)
             assert same_bits(got.slopes, slope) and same_bits(got.u_centers, ubar)

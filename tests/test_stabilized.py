@@ -17,7 +17,7 @@ from survscreen._rng import stream
 from survscreen.censoring import _weighted_response, fit_censoring_km, survival_at
 from survscreen.dataset import ingest
 from survscreen.errors import DegeneracyError, InputError, SurvScreenError
-from survscreen.onestep import BLOCK_COLUMNS, influence_block, normal_interval, plugin_slope
+from survscreen.onestep import BLOCK_COLUMNS, _Kernel, normal_interval, plugin_slope
 from survscreen.stabilized import (StabilizedResult, _prefix_variance, _selection_weights,
                                    _WindowBound, default_qn)
 
@@ -594,8 +594,8 @@ class TestFullSampleSteps:
         sigmas, raws = [], []
         for j, k in enumerate(result.k.tolist(), start=result.q_n):
             if k not in influence:
-                bundle, ipw, car = influence_block(data.predictors[:, [k]], data.x, data.delta,
-                                                   y, km)
+                kernel = _Kernel(data.x, data.delta, y, km, 1)
+                bundle, ipw, car = kernel.influence(data.predictors[:, [k]])
                 influence[k] = (float(plugin_slope(bundle)[0]), (ipw - car)[:, 0])
             psi, values = influence[k]
             values = values[perm]

@@ -121,6 +121,26 @@ def test_bad_argument_raises_input_error_naming_it(data, entry, argument, value)
         CALLS[entry](**{"data": data, argument: value})
 
 
+# strings naming no predictor, by name or 1-based index: digits int() takes
+# but are not ASCII, a doubled sign, and indices outside 1..p
+@pytest.mark.parametrize("name", ["²", "١", "+-1", "0", str(P + 1)])
+def test_name_of_no_predictor_raises_unknown_predictor(data, name):
+    with pytest.raises(InputError) as caught:
+        data.column(name)
+    assert str(caught.value) == f"unknown predictor {name!r}"
+
+
+@pytest.mark.parametrize("rows", [
+    [["a", 1, 2], [1, 0, 3]],
+    [[1, 0, 2], [1, 0]],
+    [[1 + 1j, 0, 2], [2, 1, 3]],
+    np.array([[1 + 1j, 0, 2], [2, 1, 3]]),
+], ids=["text", "ragged", "complex-list", "complex-array"])
+def test_records_that_are_not_real_numbers_raise_input_error_naming_rows(rows):
+    with pytest.raises(InputError, match="^rows must be "):
+        ingest(rows)
+
+
 def assert_same(a, b):
     """Results equal field by field, to the type and the bits."""
     assert type(a) is type(b)
