@@ -18,6 +18,11 @@ for the change's last run, under its ``.perfbench/results/``.  Each run also
 records the host's load read from /proc just before and after it: the 1-,
 5- and 15-minute load averages and the CPU time stolen by the hypervisor, so
 that a record shows which pairs ran on a busy host.
+
+A run that exits non-zero does not stop the comparison: its exit code and
+the last line of its standard error are recorded under ``crashed``, it
+counts as one failure in its side's ``failed``, and its pair is one the
+change does not win.
 """
 
 import argparse
@@ -32,7 +37,12 @@ MIN_WINS = 9  # pairs the change must win
 
 
 def quartiles(values):
-    q1, med, q3 = statistics.quantiles(values, n=4, method="inclusive")
+    """Quartiles of the runs that gave a value (None: a crashed run)."""
+    ran = [v for v in values if v is not None]
+    if len(ran) < 2:
+        med = ran[0] if ran else None
+        return {"median": med, "q1": med, "q3": med, "runs": values}
+    q1, med, q3 = statistics.quantiles(ran, n=4, method="inclusive")
     return {"median": med, "q1": q1, "q3": q3, "runs": values}
 
 
@@ -54,8 +64,12 @@ def perfbench(root, workload, seed, seconds):
     before = host_load()
     done = subprocess.run([sys.executable, "perfbench/run.py", "--workload", workload,
                            "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"],
-                          cwd=root, capture_output=True, text=True, check=True)
+                          cwd=root, capture_output=True, text=True)
     host = {"before": before, "after": host_load()}
+    if done.returncode != 0:
+        stderr = done.stderr.strip().splitlines()
+        return {"failed": 1, "host": host, "exit_code": done.returncode,
+                "stderr": stderr[-1] if stderr else ""}
     result = json.loads(done.stdout.strip().splitlines()[-1])
     return {"failed": result["failed"], "attempted": result["attempted"], "host": host,
             **{k: v["value"] for k, v in result["metrics"].items()}}
@@ -64,13 +78,17 @@ def perfbench(root, workload, seed, seconds):
 def compare(parent, change, better):
     """Both sides' quartiles and the win rule for one metric on one workload."""
     sign = 1.0 if better == "lower" else -1.0  # positive gap: the change is better
-    wins = sum(sign * (p - c) > 0 for p, c in zip(parent, change))
+    wins = sum(p is not None and c is not None and sign * (p - c) > 0
+               for p, c in zip(parent, change))
     parent_q, change_q = quartiles(parent), quartiles(change)
-    gap = sign * (parent_q["median"] - change_q["median"])
-    iqr = parent_q["q3"] - parent_q["q1"]
+    if parent_q["median"] is None or change_q["median"] is None:
+        gap = iqr = None
+    else:
+        gap = sign * (parent_q["median"] - change_q["median"])
+        iqr = parent_q["q3"] - parent_q["q1"]
     return {"parent": parent_q, "change": change_q, "better": better,
             "change_better_in": f"{wins} of {len(parent)} pairs", "median_gap": gap,
-            "parent_iqr": iqr, "win": wins >= MIN_WINS and gap > iqr}
+            "parent_iqr": iqr, "win": wins >= MIN_WINS and gap is not None and gap > iqr}
 
 
 def main(argv=None):
@@ -94,17 +112,24 @@ def main(argv=None):
                 print(workload, i + 1, side, run, file=sys.stderr, flush=True)
         row = {"seeds": list(range(1, PAIRS + 1)),
                "failed": {side: sum(r["failed"] for r in rs) for side, rs in runs.items()},
+               "crashed": {side: [{"seed": seed, "exit_code": r["exit_code"], "stderr": r["stderr"]}
+                                  for seed, r in enumerate(rs, 1) if "exit_code" in r]
+                           for side, rs in runs.items()},
                "host_load": {side: [r["host"] for r in rs] for side, rs in runs.items()}}
         for metric in spec["end_to_end"]:
             name = metric["name"]
-            row[name] = compare([r[name] for r in runs["parent"]],
-                                [r[name] for r in runs["change"]], metric["better"])
+            row[name] = compare([r.get(name) for r in runs["parent"]],
+                                [r.get(name) for r in runs["change"]], metric["better"])
         end_to_end[workload] = row
-    # perfbench/run.py records the fingerprint of every run it makes
-    last = os.path.join(roots["change"], ".perfbench", "results",
-                        f"{workload}-seed{PAIRS}-trace0.json")
-    with open(last) as fh:
-        machine = json.load(fh)["fingerprint"]
+    # perfbench/run.py records the fingerprint of every run it completes
+    machine = None
+    for workload in reversed([w["name"] for w in spec["workloads"]]):
+        last = os.path.join(roots["change"], ".perfbench", "results",
+                            f"{workload}-seed{PAIRS}-trace0.json")
+        if os.path.exists(last):
+            with open(last) as fh:
+                machine = json.load(fh)["fingerprint"]
+            break
 
     record = {
         "how": {

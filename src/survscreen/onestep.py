@@ -24,16 +24,22 @@ sample's frame (a ``residual_life.AtRiskFit`` and a ``_Martingale``) once,
 ``_Kernel.influence`` returns a block's moments and (ipw, car), and
 ``_Kernel.one_step`` adds the checks and the normal interval.  ``one_step``,
 ``bonferroni_test``, ``conservative_variance`` and both screen variants
-reach the influence values only through it; ``bonferroni_test`` and the
-screen's full-sample nuisances pass it every block of ``BLOCK_COLUMNS``
-columns.  Each elementwise operation keeps the operands and order of the
-formulas above, writing into Fortran-order scratch, and column means are
-taken over Fortran-ordered arrays, so each column is summed in the same
-(pairwise) order as a 1-D array and a column's results do not depend on its
-block.
+reach the influence values only through it.  ``bonferroni_test`` and the
+screen's full-sample nuisances run their column blocks through
+``_over_blocks``, which splits them across the process's cores: each of w
+threads runs its own kernel on blocks of ``BLOCK_COLUMNS // w`` columns, so
+all threads' scratch together is one ``BLOCK_COLUMNS``-wide kernel's, and
+the caller merges their results in block order.  Each elementwise operation
+keeps the operands and order of the formulas above, writing into
+Fortran-order scratch, and column means are taken over Fortran-ordered
+arrays, so each column is summed in the same (pairwise) order as a 1-D array
+and a column's results do not depend on its block, nor on which thread ran
+it.
 """
 
 import math
+import os
+import threading
 from dataclasses import dataclass
 from typing import NamedTuple, Optional
 
@@ -43,7 +49,7 @@ from ._normal import ndtr, ndtri
 from .censoring import KaplanMeierFit, fit_censoring_km, synthetic_response
 from .dataset import BLOCK_COLUMNS, SurvivalDataset
 from .errors import DegeneracyError, _instance, _integer, _level, _real
-from .residual_life import EPS_VAR, AtRiskFit
+from .residual_life import EPS_VAR, SWEEP_MIN_COLUMNS, AtRiskFit
 
 EPS_SIGMA = 1e-8
 DUAL_FORM_TOL = 1e-8
@@ -277,6 +283,68 @@ class _Kernel:
         return _OneStepBlock(psi, form_b, if_values, sigma, *interval)
 
 
+def _cores() -> int:
+    """The cores this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # not every platform has it
+        return os.cpu_count() or 1
+
+
+def _over_blocks(p: int, kernel, step) -> list:
+    """Run ``carry = step(kernel, cols, carry)`` over blocks of the columns
+    range(p), on w threads, and return each thread's last carry (None if it
+    ran no block).
+
+    w is the cores, at most BLOCK_COLUMNS // SWEEP_MIN_COLUMNS (so each
+    thread's blocks still take the row sweep) and at most the number of
+    BLOCK_COLUMNS-wide blocks, and at least 1.  Each thread builds its own
+    kernel with ``kernel(width)`` and takes the next block of BLOCK_COLUMNS
+    // w columns until none is left, so all threads' scratch together is one
+    BLOCK_COLUMNS-wide kernel's.  The calling thread is one of them, and
+    with one no thread is started.  numpy releases the GIL inside the
+    kernel's loops, and its errstate does not carry into a new thread, so
+    each thread enters the caller's.  Blocks are taken in order, and none
+    once a thread has failed.  After every thread is joined, the failing
+    block with the lowest start raises its exception, which is the one a
+    serial loop would raise: every block below it was taken before it and
+    run to the end.
+    """
+    w = max(1, min(_cores(), BLOCK_COLUMNS // SWEEP_MIN_COLUMNS, -(-p // BLOCK_COLUMNS)))
+    width = BLOCK_COLUMNS // w
+    starts = iter(range(0, p, width))
+    take = threading.Lock()
+    errors = dict(np.geterr(), call=np.geterrcall())
+    carries, failures = [None] * w, []
+
+    def work(i):
+        start = -1  # a kernel that cannot be built fails before every block
+        try:
+            with np.errstate(**errors):
+                own = kernel(min(p, width))
+                while True:
+                    with take:
+                        start = None if failures else next(starts, None)
+                    if start is None:
+                        return
+                    carries[i] = step(own, range(start, min(start + width, p)), carries[i])
+        except BaseException as exc:  # raised below, once every thread is joined
+            failures.append((start, exc))
+
+    threads = []
+    try:
+        for i in range(1, w):
+            threads.append(threading.Thread(target=work, args=(i,)))
+            threads[-1].start()
+        work(0)
+    finally:
+        for thread in threads:
+            thread.join()
+    if failures:
+        raise min(failures, key=lambda failure: failure[0])[1]
+    return carries
+
+
 @dataclass(frozen=True)
 class OneStepResult:
     """One-step slope inference for a single predictor; ``statistic`` is
@@ -338,29 +406,40 @@ class BonferroniResult:
         self.statistics.flags.writeable = False
 
 
+def _better(best: Optional[OneStepResult], p: float) -> bool:
+    """Whether p, at a higher index than the running best's, replaces it by
+    argmin's rule: the smallest p, the lowest index on a tie, a NaN first."""
+    return best is None or np.argmin((best.p_value, p)) == 1
+
+
 def bonferroni_test(data: SurvivalDataset, alpha: float = 0.05) -> BonferroniResult:
     """Test every predictor marginally; reject if min p < alpha / p.
 
-    The blocks share one kernel, and the running best (argmin's rule: the
-    smallest p, the lowest index on a tie) keeps its column's result, so the
-    winner is not refitted.
+    The column blocks are split across the process's cores (``_over_blocks``).
+    Each thread keeps the running best of its blocks, with its column's
+    result, so the winner is not refitted; the threads' bests are then merged
+    in block order by the same rule, argmin's.  A failing block raises the
+    error of the lowest failing predictor, as testing one predictor at a
+    time would.
     """
     _instance("data", data, SurvivalDataset)
     alpha = _level(alpha)
     km = fit_censoring_km(data.x, data.delta)
     y = synthetic_response(data, km)
-    kernel = _Kernel(data.x, data.delta, y, km, min(data.p, BLOCK_COLUMNS))
     p_values = np.empty(data.p)
     statistics = np.empty(data.p)
-    best = None
-    for start in range(0, data.p, BLOCK_COLUMNS):
-        cols = range(start, min(start + BLOCK_COLUMNS, data.p))
+
+    def step(kernel, cols, best):
         block = kernel.one_step(data.predictors[:, cols.start:cols.stop], cols, alpha)
         p_values[cols.start:cols.stop] = block.p_value
         statistics[cols.start:cols.stop] = block.statistic
         c = int(np.argmin(block.p_value))
-        if best is None or np.argmin((best.p_value, block.p_value[c])) == 1:
-            best = _result(block, c, cols[c], alpha)
+        return _result(block, c, cols[c], alpha) if _better(best, block.p_value[c]) else best
+
+    bests = _over_blocks(data.p, lambda width: _Kernel(data.x, data.delta, y, km, width), step)
+    best = None
+    for candidate in sorted((b for b in bests if b is not None), key=lambda b: b.k):
+        best = candidate if _better(best, candidate.p_value) else best
     selected, min_p, adjusted_p, reject = bonferroni(p_values, alpha)
     return BonferroniResult(
         p_values=p_values, statistics=statistics, selected=selected, best=best,

@@ -37,8 +37,8 @@ from ._rng import stream
 from .censoring import fit_censoring_km, synthetic_response
 from .dataset import BLOCK_COLUMNS, SurvivalDataset
 from .errors import DegeneracyError, InputError, _choice, _instance, _integer, _level
-from .onestep import (EPS_SIGMA, _Kernel, _raise_first, _variance_floor, bonferroni,
-                      normal_interval, plugin_slope)
+from .onestep import (EPS_SIGMA, _Kernel, _over_blocks, _raise_first, _variance_floor,
+                      bonferroni, normal_interval, plugin_slope)
 from .residual_life import EPS_VAR
 
 VARIANTS = ("prefix", "full")
@@ -515,20 +515,23 @@ def _screen(data, q, variant, perms, alpha):
 
 def _full_sample_steps(data, km, y, perms, ks, q, sig2, raws, u_var):
     """Fill the orderings x steps (sig2, raws, u_var) from full-sample
-    nuisances: each distinct selected predictor is fitted once, in column
-    blocks, and a step at prefix size j reads its fixed influence values in
-    the ordering, their second central moment over rows :j and row j."""
+    nuisances: each distinct selected predictor is fitted once, in the
+    column blocks of ``onestep._over_blocks``, and a step at prefix size j
+    reads its fixed influence values in the ordering, their second central
+    moment over rows :j and row j."""
     distinct = np.unique(ks)
     if_values = np.empty((data.n, len(distinct)))
     psi, var = np.empty(len(distinct)), np.empty(len(distinct))
-    kernel = _Kernel(data.x, data.delta, y, km, min(len(distinct), BLOCK_COLUMNS))
+
+    def step(kernel, cols, _):
+        cols = slice(cols.start, cols.stop)
+        bundle, ipw, car = kernel.influence(data.predictors[:, distinct[cols]])
+        np.subtract(ipw, car, out=if_values[:, cols])
+        psi[cols] = plugin_slope(bundle)
+        var[cols] = bundle.u_var
+
     with np.errstate(all="ignore"):  # a floored column is raised at its first step
-        for c0 in range(0, len(distinct), BLOCK_COLUMNS):
-            cols = slice(c0, c0 + BLOCK_COLUMNS)
-            bundle, ipw, car = kernel.influence(data.predictors[:, distinct[cols]])
-            np.subtract(ipw, car, out=if_values[:, cols])
-            psi[cols] = plugin_slope(bundle)
-            var[cols] = bundle.u_var
+        _over_blocks(len(distinct), lambda width: _Kernel(data.x, data.delta, y, km, width), step)
 
     j = np.arange(q, q + ks.shape[1])
     for r, perm in enumerate(perms):

@@ -1,4 +1,8 @@
 import math
+import os
+import sys
+import threading
+import time
 
 import numpy as np
 import pytest
@@ -488,16 +492,21 @@ class TestKernelGate:
         assert same_bits(b.best.if_values, want.if_values)
         assert not b.best.if_values.flags.writeable
 
-    @pytest.mark.parametrize("width", [1, 2, 256])
-    def test_tie_keeps_the_lowest_index(self, rng, monkeypatch, width):
-        # equal smallest p within a block and across blocks
-        monkeypatch.setattr(onestep, "BLOCK_COLUMNS", width)
+    @staticmethod
+    def tie_dataset():
+        """Columns 1, 2 and 4 are equal and share the smallest p."""
+        rng = np.random.default_rng(20260808)
         data = random_dataset(rng, n=40, p=1)
         signal = data.x + 0.3 * rng.standard_normal(40)
         noise = rng.standard_normal((40, 2))
         u = np.column_stack((noise[:, 0], signal, signal, noise[:, 1], signal))
-        twins = ingest(np.column_stack((data.x, data.delta, u)), standardize=False)
-        b = bonferroni_test(twins)
+        return ingest(np.column_stack((data.x, data.delta, u)), standardize=False)
+
+    @pytest.mark.parametrize("width", [1, 2, 256])
+    def test_tie_keeps_the_lowest_index(self, monkeypatch, width):
+        # equal smallest p within a block and across blocks
+        monkeypatch.setattr(onestep, "BLOCK_COLUMNS", width)
+        b = bonferroni_test(self.tie_dataset())
         assert b.p_values[1] == b.p_values[2] == b.p_values[4] == b.min_p
         assert b.selected == b.best.k == 1
 
@@ -510,6 +519,160 @@ class TestKernelGate:
         for run in (lambda: bonferroni_test(shifted), lambda: one_step(shifted, 0)):
             with pytest.raises(DegeneracyError, match=message):
                 run()
+
+
+class TestThreadedBlocks:
+    """bonferroni_test splits its column blocks across threads
+    (onestep._over_blocks, sized by onestep._cores): every output bit is the
+    one-thread run's, and an error crosses back as a serial loop raises it."""
+
+    @staticmethod
+    def recording(monkeypatch, cores, block_columns=None, one_step=None):
+        """Run the kernels on ``cores`` threads, with blocks of at most
+        ``block_columns`` (the row-sweep cap lifted), and return the list to
+        which each kernel built appends (width, thread); ``one_step``, if
+        given, runs as one_step(kernel, ks) before each block."""
+        monkeypatch.setattr(onestep, "_cores", lambda: cores)
+        if block_columns is not None:
+            monkeypatch.setattr(onestep, "BLOCK_COLUMNS", block_columns)
+            monkeypatch.setattr(onestep, "SWEEP_MIN_COLUMNS", 1)
+        built = []
+
+        class Recording(_Kernel):
+            def __init__(self, *args):
+                built.append((args[4], threading.current_thread()))
+                super().__init__(*args)
+
+            def one_step(self, U, ks, alpha):
+                if one_step is not None:
+                    one_step(self, ks)
+                return super().one_step(U, ks, alpha)
+
+        monkeypatch.setattr(onestep, "_Kernel", Recording)
+        return built
+
+    @staticmethod
+    def first_two_blocks_at_once(then=lambda kernel, ks: None):
+        """A one_step hook that holds each of the first two blocks until the
+        other is taken, so they run on different threads, then calls ``then``."""
+        barrier = threading.Barrier(2)
+
+        def hook(kernel, ks):
+            if ks.start < 2 * len(ks):
+                barrier.wait(timeout=30)
+                then(kernel, ks)
+        return hook
+
+    @pytest.mark.parametrize("dataset,block_columns,most", [
+        ("wide", None, 3),  # 3 blocks of 256
+        ("wide", 7, 3),
+        ("wide", 1, 1),  # one column a block: a worker's width stays 1
+        ("ties", 2, 2),  # the tied columns 1, 2 and 4 in three blocks of 1
+        ("ties", 7, 1),  # one block
+        ("ties", 1, 1),
+    ])
+    def test_threads_do_not_change_bits(self, monkeypatch, dataset, block_columns, most):
+        data = TestBonferroni.wide_heavy_dataset() if dataset == "wide" else TestKernelGate.tie_dataset()
+        results = []
+        for cores in (1, 2, 3):
+            built = self.recording(monkeypatch, cores, block_columns)
+            results.append(bonferroni_test(data))
+            widths = [width for width, _ in built]
+            assert len({thread for _, thread in built}) == len(built) == min(cores, most)
+            assert min(widths) >= 1 and sum(widths) <= onestep.BLOCK_COLUMNS
+        one = results[0]
+        for other in results[1:]:
+            assert same_bits(other.p_values, one.p_values)
+            assert same_bits(other.statistics, one.statistics)
+            assert other.selected == other.best.k == one.best.k
+            for field in ("psi_plugin", "s_onestep", "sigma_hat", "ci_low", "ci_high",
+                          "statistic", "p_value"):
+                assert same_bits(getattr(other.best, field), getattr(one.best, field)), field
+            assert same_bits(other.best.if_values, one.best.if_values)
+        if dataset == "ties":
+            assert one.selected == 1
+
+    @pytest.mark.parametrize("lower_fails_last", [False, True])
+    def test_lowest_failing_block_raises_across_threads(self, monkeypatch, lower_fails_last):
+        # two workers of 128 columns: near-constant columns 5 and 131 fail
+        # the variance floor in the first two blocks, which run at once
+        rng = np.random.default_rng(4)
+        n, p = 120, 2 * BLOCK_COLUMNS + 40
+        u = rng.standard_normal((n, p))
+        for k in (5, 131):
+            u[:, k] = 1.0 + 1e-6 * u[:, k]
+        t = u[:, 0] + rng.standard_normal(n)
+        c = rng.standard_normal(n) + np.quantile(t, 0.6)
+        data = ingest(np.column_stack((np.minimum(t, c), (t <= c).astype(float), u)),
+                      standardize=False)
+
+        def delay(kernel, ks):
+            if lower_fails_last and ks.start == 0:
+                time.sleep(0.05)
+
+        built = self.recording(monkeypatch, 2, one_step=self.first_two_blocks_at_once(delay))
+        before = threading.active_count()
+        with pytest.raises(DegeneracyError, match="^predictor 5 has sample variance"):
+            bonferroni_test(data)
+        assert len(built) == 2
+        assert threading.active_count() == before
+
+    @pytest.mark.parametrize("failing", ["helper", "caller"])
+    def test_any_exception_crosses_back_after_every_join(self, monkeypatch, failing):
+        class Boom(Exception):
+            pass
+
+        def fail(kernel, ks):
+            if (threading.current_thread() is threading.main_thread()) == (failing == "caller"):
+                raise Boom(ks.start)
+
+        self.recording(monkeypatch, 2, one_step=self.first_two_blocks_at_once(fail))
+        before = threading.active_count()
+        with pytest.raises(Boom):
+            bonferroni_test(TestBonferroni.wide_heavy_dataset())
+        assert threading.active_count() == before
+
+    def test_every_block_runs_once_on_more_threads_than_cores(self, monkeypatch):
+        data = TestBonferroni.wide_heavy_dataset()
+        self.recording(monkeypatch, 1, 16)
+        one = bonferroni_test(data)
+        taken = []
+        built = self.recording(monkeypatch, 8, 16, lambda kernel, ks: taken.append(ks.start))
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            many = bonferroni_test(data)
+        finally:
+            sys.setswitchinterval(interval)
+        assert len(built) == 8
+        assert sorted(taken) == list(range(0, data.p, 2))
+        assert same_bits(many.p_values, one.p_values)
+        assert same_bits(many.statistics, one.statistics)
+        assert same_bits(many.best.if_values, one.best.if_values)
+
+    def test_cores_are_the_ones_this_process_may_run_on(self):
+        want = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+        assert onestep._cores() == want >= 1
+
+    def test_workers_run_under_the_callers_errstate(self, monkeypatch):
+        # numpy's errstate does not carry into a new thread by itself
+        monkeypatch.setattr(onestep, "_cores", lambda: 2)
+        barrier = threading.Barrier(2)
+        seen = []
+
+        def step(kernel, cols, carry):
+            if cols.start < 2 * len(cols):  # the first two blocks, one on each thread
+                barrier.wait(timeout=30)
+                seen.append((threading.current_thread() is threading.main_thread(),
+                             np.geterr()["divide"], np.geterrcall()))
+            return carry
+
+        def handler(kind, flag):
+            pass
+
+        with np.errstate(divide="call", call=handler):
+            onestep._over_blocks(2 * BLOCK_COLUMNS, lambda width: None, step)
+        assert sorted(seen) == [(False, "call", handler), (True, "call", handler)]
 
 
 class TestOracle:

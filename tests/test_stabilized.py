@@ -12,7 +12,7 @@ from survscreen import (
     select_predictor,
     stabilized_estimate,
 )
-from survscreen import censoring, stabilized
+from survscreen import censoring, onestep, stabilized
 from survscreen._rng import stream
 from survscreen.censoring import _weighted_response, fit_censoring_km, survival_at
 from survscreen.dataset import ingest
@@ -609,10 +609,15 @@ class TestFullSampleSteps:
         increments = weights * result.m * np.array(raws)
         return list(sigmas), list(increments)
 
-    def test_equal_to_step_loop_bitwise(self, rng, monkeypatch):
-        # several nuisance blocks per screen; about one ordering in eight
-        # differs from the loop if the squared mean is an array multiply
+    @pytest.mark.parametrize("cores", [1, 3])
+    def test_equal_to_step_loop_bitwise(self, rng, monkeypatch, cores):
+        # several nuisance blocks per screen, on one thread or three; about
+        # one ordering in eight differs from the loop if the squared mean is
+        # an array multiply
         monkeypatch.setattr(stabilized, "BLOCK_COLUMNS", 7)
+        monkeypatch.setattr(onestep, "BLOCK_COLUMNS", 7)
+        monkeypatch.setattr(onestep, "SWEEP_MIN_COLUMNS", 1)
+        monkeypatch.setattr(onestep, "_cores", lambda: cores)
         head = 300
         data = near_duplicate_head(rng, head=head)
         out = multi_ordering_test(data, orderings=4, q_n=2, seed=17)
