@@ -29,12 +29,17 @@ screen's full-sample nuisances run their column blocks through
 ``_over_blocks``, which splits them across the process's cores: each of w
 threads runs its own kernel on blocks of ``BLOCK_COLUMNS // w`` columns, so
 all threads' scratch together is one ``BLOCK_COLUMNS``-wide kernel's, and
-the caller merges their results in block order.  Each elementwise operation
-keeps the operands and order of the formulas above, writing into
+each block writes its own columns of the caller's arrays.  Each elementwise
+operation keeps the operands and order of the formulas above, writing into
 Fortran-order scratch, and column means are taken over Fortran-ordered
 arrays, so each column is summed in the same (pairwise) order as a 1-D array
 and a column's results do not depend on its block, nor on which thread ran
-it.
+it.  So ``bonferroni_test`` selects with ``bonferroni`` over the p-values,
+as every multiple test here does, and its ``best`` is ``one_step`` of the
+selected predictor, with the bits its block computed.
+
+Every floor is written so that a NaN fails it (``~(value >= floor)``), so
+influence values that overflow raise a ``DegeneracyError``.
 """
 
 import math
@@ -168,7 +173,7 @@ def _raise_first(*checks):
 def _variance_floor(u_var, ks, where=lambda c: ""):
     """The variance-floor check of _raise_first; ``where(c)`` ends the
     message with column c's location, if the caller has one."""
-    return u_var < EPS_VAR, lambda c: DegeneracyError(
+    return ~(u_var >= EPS_VAR), lambda c: DegeneracyError(
         f"predictor {ks[c]} has sample variance {u_var[c]:.3g} below {EPS_VAR}{where(c)}"
     )
 
@@ -263,7 +268,8 @@ class _Kernel:
         """
         b = U.shape[1]
         t1 = self._t1[:, :b]
-        with np.errstate(divide="ignore", invalid="ignore"):  # floored columns raise below
+        # floored columns, and columns whose values overflow to NaN, raise below
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
             bundle, ipw, car = self.influence(U)
             if_values = np.subtract(ipw, car, out=ipw)
             psi = plugin_slope(bundle)
@@ -274,9 +280,9 @@ class _Kernel:
             sigma = np.sqrt(_colmean(np.multiply(if_values, if_values, out=t1)))
         _raise_first(
             _variance_floor(bundle.u_var, ks),
-            (gap > DUAL_FORM_TOL, lambda c: DegeneracyError(
+            (~(gap <= DUAL_FORM_TOL), lambda c: DegeneracyError(
                 f"one-step forms disagree by {gap[c]:.3g} for predictor {ks[c]}")),
-            (sigma < EPS_SIGMA, lambda c: DegeneracyError(
+            (~(sigma >= EPS_SIGMA), lambda c: DegeneracyError(
                 f"influence second moment below floor for predictor {ks[c]}")),
         )
         interval = normal_interval(form_b, sigma, len(self.y), alpha)
@@ -291,10 +297,9 @@ def _cores() -> int:
         return os.cpu_count() or 1
 
 
-def _over_blocks(p: int, kernel, step) -> list:
-    """Run ``carry = step(kernel, cols, carry)`` over blocks of the columns
-    range(p), on w threads, and return each thread's last carry (None if it
-    ran no block).
+def _over_blocks(p: int, kernel, step) -> None:
+    """Run ``step(kernel, cols)`` over blocks of the columns range(p), on w
+    threads.
 
     w is the cores, at most BLOCK_COLUMNS // SWEEP_MIN_COLUMNS (so each
     thread's blocks still take the row sweep) and at most the number of
@@ -315,9 +320,9 @@ def _over_blocks(p: int, kernel, step) -> list:
     starts = iter(range(0, p, width))
     take = threading.Lock()
     errors = dict(np.geterr(), call=np.geterrcall())
-    carries, failures = [None] * w, []
+    failures = []
 
-    def work(i):
+    def work():
         start = -1  # a kernel that cannot be built fails before every block
         try:
             with np.errstate(**errors):
@@ -327,22 +332,21 @@ def _over_blocks(p: int, kernel, step) -> list:
                         start = None if failures else next(starts, None)
                     if start is None:
                         return
-                    carries[i] = step(own, range(start, min(start + width, p)), carries[i])
+                    step(own, range(start, min(start + width, p)))
         except BaseException as exc:  # raised below, once every thread is joined
             failures.append((start, exc))
 
     threads = []
     try:
-        for i in range(1, w):
-            threads.append(threading.Thread(target=work, args=(i,)))
+        for _ in range(1, w):
+            threads.append(threading.Thread(target=work))
             threads[-1].start()
-        work(0)
+        work()
     finally:
         for thread in threads:
             thread.join()
     if failures:
         raise min(failures, key=lambda failure: failure[0])[1]
-    return carries
 
 
 @dataclass(frozen=True)
@@ -365,16 +369,6 @@ class OneStepResult:
         self.if_values.flags.writeable = False
 
 
-def _result(block: _OneStepBlock, c: int, k: int, alpha: float) -> OneStepResult:
-    """Column c of a block, predictor k, as a result of its own."""
-    return OneStepResult(
-        k=k, psi_plugin=float(block.psi[c]), s_onestep=float(block.s_onestep[c]),
-        if_values=block.if_values[:, c].copy(), sigma_hat=float(block.sigma[c]),
-        ci_low=float(block.ci_low[c]), ci_high=float(block.ci_high[c]),
-        statistic=float(block.statistic[c]), p_value=float(block.p_value[c]), alpha=alpha,
-    )
-
-
 def one_step(data: SurvivalDataset, k: int, alpha: float = 0.05) -> OneStepResult:
     """One-step estimate for predictor k over the whole sample."""
     _instance("data", data, SurvivalDataset)
@@ -382,7 +376,13 @@ def one_step(data: SurvivalDataset, k: int, alpha: float = 0.05) -> OneStepResul
     km = fit_censoring_km(data.x, data.delta)
     y = synthetic_response(data, km)
     kernel = _Kernel(data.x, data.delta, y, km, 1)
-    return _result(kernel.one_step(data.predictors[:, k:k + 1], (k,), alpha), 0, k, alpha)
+    block = kernel.one_step(data.predictors[:, k:k + 1], (k,), alpha)
+    return OneStepResult(
+        k=k, psi_plugin=float(block.psi[0]), s_onestep=float(block.s_onestep[0]),
+        if_values=block.if_values[:, 0].copy(), sigma_hat=float(block.sigma[0]),
+        ci_low=float(block.ci_low[0]), ci_high=float(block.ci_high[0]),
+        statistic=float(block.statistic[0]), p_value=float(block.p_value[0]), alpha=alpha,
+    )
 
 
 @dataclass(frozen=True)
@@ -406,21 +406,15 @@ class BonferroniResult:
         self.statistics.flags.writeable = False
 
 
-def _better(best: Optional[OneStepResult], p: float) -> bool:
-    """Whether p, at a higher index than the running best's, replaces it by
-    argmin's rule: the smallest p, the lowest index on a tie, a NaN first."""
-    return best is None or np.argmin((best.p_value, p)) == 1
-
-
 def bonferroni_test(data: SurvivalDataset, alpha: float = 0.05) -> BonferroniResult:
     """Test every predictor marginally; reject if min p < alpha / p.
 
-    The column blocks are split across the process's cores (``_over_blocks``).
-    Each thread keeps the running best of its blocks, with its column's
-    result, so the winner is not refitted; the threads' bests are then merged
-    in block order by the same rule, argmin's.  A failing block raises the
-    error of the lowest failing predictor, as testing one predictor at a
-    time would.
+    The column blocks are split across the process's cores (``_over_blocks``)
+    and each writes its columns' p-values and statistics.  ``bonferroni``
+    then selects the predictor, and ``best`` is ``one_step`` of it: a
+    column's bits do not depend on its block, so they are the ones its block
+    computed.  A failing block raises the error of the lowest failing
+    predictor, as testing one predictor at a time would.
     """
     _instance("data", data, SurvivalDataset)
     alpha = _level(alpha)
@@ -429,21 +423,17 @@ def bonferroni_test(data: SurvivalDataset, alpha: float = 0.05) -> BonferroniRes
     p_values = np.empty(data.p)
     statistics = np.empty(data.p)
 
-    def step(kernel, cols, best):
+    def step(kernel, cols):
         block = kernel.one_step(data.predictors[:, cols.start:cols.stop], cols, alpha)
         p_values[cols.start:cols.stop] = block.p_value
         statistics[cols.start:cols.stop] = block.statistic
-        c = int(np.argmin(block.p_value))
-        return _result(block, c, cols[c], alpha) if _better(best, block.p_value[c]) else best
 
-    bests = _over_blocks(data.p, lambda width: _Kernel(data.x, data.delta, y, km, width), step)
-    best = None
-    for candidate in sorted((b for b in bests if b is not None), key=lambda b: b.k):
-        best = candidate if _better(best, candidate.p_value) else best
+    _over_blocks(data.p, lambda width: _Kernel(data.x, data.delta, y, km, width), step)
     selected, min_p, adjusted_p, reject = bonferroni(p_values, alpha)
     return BonferroniResult(
-        p_values=p_values, statistics=statistics, selected=selected, best=best,
-        min_p=min_p, adjusted_p=adjusted_p, alpha=alpha, reject=reject,
+        p_values=p_values, statistics=statistics, selected=selected,
+        best=one_step(data, selected, alpha), min_p=min_p, adjusted_p=adjusted_p,
+        alpha=alpha, reject=reject,
     )
 
 
@@ -465,16 +455,22 @@ def conservative_variance(data: SurvivalDataset, k: int, m_bound: Optional[float
     y = synthetic_response(data, km)
     U = data.predictors[:, k:k + 1]
     kernel = _Kernel(data.x, data.delta, y, km, 1)
-    with np.errstate(divide="ignore", invalid="ignore"):  # a floored column raises below
+    # a floored column, and values that overflow, raise below
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         bundle, ipw, car = kernel.influence(U)
-    _raise_first(_variance_floor(bundle.u_var, (k,)))
-    star = (ipw - car)[:, 0]
-    if m_bound is None:
-        m_bound = 4.0 * float(kernel.e_vals[:, 0].std())
-        if not m_bound > 0.0:
-            raise DegeneracyError(f"default m_bound is {m_bound}: predicted responses do not vary")
-    cu = U[:, 0] - bundle.u_mean[0]
-    v = bundle.u_var[0]
-    base = (cu * cu - v) / (v * v)
-    ends = (star + (bundle.cov_u_e[0] - m) * base for m in (-m_bound, m_bound))
-    return max(float((vals * vals).mean()) for vals in ends)
+        _raise_first(_variance_floor(bundle.u_var, (k,)))
+        star = (ipw - car)[:, 0]
+        if m_bound is None:
+            m_bound = 4.0 * float(kernel.e_vals[:, 0].std())
+            if not m_bound > 0.0:
+                raise DegeneracyError(
+                    f"default m_bound is {m_bound}: predicted responses do not vary")
+        cu = U[:, 0] - bundle.u_mean[0]
+        v = bundle.u_var[0]
+        base = (cu * cu - v) / (v * v)
+        ends = [star + (bundle.cov_u_e[0] - m) * base for m in (-m_bound, m_bound)]
+        moments = [float((vals * vals).mean()) for vals in ends]
+    if not all(map(math.isfinite, moments)):
+        raise DegeneracyError(
+            f"conservative variance of predictor {k} is not finite: second moments {moments}")
+    return max(moments)

@@ -46,8 +46,7 @@ def suffix_sweep(rows: np.ndarray) -> np.ndarray:
     """
     add = np.add
     below = rows[-1]
-    for i in range(len(rows) - 2, -1, -1):
-        row = rows[i]
+    for row in rows[-2::-1]:
         add(row, below, out=row)
         below = row
     return rows

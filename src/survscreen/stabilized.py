@@ -491,7 +491,7 @@ def _screen(data, q, variant, perms, alpha):
 
     _raise_first(
         _variance_floor(u_var.ravel(), ks.ravel(), where),
-        (sigmas.ravel() < EPS_SIGMA, lambda c: DegeneracyError(
+        (~(sigmas.ravel() >= EPS_SIGMA), lambda c: DegeneracyError(
             f"influence dispersion {sigmas.flat[c]:.3g} below {EPS_SIGMA}{where(c)} "
             f"(predictor {ks.flat[c]})")),
     )
@@ -523,7 +523,7 @@ def _full_sample_steps(data, km, y, perms, ks, q, sig2, raws, u_var):
     if_values = np.empty((data.n, len(distinct)))
     psi, var = np.empty(len(distinct)), np.empty(len(distinct))
 
-    def step(kernel, cols, _):
+    def step(kernel, cols):
         cols = slice(cols.start, cols.stop)
         bundle, ipw, car = kernel.influence(data.predictors[:, distinct[cols]])
         np.subtract(ipw, car, out=if_values[:, cols])

@@ -187,6 +187,23 @@ class TestScreen:
         assert err == ("survscreen: numerical degeneracy: one-step forms disagree by 0.322 "
                        "for predictor 0\n")
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("method", [["stabilized", "--variant", "full"],
+                                        ["stabilized", "--variant", "prefix"],
+                                        ["bonferroni"], ["oracle", "--oracle-k", "u1"]])
+    def test_influence_values_that_overflow_exit_3(self, capsys, tmp_path, method):
+        # raw-scale predictors of order 1e120 overflow the influence values
+        # to NaN, which no floor passes: no report, whose JSON would hold NaN
+        table = np.loadtxt(TOY, delimiter=",", skiprows=1)
+        table[:, 2:] *= 1e120
+        path = tmp_path / "huge.csv"
+        np.savetxt(path, table, delimiter=",", fmt="%.17g", header="time,status,u1,u2,u3",
+                   comments="")
+        rc, out, err = run_cli(capsys, ["screen", str(path), "--no-standardize", "--seed", "7",
+                                        "--method", *method])
+        assert (rc, out) == (3, "")
+        assert err.startswith("survscreen: numerical degeneracy: ") and err.count("\n") == 1
+
     def test_other_package_errors_exit_1_in_one_line(self, capsys, monkeypatch):
         def fail(*args, **kwargs):
             raise survscreen.SurvScreenError("a worker process died")

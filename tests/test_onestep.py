@@ -13,6 +13,7 @@ import reference_kernel
 from survscreen import (
     bonferroni_test,
     conservative_variance,
+    multi_ordering_test,
     one_step,
 )
 from survscreen.censoring import fit_censoring_km, synthetic_response
@@ -527,11 +528,13 @@ class TestThreadedBlocks:
     one-thread run's, and an error crosses back as a serial loop raises it."""
 
     @staticmethod
-    def recording(monkeypatch, cores, block_columns=None, one_step=None):
+    def recording(monkeypatch, cores, block_columns=None, one_step=None, build=None):
         """Run the kernels on ``cores`` threads, with blocks of at most
         ``block_columns`` (the row-sweep cap lifted), and return the list to
-        which each kernel built appends (width, thread); ``one_step``, if
-        given, runs as one_step(kernel, ks) before each block."""
+        which each kernel built appends (width, thread).  ``one_step``, if
+        given, runs as one_step(kernel, ks) before each block, but not before
+        the selected predictor's own one_step, whose ks is the tuple (k,);
+        ``build``, if given, runs as build(width) before each kernel is built."""
         monkeypatch.setattr(onestep, "_cores", lambda: cores)
         if block_columns is not None:
             monkeypatch.setattr(onestep, "BLOCK_COLUMNS", block_columns)
@@ -541,10 +544,12 @@ class TestThreadedBlocks:
         class Recording(_Kernel):
             def __init__(self, *args):
                 built.append((args[4], threading.current_thread()))
+                if build is not None:
+                    build(args[4])
                 super().__init__(*args)
 
             def one_step(self, U, ks, alpha):
-                if one_step is not None:
+                if one_step is not None and isinstance(ks, range):
                     one_step(self, ks)
                 return super().one_step(U, ks, alpha)
 
@@ -577,9 +582,12 @@ class TestThreadedBlocks:
         for cores in (1, 2, 3):
             built = self.recording(monkeypatch, cores, block_columns)
             results.append(bonferroni_test(data))
-            widths = [width for width, _ in built]
-            assert len({thread for _, thread in built}) == len(built) == min(cores, most)
+            # the block kernels, then the selected predictor's one_step
+            *blocks, winner = built
+            widths = [width for width, _ in blocks]
+            assert len({thread for _, thread in blocks}) == len(blocks) == min(cores, most)
             assert min(widths) >= 1 and sum(widths) <= onestep.BLOCK_COLUMNS
+            assert winner == (1, threading.current_thread())
         one = results[0]
         for other in results[1:]:
             assert same_bits(other.p_values, one.p_values)
@@ -592,10 +600,11 @@ class TestThreadedBlocks:
         if dataset == "ties":
             assert one.selected == 1
 
-    @pytest.mark.parametrize("lower_fails_last", [False, True])
-    def test_lowest_failing_block_raises_across_threads(self, monkeypatch, lower_fails_last):
-        # two workers of 128 columns: near-constant columns 5 and 131 fail
-        # the variance floor in the first two blocks, which run at once
+    @staticmethod
+    def floored_dataset():
+        """Three blocks of 256 columns, whose near-constant columns 5 and 131
+        fail the variance floor: in the first two blocks of 128 columns when
+        two workers share them."""
         rng = np.random.default_rng(4)
         n, p = 120, 2 * BLOCK_COLUMNS + 40
         u = rng.standard_normal((n, p))
@@ -603,9 +612,12 @@ class TestThreadedBlocks:
             u[:, k] = 1.0 + 1e-6 * u[:, k]
         t = u[:, 0] + rng.standard_normal(n)
         c = rng.standard_normal(n) + np.quantile(t, 0.6)
-        data = ingest(np.column_stack((np.minimum(t, c), (t <= c).astype(float), u)),
+        return ingest(np.column_stack((np.minimum(t, c), (t <= c).astype(float), u)),
                       standardize=False)
 
+    @pytest.mark.parametrize("lower_fails_last", [False, True])
+    def test_lowest_failing_block_raises_across_threads(self, monkeypatch, lower_fails_last):
+        # the first two blocks run at once, one on each thread
         def delay(kernel, ks):
             if lower_fails_last and ks.start == 0:
                 time.sleep(0.05)
@@ -613,8 +625,32 @@ class TestThreadedBlocks:
         built = self.recording(monkeypatch, 2, one_step=self.first_two_blocks_at_once(delay))
         before = threading.active_count()
         with pytest.raises(DegeneracyError, match="^predictor 5 has sample variance"):
-            bonferroni_test(data)
+            bonferroni_test(self.floored_dataset())
         assert len(built) == 2
+        assert threading.active_count() == before
+
+    def test_a_kernel_that_cannot_be_built_fails_before_every_block(self, monkeypatch):
+        # the helper's kernel fails once the caller has taken the first block,
+        # which then fails its variance floor: a serial loop would fail on the
+        # kernel before it reached any block
+        class Unbuilt(Exception):
+            pass
+
+        taken = threading.Event()
+
+        def build(width):
+            if threading.current_thread() is not threading.main_thread():
+                assert taken.wait(timeout=30)
+                raise Unbuilt
+
+        def take(kernel, ks):
+            taken.set()
+
+        self.recording(monkeypatch, 2, one_step=take, build=build)
+        before = threading.active_count()
+        with pytest.raises(Unbuilt):
+            bonferroni_test(self.floored_dataset())
+        assert taken.is_set()
         assert threading.active_count() == before
 
     @pytest.mark.parametrize("failing", ["helper", "caller"])
@@ -644,7 +680,9 @@ class TestThreadedBlocks:
             many = bonferroni_test(data)
         finally:
             sys.setswitchinterval(interval)
-        assert len(built) == 8
+        *blocks, winner = built
+        assert len(blocks) == 8
+        assert winner == (1, threading.current_thread())
         assert sorted(taken) == list(range(0, data.p, 2))
         assert same_bits(many.p_values, one.p_values)
         assert same_bits(many.statistics, one.statistics)
@@ -660,12 +698,11 @@ class TestThreadedBlocks:
         barrier = threading.Barrier(2)
         seen = []
 
-        def step(kernel, cols, carry):
+        def step(kernel, cols):
             if cols.start < 2 * len(cols):  # the first two blocks, one on each thread
                 barrier.wait(timeout=30)
                 seen.append((threading.current_thread() is threading.main_thread(),
                              np.geterr()["divide"], np.geterrcall()))
-            return carry
 
         def handler(kind, flag):
             pass
@@ -726,3 +763,32 @@ class TestConservativeVariance:
         data = random_dataset(rng)
         got = conservative_variance(data, 0)
         assert np.isfinite(got) and got > 0.0
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+class TestOverflowIsADegeneracy:
+    """Raw-scale predictors of order 1e120 overflow the influence values to
+    NaN.  Every floor fails on NaN, so each entry point raises, without a
+    RuntimeWarning, where it used to return NaN."""
+
+    @staticmethod
+    def overflowing_dataset():
+        table = np.loadtxt(os.path.join(os.path.dirname(__file__), "data", "toy_screen.csv"),
+                           delimiter=",", skiprows=1)
+        table[:, 2:] *= 1e120
+        return ingest(table, standardize=False)
+
+    @pytest.mark.parametrize("run,message", [
+        (lambda data: one_step(data, 0), "^one-step forms disagree by nan for predictor 0$"),
+        (bonferroni_test, "^one-step forms disagree by nan for predictor 0$"),
+        (lambda data: conservative_variance(data, 0), "^conservative variance of predictor 0 "
+                                                      r"is not finite: second moments \[nan, nan\]$"),
+        (lambda data: conservative_variance(data, 1, m_bound=1.0),
+         "^conservative variance of predictor 1 is not finite"),
+        (lambda data: multi_ordering_test(data, variant="full"), "^influence dispersion nan "),
+        (lambda data: multi_ordering_test(data, variant="prefix"), "^influence dispersion nan "),
+    ], ids=["one_step", "bonferroni_test", "conservative_variance", "conservative_variance_m_bound",
+            "multi_ordering_full", "multi_ordering_prefix"])
+    def test_raises_a_degeneracy(self, run, message):
+        with pytest.raises(DegeneracyError, match=message):
+            run(self.overflowing_dataset())
