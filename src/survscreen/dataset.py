@@ -15,12 +15,21 @@ Building that matrix is one pass over blocks of ``BLOCK_COLUMNS`` adjacent
 columns of the caller's predictors: a block's variances, its copy into the
 matrix and its standardization all run while the block is in cache, so the
 matrix is the only n-by-p array made.
+
+``read_csv`` parses a plain CSV body of at least ``SPLIT_MIN_BYTES`` on two
+cores: a forked child parses the lines past the body's middle while the
+caller parses those before it, both into one shared table (``_split_parse``).
+Any body the split cannot parse as the serial parser would, and any failure,
+falls back to the serial parse, so every table and every error is the
+serial one's.
 """
 
 import csv
 import gzip
 import itertools
 import math
+import os
+import stat
 import warnings
 from dataclasses import dataclass
 
@@ -37,6 +46,25 @@ CSV_STATUS_COLUMN = "status"
 # in cache.  Much narrower blocks make building slower, since numpy reduces a
 # row-major block row by row in loops of b elements.
 BLOCK_COLUMNS = 256
+
+# A plain CSV body of at least this many bytes is parsed on two cores, where
+# the process may run on two; a fork and a pass over the body cost more than
+# a smaller body's parse.
+SPLIT_MIN_BYTES = 1 << 20
+# Each np.loadtxt call of a split parse takes whole lines of about this many
+# bytes, so the text and its lines held at once stay small.
+SPLIT_CHUNK_BYTES = 1 << 20
+
+# comments=None: a row starting with '#' is malformed, not skipped
+_LOADTXT = dict(delimiter=",", comments=None, quotechar='"', ndmin=2)
+
+
+def _cores() -> int:
+    """The cores this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # not every platform has it
+        return os.cpu_count() or 1
 
 
 @dataclass(frozen=True)
@@ -266,13 +294,135 @@ def _undecodable(path: str, exc: UnicodeDecodeError) -> str:
     return str(exc)
 
 
+def _middle(body: int, size: int) -> int:
+    """The byte offset the body [body, size) is split at, or just past."""
+    return body + (size - body) // 2
+
+
+def _body_chunks(fh, body: int, size: int):
+    """(starts, lines, split) of the body [body, size) of a binary file, or
+    None if it holds a '"', since a quoted field may span lines.
+
+    ``starts`` are line starts from ``body`` to ``size`` that cut the body
+    into chunks of about SPLIT_CHUNK_BYTES, ``lines[i]`` counts the lines
+    before ``starts[i]``, and ``starts[split]`` is the first line start at
+    or past ``_middle`` (``size`` if none is).  The body is read once, a
+    buffer at a time.
+    """
+    mid = max(_middle(body, size), body)
+    starts, lines, split = [body], [0], 0 if mid == body else None
+    buf = bytearray(SPLIT_CHUNK_BYTES)
+    pos, count = body, 0
+    fh.seek(body)
+    while got := fh.readinto(buf):
+        if buf.find(b'"', 0, got) >= 0:
+            return None
+        if split is None and pos + got >= mid:  # the newline ending the line at mid - 1
+            i = buf.find(b"\n", max(mid - 1 - pos, 0), got)
+            if i >= 0:
+                starts.append(pos + i + 1)
+                lines.append(count + buf.count(b"\n", 0, i + 1))
+                split = len(starts) - 1
+        count += int(np.count_nonzero(np.frombuffer(buf, np.uint8, got) == ord("\n")))
+        end = buf.rfind(b"\n", 0, got) + 1
+        if end and pos + end > starts[-1]:
+            starts.append(pos + end)
+            lines.append(count)
+        pos += got
+    if starts[-1] < size:  # a last line with no newline
+        starts.append(size)
+        lines.append(count + 1)
+    return starts, lines, len(starts) - 1 if split is None else split
+
+
+def _parse_chunks(path: str, starts, lines, chunks, table) -> None:
+    """Parse the chunks ``chunks`` (indices into ``starts``) of the body
+    into their rows of ``table``.  Raises if a chunk is not UTF-8, does not
+    parse, or parses to another row count or width than its lines: a blank
+    line, say."""
+    with open(path, "rb") as fh:
+        fh.seek(starts[chunks.start])
+        for i in chunks:
+            text = fh.read(starts[i + 1] - starts[i]).decode("utf-8")
+            rows = np.loadtxt(text.split("\n"), **_LOADTXT)
+            want = table[lines[i]:lines[i + 1]]
+            if rows.shape != want.shape:
+                raise ValueError(f"chunk {i} parsed to {rows.shape}, not {want.shape}")
+            want[...] = rows
+
+
+def _split_parse(path: str, raw_header):
+    """The body's table, parsed by this process and a forked child into one
+    shared array, or None where the serial parse must run instead.
+
+    ``raw_header`` is the header's fields as the csv module read them.  The
+    split runs on a plain regular file of at least SPLIT_MIN_BYTES whose
+    first line is the header alone and whose body holds no '"', on a
+    platform with fork and in a process that may run on two cores.  The
+    child parses the chunks from the split on and leaves with ``os._exit``,
+    so it never flushes the parent's stdio buffers or runs its exit
+    handlers.  Every failure (a half does not read or parse, or its rows are
+    not its lines; the child exits non-zero or is killed) gives None, and
+    the child is reaped on every path.
+    """
+    if str(path).endswith(".gz") or not hasattr(os, "fork") or _cores() < 2:
+        return None
+    try:
+        info = os.stat(path)
+        if not stat.S_ISREG(info.st_mode):
+            return None  # a pipe's bytes cannot be read twice
+        with open(path, "rb") as fh:
+            header = ",".join(raw_header).encode("utf-8")
+            first = fh.readline(len(header) + 2)
+            if first not in (header + b"\n", header + b"\r\n"):
+                return None  # quoted names, or a line end the text reader reads differently
+            if info.st_size - len(first) < SPLIT_MIN_BYTES:
+                return None
+            chunks = _body_chunks(fh, len(first), info.st_size)
+        if chunks is None or chunks[1][-1] == 0:
+            return None
+        import gc  # only a split parse loads these, as the serial path needs none
+        import mmap
+        import signal
+        starts, lines, split = chunks
+        table = np.ndarray((lines[-1], len(raw_header)),
+                           buffer=mmap.mmap(-1, lines[-1] * len(raw_header) * 8))
+        with warnings.catch_warnings():
+            # Python 3.12 warns that forking a process with threads (the
+            # BLAS pool) may deadlock the child, which only parses and exits
+            warnings.simplefilter("ignore", DeprecationWarning)
+            pid = os.fork()
+    except OSError:
+        return None
+    if pid == 0:
+        code = 1
+        try:
+            gc.disable()  # a collection would copy the parent's pages and run its finalizers
+            warnings.simplefilter("ignore")  # the child writes nothing to the inherited stdio
+            _parse_chunks(path, starts, lines, range(split, len(starts) - 1), table)
+            code = 0
+        finally:
+            os._exit(code)
+    parsed = False
+    try:
+        _parse_chunks(path, starts, lines, range(split), table)
+        parsed = True
+    except (ValueError, OSError):  # the serial parse raises the error, at its location
+        pass
+    finally:  # also on a KeyboardInterrupt
+        if not parsed:
+            os.kill(pid, signal.SIGKILL)
+        _, status = os.waitpid(pid, 0)
+    return table if parsed and status == 0 else None
+
+
 def read_csv(path: str, tau_rule: str = "max", standardize: bool = True) -> SurvivalDataset:
     """Read the `time,status,u1,...,up` CSV schema (optionally gzipped).
 
-    numpy's C parser reads the body into one float array; the text is
-    re-scanned only to locate an error.  Bytes that are not UTF-8 and a
-    damaged or non-gzip ``.gz`` stream are input errors naming the path and
-    the cause.
+    numpy's C parser reads the body into one float array, on two cores
+    where ``_split_parse`` can, else in one pass; the text is re-scanned
+    only to locate an error.  Bytes that are not UTF-8 and a damaged or
+    non-gzip ``.gz`` stream are input errors naming the path and the cause.
     """
     level = _tau_level(tau_rule, standardize)
     try:
@@ -281,10 +431,10 @@ def read_csv(path: str, tau_rule: str = "max", standardize: bool = True) -> Surv
         raise InputError(f"cannot open {path}: {exc}") from exc
     try:
         with fh:
-            header = next(csv.reader(fh), None)
-            if header is None:
+            raw_header = next(csv.reader(fh), None)
+            if raw_header is None:
                 raise InputError(f"{path}: empty file")
-            header = tuple(h.strip() for h in header)
+            header = tuple(h.strip() for h in raw_header)
             if len(header) < 3 or header[0] != CSV_TIME_COLUMN or header[1] != CSV_STATUS_COLUMN:
                 raise InputError(
                     f"{path}: header must be '{CSV_TIME_COLUMN},{CSV_STATUS_COLUMN},u1,...'"
@@ -294,13 +444,14 @@ def read_csv(path: str, tau_rule: str = "max", standardize: bool = True) -> Surv
                 if first.setdefault(name, col) != col:
                     raise InputError(f"{path}: predictor columns {first[name] + 1} and "
                                      f"{col + 1} are both named {name!r}")
-            # comments=None: a row starting with '#' is malformed, not skipped
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore", UserWarning)  # no data rows, reported below
-                try:
-                    table = np.loadtxt(fh, delimiter=",", comments=None, quotechar='"', ndmin=2)
-                except ValueError as exc:  # undecodable bytes, too: the re-scan raises them
-                    raise _parse_error(path, len(header), exc) from None
+                table = _split_parse(path, raw_header)
+                if table is None:
+                    try:
+                        table = np.loadtxt(fh, **_LOADTXT)
+                    except ValueError as exc:  # undecodable bytes, too: the re-scan raises them
+                        raise _parse_error(path, len(header), exc) from None
     except UnicodeDecodeError as exc:
         raise InputError(f"cannot read {path}: {_undecodable(path, exc)}") from None
     except (OSError, EOFError) as exc:

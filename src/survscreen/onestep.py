@@ -38,12 +38,12 @@ it.  So ``bonferroni_test`` selects with ``bonferroni`` over the p-values,
 as every multiple test here does, and its ``best`` is ``one_step`` of the
 selected predictor, with the bits its block computed.
 
-Every floor is written so that a NaN fails it (``~(value >= floor)``), so
-influence values that overflow raise a ``DegeneracyError``.
+Influence values that overflow float64 raise a ``DegeneracyError`` that
+says so, checked after the variance floor and before the other checks; and
+every floor is written so that a NaN fails it (``~(value >= floor)``).
 """
 
 import math
-import os
 import threading
 from dataclasses import dataclass
 from typing import NamedTuple, Optional
@@ -52,7 +52,7 @@ import numpy as np
 
 from ._normal import ndtr, ndtri
 from .censoring import KaplanMeierFit, fit_censoring_km, synthetic_response
-from .dataset import BLOCK_COLUMNS, SurvivalDataset
+from .dataset import BLOCK_COLUMNS, SurvivalDataset, _cores
 from .errors import DegeneracyError, _instance, _integer, _level, _real
 from .residual_life import EPS_VAR, SWEEP_MIN_COLUMNS, AtRiskFit
 
@@ -280,6 +280,8 @@ class _Kernel:
             sigma = np.sqrt(_colmean(np.multiply(if_values, if_values, out=t1)))
         _raise_first(
             _variance_floor(bundle.u_var, ks),
+            (~(np.isfinite(gap) & np.isfinite(sigma)), lambda c: DegeneracyError(
+                f"influence values of predictor {ks[c]} overflow float64")),
             (~(gap <= DUAL_FORM_TOL), lambda c: DegeneracyError(
                 f"one-step forms disagree by {gap[c]:.3g} for predictor {ks[c]}")),
             (~(sigma >= EPS_SIGMA), lambda c: DegeneracyError(
@@ -287,14 +289,6 @@ class _Kernel:
         )
         interval = normal_interval(form_b, sigma, len(self.y), alpha)
         return _OneStepBlock(psi, form_b, if_values, sigma, *interval)
-
-
-def _cores() -> int:
-    """The cores this process may run on."""
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # not every platform has it
-        return os.cpu_count() or 1
 
 
 def _over_blocks(p: int, kernel, step) -> None:
@@ -374,7 +368,12 @@ def one_step(data: SurvivalDataset, k: int, alpha: float = 0.05) -> OneStepResul
     _instance("data", data, SurvivalDataset)
     k, alpha = _integer("k", k, 0, data.p - 1), _level(alpha)
     km = fit_censoring_km(data.x, data.delta)
-    y = synthetic_response(data, km)
+    return _one_step(data, km, synthetic_response(data, km), k, alpha)
+
+
+def _one_step(data: SurvivalDataset, km, y, k: int, alpha: float) -> OneStepResult:
+    """``one_step`` of predictor k given the sample's censoring fit and
+    synthetic response."""
     kernel = _Kernel(data.x, data.delta, y, km, 1)
     block = kernel.one_step(data.predictors[:, k:k + 1], (k,), alpha)
     return OneStepResult(
@@ -411,10 +410,11 @@ def bonferroni_test(data: SurvivalDataset, alpha: float = 0.05) -> BonferroniRes
 
     The column blocks are split across the process's cores (``_over_blocks``)
     and each writes its columns' p-values and statistics.  ``bonferroni``
-    then selects the predictor, and ``best`` is ``one_step`` of it: a
-    column's bits do not depend on its block, so they are the ones its block
-    computed.  A failing block raises the error of the lowest failing
-    predictor, as testing one predictor at a time would.
+    then selects the predictor, and ``best`` is ``one_step`` of it, on the
+    same censoring fit and synthetic response: a column's bits do not depend
+    on its block, so they are the ones its block computed.  A failing block
+    raises the error of the lowest failing predictor, as testing one
+    predictor at a time would.
     """
     _instance("data", data, SurvivalDataset)
     alpha = _level(alpha)
@@ -432,7 +432,7 @@ def bonferroni_test(data: SurvivalDataset, alpha: float = 0.05) -> BonferroniRes
     selected, min_p, adjusted_p, reject = bonferroni(p_values, alpha)
     return BonferroniResult(
         p_values=p_values, statistics=statistics, selected=selected,
-        best=one_step(data, selected, alpha), min_p=min_p, adjusted_p=adjusted_p,
+        best=_one_step(data, km, y, selected, alpha), min_p=min_p, adjusted_p=adjusted_p,
         alpha=alpha, reject=reject,
     )
 

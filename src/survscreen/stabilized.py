@@ -474,8 +474,8 @@ def stabilized_estimate(
 def _screen(data, q, variant, perms, alpha):
     """Every ordering's result from orderings x steps arrays: one check over
     all steps, in their C order, which is a step-by-step run's (ordering by
-    ordering, step by step; variance floor, then dispersion), then one
-    aggregate along the rows and one normal calibration."""
+    ordering, step by step; variance floor, overflow, then dispersion), then
+    one aggregate along the rows and one normal calibration."""
     n, steps = data.n, data.n - q
     km = fit_censoring_km(data.x, data.delta)
     y = synthetic_response(data, km)
@@ -491,6 +491,8 @@ def _screen(data, q, variant, perms, alpha):
 
     _raise_first(
         _variance_floor(u_var.ravel(), ks.ravel(), where),
+        (~(np.isfinite(sigmas) & np.isfinite(raws)).ravel(), lambda c: DegeneracyError(
+            f"influence values of predictor {ks.flat[c]} overflow float64{where(c)}")),
         (~(sigmas.ravel() >= EPS_SIGMA), lambda c: DegeneracyError(
             f"influence dispersion {sigmas.flat[c]:.3g} below {EPS_SIGMA}{where(c)} "
             f"(predictor {ks.flat[c]})")),

@@ -1,10 +1,15 @@
 import gzip
+import os
+import signal
+import time
 import warnings
+from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from survscreen import ScenarioSpec, generate_scenario, simulate
+from survscreen import ScenarioSpec, dataset, generate_scenario, simulate
 from survscreen.cli import main
 from survscreen.dataset import BLOCK_COLUMNS, ingest, lower_quantile, parse_tau_rule, read_csv
 from survscreen.errors import InputError
@@ -304,11 +309,15 @@ def test_ingest_never_writes_or_aliases_the_table(standardize):
 
 READ_CSV_PEAK = """
 import resource, sys
-from survscreen.dataset import read_csv
-read_csv(sys.argv[1])  # first call: lazy imports and parser set-up
+from survscreen import dataset
+dataset.SPLIT_MIN_BYTES = 0  # both reads take the two-process parse
+dataset._cores = lambda: 2
+dataset.read_csv(sys.argv[1])  # first call: lazy imports and parser set-up
 before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
-data = read_csv(sys.argv[2])
-print((resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - before) * 1024 / data.predictors.nbytes)
+data = dataset.read_csv(sys.argv[2])
+peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+child = resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss
+print((peak - before) * 1024 / data.predictors.nbytes, child / peak)
 """
 
 
@@ -320,8 +329,10 @@ def test_read_csv_peak_memory_bounded(tmp_path):
     big, small = tmp_path / "big.csv", tmp_path / "small.csv"
     np.savetxt(big, _table(rng, n, p), delimiter=",", fmt="%.17g", header=header, comments="")
     np.savetxt(small, _table(rng, 5, 2), delimiter=",", header="time,status,u1,u2", comments="")
-    ratio = float(run_python(["-c", READ_CSV_PEAK, str(small), str(big)], blas_threads=1))
+    ratio, child = map(float, run_python(["-c", READ_CSV_PEAK, str(small), str(big)],
+                                         blas_threads=1).split())
     assert ratio <= 2.5  # the parsed table plus U
+    assert 0.0 < child <= 1.0  # a parsing child ran, and its peak is within the caller's
 
 
 def test_read_csv_gzip_quotes_and_blank_lines(tmp_path):
@@ -335,7 +346,7 @@ def test_read_csv_gzip_quotes_and_blank_lines(tmp_path):
         assert data.predictor_names == ("u1", "u2")
 
 
-@pytest.mark.parametrize("body,message", [
+READ_CSV_ERRORS = [
     ("1,1,0.5\n#2,0,0.1\n3,1,0.7\n", "row 3: could not convert string to float: '#2'"),
     ("", "no data rows"),
     ("\n\n", "no data rows"),
@@ -354,7 +365,10 @@ def test_read_csv_gzip_quotes_and_blank_lines(tmp_path):
     # a quoted field spanning two lines: locations count file lines, not records
     ('1,1,"0.5\n"\n2,2,0.1\n', "non-binary status 2.0 in row 2 (line 4)"),
     ('1,1,"0.5\n"\n2,0\n', "row 4 has 2 fields, expected 3"),
-])
+]
+
+
+@pytest.mark.parametrize("body,message", READ_CSV_ERRORS)
 @pytest.mark.parametrize("compress", [False, True])
 def test_read_csv_error_messages(tmp_path, body, message, compress):
     path = tmp_path / ("bad.csv.gz" if compress else "bad.csv")
@@ -377,3 +391,246 @@ def test_read_csv_names_the_line_and_byte_of_a_non_utf8_byte(tmp_path, compress)
         read_csv(str(path))
     assert str(exc.value) == (f"cannot read {path}: 'utf-8' codec can't decode byte 0xff "
                               "at line 15002, byte 17: invalid start byte")
+
+
+# -- the two-process parse ------------------------------------------------------
+
+TOY = Path(__file__).resolve().parent / "data" / "toy_screen.csv"
+
+
+@pytest.fixture
+def spied(monkeypatch):
+    """Records whether each two-process parse read_csv tries gives the table
+    (``ran``) and the pid of each child forked; afterwards every child has
+    been reaped."""
+    state = SimpleNamespace(ran=[], pids=[])
+    split_parse, fork = dataset._split_parse, os.fork
+
+    def spy(*args):
+        table = split_parse(*args)
+        state.ran.append(table is not None)
+        return table
+
+    def spy_fork():
+        pid = fork()
+        if pid:
+            state.pids.append(pid)
+        return pid
+
+    monkeypatch.setattr(dataset, "_split_parse", spy)
+    monkeypatch.setattr(os, "fork", spy_fork)
+    yield state
+    for pid in state.pids:
+        with pytest.raises(ChildProcessError):
+            os.waitpid(pid, os.WNOHANG)
+    try:
+        assert os.waitpid(-1, os.WNOHANG) == (0, 0)  # only children still running, if any
+    except ChildProcessError:  # no child at all
+        pass
+
+
+@pytest.fixture
+def split(monkeypatch, spied):
+    """``spied``, with the two-process parse taken on any body and any cores."""
+    monkeypatch.setattr(dataset, "SPLIT_MIN_BYTES", 0)
+    monkeypatch.setattr(dataset, "_cores", lambda: 2)
+    return spied
+
+
+def _serial(path, **kwargs):
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(dataset, "_split_parse", lambda *args: None)
+        return read_csv(str(path), **kwargs)
+
+
+def _assert_same(got, want):
+    assert same_bits(got.x, want.x) and same_bits(got.delta, want.delta)
+    assert same_bits(got.predictors, want.predictors)
+    assert got.tau == want.tau and got.predictor_names == want.predictor_names
+
+
+def _toy_bytes(form):
+    """toy_screen.csv as is, with CRLF line ends, or with no trailing newline."""
+    raw = TOY.read_bytes()
+    if form == "CRLF":
+        return raw.replace(b"\n", b"\r\n")
+    return raw.rstrip(b"\n") if form == "no trailing newline" else raw
+
+
+def _line_starts(raw):
+    body = raw.index(b"\n") + 1
+    return [body] + [i + 1 for i in range(body, len(raw)) if raw[i] == ord("\n")]
+
+
+@pytest.mark.parametrize("form", ["as is", "CRLF", "no trailing newline"])
+@pytest.mark.parametrize("chunk", [1, 7, 1 << 20])
+def test_split_parse_is_the_serial_table_at_every_line_start(tmp_path, monkeypatch, split,
+                                                            form, chunk):
+    raw = _toy_bytes(form)
+    path = tmp_path / "toy.csv"
+    path.write_bytes(raw)
+    want = _serial(path, standardize=False)
+    monkeypatch.setattr(dataset, "SPLIT_CHUNK_BYTES", chunk)  # chunk edges in every line
+    starts = _line_starts(raw)
+    for start in starts:
+        monkeypatch.setattr(dataset, "_middle", lambda body, size: start)
+        _assert_same(read_csv(str(path), standardize=False), want)
+    assert split.ran == [True] * len(starts) and len(split.pids) == len(starts)
+
+
+@pytest.mark.parametrize("form", ["as is", "CRLF", "no trailing newline"])
+@pytest.mark.parametrize("chunk", [1, 7, 1 << 20])
+def test_body_chunks_split_at_the_first_line_start_past_the_middle(monkeypatch, tmp_path, form,
+                                                                  chunk):
+    raw = _toy_bytes(form)
+    monkeypatch.setattr(dataset, "SPLIT_CHUNK_BYTES", chunk)
+    path = tmp_path / "toy.csv"
+    path.write_bytes(raw)
+    line_starts = _line_starts(raw)
+    body = line_starts[0]
+    for mid in range(body, len(raw) + 1):
+        monkeypatch.setattr(dataset, "_middle", lambda body, size: mid)
+        with open(path, "rb") as fh:
+            starts, lines, split = dataset._body_chunks(fh, body, len(raw))
+        assert starts[split] == min([s for s in line_starts if s >= mid] + [len(raw)])
+        assert starts[0] == body and starts[-1] == len(raw) and starts == sorted(set(starts))
+        assert set(starts) <= set(line_starts) | {len(raw)}
+        assert lines == [raw[body:s].count(b"\n") for s in starts[:-1]] + [16]
+
+
+def test_split_parse_is_the_serial_table_on_random_tables(tmp_path, monkeypatch, split):
+    rng = np.random.default_rng(25)
+    path = tmp_path / "random.csv"
+    for i in range(240):
+        n, p = int(rng.integers(2, 40)), int(rng.integers(1, 30))
+        table = _table(rng, n, p)
+        table[:, 2:] *= 10.0 ** rng.integers(-150, 150, p)  # exponents of every width
+        newline = "\r\n" if i % 3 == 0 else "\n"
+        np.savetxt(path, table, delimiter=",", fmt="%.17g", newline=newline, comments="",
+                   header="time,status," + ",".join(f"u{k + 1}" for k in range(p)))
+        if i % 4 == 0:
+            path.write_bytes(path.read_bytes().rstrip(b"\r\n"))
+        size = path.stat().st_size
+        at = int(rng.integers(0, size + 1))  # any byte: the split moves to a line start
+        monkeypatch.setattr(dataset, "_middle", lambda body, size: at)
+        monkeypatch.setattr(dataset, "SPLIT_CHUNK_BYTES", int(rng.integers(1, 2 * size)))
+        got = read_csv(str(path), standardize=False)
+        assert split.ran[-1]
+        _assert_same(got, _serial(path, standardize=False))
+        assert same_bits(got.predictors, table[:, 2:]) and same_bits(got.x, table[:, 0])
+
+
+def test_a_large_body_is_split_where_two_cores_may_run(tmp_path, spied):
+    # unpatched: on one core (taskset -c 0) this takes the serial parse
+    path = tmp_path / "large.csv"
+    p = 300
+    np.savetxt(path, _table(np.random.default_rng(6), 400, p), delimiter=",", fmt="%.17g",
+               header="time,status," + ",".join(f"u{k + 1}" for k in range(p)), comments="")
+    assert path.stat().st_size > 2 << 20
+    _assert_same(read_csv(str(path)), _serial(path))
+    assert spied.ran == [dataset._cores() > 1] and len(spied.pids) == spied.ran[0]
+
+
+def _write_toy(path, edit=lambda raw: raw):
+    raw = edit(TOY.read_bytes())
+    if str(path).endswith(".gz"):
+        path.write_bytes(gzip.compress(raw))
+    else:
+        path.write_bytes(raw)
+    return path
+
+
+def _blank_line_at(index):
+    def edit(raw):
+        lines = raw.split(b"\n")
+        return b"\n".join(lines[:index] + [b""] + lines[index:])
+    return edit
+
+
+@pytest.mark.parametrize("name,edit,forked", [
+    ("toy.csv.gz", lambda raw: raw, False),
+    ("quoted.csv", lambda raw: raw.replace(b"\n0.62,", b'\n"0.62",', 1), False),
+    ("quoted_header.csv", lambda raw: raw.replace(b"u1", b'"u1"', 1), False),
+    ("blank_first_half.csv", _blank_line_at(2), True),
+    ("blank_second_half.csv", _blank_line_at(-2), True),
+    ("lone_cr.csv", lambda raw: raw.replace(b"\n", b"\r", 3).replace(b"\r", b"\n", 1), True),
+], ids=lambda v: v if isinstance(v, str) else "")
+def test_split_parse_falls_back_to_the_serial_parse(tmp_path, split, name, edit, forked):
+    path = _write_toy(tmp_path / name, edit)
+    _assert_same(read_csv(str(path), standardize=False), _serial(path, standardize=False))
+    assert split.ran == [False] and len(split.pids) == forked
+
+
+def test_split_parse_falls_back_on_one_core(tmp_path, monkeypatch, split):
+    monkeypatch.setattr(dataset, "_cores", lambda: 1)
+    path = _write_toy(tmp_path / "toy.csv")
+    _assert_same(read_csv(str(path), standardize=False), _serial(path, standardize=False))
+    assert split.ran == [False] and split.pids == []
+
+
+def test_split_parse_falls_back_when_the_child_is_killed(tmp_path, monkeypatch, split):
+    parent = os.getpid()
+    parse_chunks = dataset._parse_chunks
+
+    def parse_or_die(*args):
+        if os.getpid() != parent:
+            os.kill(os.getpid(), signal.SIGKILL)
+        parse_chunks(*args)
+
+    monkeypatch.setattr(dataset, "_parse_chunks", parse_or_die)
+    path = _write_toy(tmp_path / "toy.csv")
+    _assert_same(read_csv(str(path), standardize=False), _serial(path, standardize=False))
+    assert split.ran == [False] and len(split.pids) == 1
+
+
+def test_split_parse_kills_and_reaps_the_child_on_a_keyboard_interrupt(tmp_path, monkeypatch,
+                                                                       split):
+    parent = os.getpid()
+
+    def interrupted(*args):
+        if os.getpid() == parent:
+            raise KeyboardInterrupt
+        time.sleep(60)  # a child left to finish would hold the caller this long
+
+    monkeypatch.setattr(dataset, "_parse_chunks", interrupted)
+    start = time.monotonic()
+    with pytest.raises(KeyboardInterrupt):
+        read_csv(str(_write_toy(tmp_path / "toy.csv")))
+    assert time.monotonic() - start < 30
+    assert len(split.pids) == 1  # the fixture checks that it was reaped
+
+
+@pytest.mark.parametrize("body,message", READ_CSV_ERRORS)
+@pytest.mark.parametrize("compress", [False, True])
+def test_read_csv_error_messages_with_the_split_forced(split, tmp_path, body, message, compress):
+    test_read_csv_error_messages(tmp_path, body, message, compress)
+
+
+@pytest.mark.parametrize("compress", [False, True])
+def test_non_utf8_byte_named_with_the_split_forced(split, tmp_path, compress):
+    test_read_csv_names_the_line_and_byte_of_a_non_utf8_byte(tmp_path, compress)
+    assert split.ran == [False] and len(split.pids) == (not compress)
+
+
+BUFFERED_PRINT = """
+import sys
+from survscreen import dataset
+dataset.SPLIT_MIN_BYTES = 0
+dataset._cores = lambda: 2
+split_parse, ran = dataset._split_parse, []
+
+def spy(*args):
+    table = split_parse(*args)
+    ran.append(table is not None)
+    return table
+
+dataset._split_parse = spy
+print("before read_csv")  # stdout is a pipe: this waits in the buffer while the child runs
+print(dataset.read_csv(sys.argv[1]).n, ran)
+"""
+
+
+def test_a_buffered_print_before_read_csv_is_written_once(tmp_path):
+    path = _write_toy(tmp_path / "toy.csv")
+    out = run_python(["-c", BUFFERED_PRINT, str(path)], blas_threads=1)
+    assert out == "before read_csv\n16 [True]\n"

@@ -768,8 +768,9 @@ class TestConservativeVariance:
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 class TestOverflowIsADegeneracy:
     """Raw-scale predictors of order 1e120 overflow the influence values to
-    NaN.  Every floor fails on NaN, so each entry point raises, without a
-    RuntimeWarning, where it used to return NaN."""
+    NaN.  Each entry point raises, without a RuntimeWarning, where it used
+    to return NaN, and the one-step kernel and the screen name the overflow
+    (after the variance floor, before the dual-form and dispersion checks)."""
 
     @staticmethod
     def overflowing_dataset():
@@ -779,16 +780,33 @@ class TestOverflowIsADegeneracy:
         return ingest(table, standardize=False)
 
     @pytest.mark.parametrize("run,message", [
-        (lambda data: one_step(data, 0), "^one-step forms disagree by nan for predictor 0$"),
-        (bonferroni_test, "^one-step forms disagree by nan for predictor 0$"),
+        (lambda data: one_step(data, 0), "^influence values of predictor 0 overflow float64$"),
+        (bonferroni_test, "^influence values of predictor 0 overflow float64$"),
         (lambda data: conservative_variance(data, 0), "^conservative variance of predictor 0 "
                                                       r"is not finite: second moments \[nan, nan\]$"),
         (lambda data: conservative_variance(data, 1, m_bound=1.0),
          "^conservative variance of predictor 1 is not finite"),
-        (lambda data: multi_ordering_test(data, variant="full"), "^influence dispersion nan "),
-        (lambda data: multi_ordering_test(data, variant="prefix"), "^influence dispersion nan "),
+        (lambda data: multi_ordering_test(data, variant="full"), "^influence values of predictor 2 "
+                                                                 "overflow float64 in ordering 0 "
+                                                                 "at prefix size 8$"),
+        (lambda data: multi_ordering_test(data, variant="prefix"), "^influence values of predictor "
+                                                                   "2 overflow float64 in ordering "
+                                                                   "0 at prefix size 8$"),
     ], ids=["one_step", "bonferroni_test", "conservative_variance", "conservative_variance_m_bound",
             "multi_ordering_full", "multi_ordering_prefix"])
     def test_raises_a_degeneracy(self, run, message):
         with pytest.raises(DegeneracyError, match=message):
             run(self.overflowing_dataset())
+
+    @pytest.mark.parametrize("order", [(0, 1), (1, 0)])
+    def test_an_earlier_column_fails_first(self, order):
+        # a column below the variance floor and one that overflows: the
+        # lower column's error wins, as testing one at a time would give
+        table = np.loadtxt(os.path.join(os.path.dirname(__file__), "data", "toy_screen.csv"),
+                           delimiter=",", skiprows=1)
+        cols = np.column_stack((1e-5 * table[:, 2], 1e120 * table[:, 3]))[:, order]
+        data = ingest(np.column_stack((table[:, :2], cols)), standardize=False)
+        message = ("^predictor 0 has sample variance .* below 1e-08$" if order == (0, 1)
+                   else "^influence values of predictor 0 overflow float64$")
+        with pytest.raises(DegeneracyError, match=message):
+            bonferroni_test(data)
