@@ -79,25 +79,26 @@ def ndtr(a):
     array of that shape.  Positive arguments are outside the domain: the
     only caller asks for lower tails of -|z|.
     """
-    x = np.asarray(a, dtype=np.float64) * SQRTH
-    z = np.abs(x)
-    y = np.where(np.isnan(x), np.nan, 0.0)  # erfc underflows to 0 past MAXLOG
-    # 0.5 + 0.5 erf(x) for |x| < 1; an empty branch is skipped, since a
-    # statistic often comes alone and each numpy call costs about a microsecond
-    inner = z < 1.0
-    if inner.any():
-        xi = x[inner]
-        xx = xi * xi
-        y[inner] = 0.5 + 0.5 * (xi * _polevl(xx, _T) / _p1evl(xx, _U))
-    # 0.5 erfc(|x|) where exp(-x^2) does not underflow
-    outer = (z >= 1.0) & (z * z <= MAXLOG)
-    if outer.any():
-        zo = z[outer]
-        e = np.array([math.exp(v) for v in (-zo * zo).tolist()])
-        near = zo < 8.0
-        p = np.where(near, _polevl(zo, _P), _polevl(zo, _R))
-        q = np.where(near, _p1evl(zo, _Q), _p1evl(zo, _S))
-        y[outer] = 0.5 * (e * p / q)
+    with np.errstate(all="ignore"):  # tails, and squares of tiny arguments, may underflow
+        x = np.asarray(a, dtype=np.float64) * SQRTH
+        z = np.abs(x)
+        y = np.where(np.isnan(x), np.nan, 0.0)  # erfc underflows to 0 past MAXLOG
+        # 0.5 + 0.5 erf(x) for |x| < 1; an empty branch is skipped, since a
+        # statistic often comes alone and each numpy call costs about a microsecond
+        inner = z < 1.0
+        if inner.any():
+            xi = x[inner]
+            xx = xi * xi
+            y[inner] = 0.5 + 0.5 * (xi * _polevl(xx, _T) / _p1evl(xx, _U))
+        # 0.5 erfc(|x|) where exp(-x^2) does not underflow
+        outer = (z >= 1.0) & (z * z <= MAXLOG)
+        if outer.any():
+            zo = z[outer]
+            e = np.array([math.exp(v) for v in (-zo * zo).tolist()])
+            near = zo < 8.0
+            p = np.where(near, _polevl(zo, _P), _polevl(zo, _R))
+            q = np.where(near, _p1evl(zo, _Q), _p1evl(zo, _S))
+            y[outer] = 0.5 * (e * p / q)
     return y[()]
 
 

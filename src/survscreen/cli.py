@@ -5,11 +5,13 @@ report; ``survscreen simulate`` runs seeded Monte-Carlo studies and prints
 CSV.  Exit codes: 0 on successful computation (the statistical decision
 lives in the report, never in the exit code), 2 on input errors, 3 on
 numerical-degeneracy errors, 1 on any other failure the package reports
-(such as a Monte-Carlo worker process that died).
+(such as a Monte-Carlo worker process that died) and when stdout is closed
+before the output is written.
 """
 
 import argparse
 import json
+import os
 import secrets
 import sys
 import time
@@ -193,9 +195,14 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        if args.command == "screen":
-            return cmd_screen(args)
-        return cmd_simulate(args)
+        code = (cmd_screen if args.command == "screen" else cmd_simulate)(args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # the reader closed stdout; what is left in its buffer goes to
+        # os.devnull, or the flush at exit would fail again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     except InputError as exc:
         print(f"survscreen: error: {exc}", file=sys.stderr)
         return 2

@@ -269,7 +269,7 @@ class _Kernel:
         b = U.shape[1]
         t1 = self._t1[:, :b]
         # floored columns, and columns whose values overflow to NaN, raise below
-        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        with np.errstate(all="ignore"):
             bundle, ipw, car = self.influence(U)
             if_values = np.subtract(ipw, car, out=ipw)
             psi = plugin_slope(bundle)
@@ -302,31 +302,27 @@ def _over_blocks(p: int, kernel, step) -> None:
     // w columns until none is left, so all threads' scratch together is one
     BLOCK_COLUMNS-wide kernel's.  The calling thread is one of them, and
     with one no thread is started.  numpy releases the GIL inside the
-    kernel's loops, and its errstate does not carry into a new thread, so
-    each thread enters the caller's.  Blocks are taken in order, and none
-    once a thread has failed.  After every thread is joined, the failing
-    block with the lowest start raises its exception, which is the one a
-    serial loop would raise: every block below it was taken before it and
-    run to the end.
+    kernel's loops.  Blocks are taken in order, and none once a thread has
+    failed.  After every thread is joined, the failing block with the lowest
+    start raises its exception, which is the one a serial loop would raise:
+    every block below it was taken before it and run to the end.
     """
     w = max(1, min(_cores(), BLOCK_COLUMNS // SWEEP_MIN_COLUMNS, -(-p // BLOCK_COLUMNS)))
     width = BLOCK_COLUMNS // w
     starts = iter(range(0, p, width))
     take = threading.Lock()
-    errors = dict(np.geterr(), call=np.geterrcall())
     failures = []
 
     def work():
         start = -1  # a kernel that cannot be built fails before every block
         try:
-            with np.errstate(**errors):
-                own = kernel(min(p, width))
-                while True:
-                    with take:
-                        start = None if failures else next(starts, None)
-                    if start is None:
-                        return
-                    step(own, range(start, min(start + width, p)))
+            own = kernel(min(p, width))
+            while True:
+                with take:
+                    start = None if failures else next(starts, None)
+                if start is None:
+                    return
+                step(own, range(start, min(start + width, p)))
         except BaseException as exc:  # raised below, once every thread is joined
             failures.append((start, exc))
 
@@ -456,7 +452,7 @@ def conservative_variance(data: SurvivalDataset, k: int, m_bound: Optional[float
     U = data.predictors[:, k:k + 1]
     kernel = _Kernel(data.x, data.delta, y, km, 1)
     # a floored column, and values that overflow, raise below
-    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+    with np.errstate(all="ignore"):
         bundle, ipw, car = kernel.influence(U)
         _raise_first(_variance_floor(bundle.u_var, (k,)))
         star = (ipw - car)[:, 0]

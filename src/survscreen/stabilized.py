@@ -130,12 +130,12 @@ def _selection_weights(x, delta, perms, first, last):
 
         np.take(survival, slots[cols], axis=1, out=w, mode="clip")
         # columns past a prefix may hold inf or nan; only the staircase is read
-        with np.errstate(divide="ignore", invalid="ignore"):
+        with np.errstate(all="ignore"):
             np.divide(x0[cols], w, out=w)
             w[:, 1 + np.flatnonzero(dp == 0)] = 0.0
             means = np.add.reduceat(work, segments)[::2] / sizes
-        w -= means[:, None]
-        w /= sizes[:, None]
+            w -= means[:, None]
+            w /= sizes[:, None]
         w[outside] = 0.0
         out = np.empty((steps, n))
         np.take(w, np.argsort(perm) + 1, axis=1, out=out, mode="clip")
@@ -527,27 +527,28 @@ def _full_sample_steps(data, km, y, perms, ks, q, sig2, raws, u_var):
 
     def step(kernel, cols):
         cols = slice(cols.start, cols.stop)
-        bundle, ipw, car = kernel.influence(data.predictors[:, distinct[cols]])
-        np.subtract(ipw, car, out=if_values[:, cols])
-        psi[cols] = plugin_slope(bundle)
+        with np.errstate(all="ignore"):  # a floored column is raised at its first step
+            bundle, ipw, car = kernel.influence(data.predictors[:, distinct[cols]])
+            np.subtract(ipw, car, out=if_values[:, cols])
+            psi[cols] = plugin_slope(bundle)
         var[cols] = bundle.u_var
 
-    with np.errstate(all="ignore"):  # a floored column is raised at its first step
-        _over_blocks(len(distinct), lambda width: _Kernel(data.x, data.delta, y, km, width), step)
+    _over_blocks(len(distinct), lambda width: _Kernel(data.x, data.delta, y, km, width), step)
 
     j = np.arange(q, q + ks.shape[1])
-    for r, perm in enumerate(perms):
-        col = np.searchsorted(distinct, ks[r])
-        # one ordering's columns at a time: all at once would be R x distinct
-        own, local = np.unique(col, return_inverse=True)
-        values = if_values[np.ix_(perm, own)]
-        cs = np.cumsum(values, axis=0)
-        csq = np.cumsum(values * values, axis=0)
-        # float_power squares with C pow, as a float64 scalar's ** 2 does; an
-        # array's ** 2 is a multiply, which can differ in the last bit
-        sig2[r] = csq[j - 1, local] / j - np.float_power(cs[j - 1, local] / j, 2)
-        raws[r] = psi[col] + values[j, local]
-        u_var[r] = var[col]
+    with np.errstate(all="ignore"):  # so is a step whose values are not finite
+        for r, perm in enumerate(perms):
+            col = np.searchsorted(distinct, ks[r])
+            # one ordering's columns at a time: all at once would be R x distinct
+            own, local = np.unique(col, return_inverse=True)
+            values = if_values[np.ix_(perm, own)]
+            cs = np.cumsum(values, axis=0)
+            csq = np.cumsum(values * values, axis=0)
+            # float_power squares with C pow, as a float64 scalar's ** 2 does; an
+            # array's ** 2 is a multiply, which can differ in the last bit
+            sig2[r] = csq[j - 1, local] / j - np.float_power(cs[j - 1, local] / j, 2)
+            raws[r] = psi[col] + values[j, local]
+            u_var[r] = var[col]
 
 
 def _prefix_steps(data, km, y, perms, ks, q, sig2, raws, u_var):

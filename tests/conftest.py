@@ -1,6 +1,7 @@
 import os
 import subprocess
 import sys
+from dataclasses import fields, is_dataclass
 from pathlib import Path
 
 import numpy as np
@@ -57,6 +58,20 @@ def build_out_of_place(time, status, predictors, tau_rule="max", standardize=Tru
 def same_bits(a, b):
     a, b = np.asarray(a), np.asarray(b)
     return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def assert_same(a, b):
+    """Results equal field by field, to the type and the bits."""
+    assert type(a) is type(b)
+    if is_dataclass(a):
+        for field in fields(a):
+            assert_same(getattr(a, field.name), getattr(b, field.name))
+    elif isinstance(a, tuple):
+        assert len(a) == len(b)
+        for x, y in zip(a, b):
+            assert_same(x, y)
+    else:
+        assert same_bits(a, b)
 
 
 @pytest.fixture

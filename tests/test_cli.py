@@ -212,38 +212,56 @@ class TestScreen:
         rc, out, err = run_cli(capsys, ["simulate", "--reps", "1", "--seed", "1"])
         assert (rc, out, err) == (1, "", "survscreen: error: a worker process died\n")
 
-    @pytest.mark.parametrize("name,content", [
-        ("body.csv", b"time,status,u1\n1.0,1,0.5\n2.0,0,\xff\n3.0,1,0.7\n"),
-        ("header.csv", b"time,status,u\xff1\n1.0,1,0.5\n2.0,0,0.1\n3.0,1,0.7\n"),
-        ("plain.gz", b"time,status,u1\n1.0,1,0.5\n2.0,0,0.1\n3.0,1,0.7\n"),
+    @pytest.mark.parametrize("name,content,message", [
+        ("body.csv", b"time,status,u1\n1.0,1,0.5\n2.0,0,\xff\n3.0,1,0.7\n", "cannot read {path}: "),
+        ("header.csv", b"time,status,u\xff1\n1.0,1,0.5\n2.0,0,0.1\n3.0,1,0.7\n",
+         "cannot read {path}: "),
+        ("plain.gz", b"time,status,u1\n1.0,1,0.5\n2.0,0,0.1\n3.0,1,0.7\n", "cannot read {path}: "),
         ("truncated.gz", gzip.compress(
             b"time,status,u1\n" + b"".join(b"%d,1,0.%d\n" % (i, i % 10) for i in range(400)),
-            mtime=0)[:200]),
-    ], ids=["body", "header", "plain-gz", "truncated-gz"])
-    def test_unreadable_bytes_exit_2_naming_the_path(self, tmp_path, name, content):
+            mtime=0)[:200], "cannot read {path}: "),
+        ("empty.csv", b"", "{path}: empty file\n"),
+    ], ids=["body", "header", "plain-gz", "truncated-gz", "empty"])
+    def test_unreadable_bytes_exit_2_naming_the_path(self, tmp_path, name, content, message):
         path = tmp_path / name
         path.write_bytes(content)
         done = subprocess.run([sys.executable, "-m", "survscreen.cli", "screen", str(path),
                                "--method", "bonferroni", "--seed", "1"],
                               env=src_env(), capture_output=True, text=True, timeout=300)
         assert done.returncode == 2
-        assert f"cannot read {path}: " in done.stderr
+        assert message.format(path=path) in done.stderr
         assert "Traceback" not in done.stderr
+
+    def test_a_reader_that_closes_stdout_early_gets_exit_1_without_a_traceback(self):
+        # a report of 1,000 orderings outgrows the pipe's buffer, so a write
+        # after the reader closed it fails
+        argv = [sys.executable, "-m", "survscreen.cli"] + screen_args(**{"--orderings": "1000"})
+        with subprocess.Popen(argv, env=src_env(), bufsize=0, stdout=subprocess.PIPE,
+                              stderr=subprocess.PIPE) as done:
+            assert done.stdout.read(1) == b"{"
+            done.stdout.close()
+            _, err = done.communicate(timeout=300)
+        assert (done.returncode, err) == (1, b"")  # no traceback
 
     def test_missing_file_exits_2(self, capsys):
         rc, _, err = run_cli(capsys, ["screen", "/nonexistent.csv", "--seed", "1"])
         assert rc == 2
 
 
-class TestAlphaOption:
-    @pytest.mark.parametrize("command", ["screen", "simulate"])
-    @pytest.mark.parametrize("alpha", ["0", "1", "-0.1", "1.5"])
-    def test_alpha_outside_unit_interval_exits_2(self, capsys, command, alpha):
-        argv = [command, TOY] if command == "screen" else [command]
+class TestOptionValues:
+    @pytest.mark.parametrize("argv,message", [
+        *(([command, "--alpha", alpha], "--alpha must be a number in (0, 1)")
+          for command in ("screen", "simulate") for alpha in ("0", "1", "-0.1", "1.5")),
+        (["screen", "--qn", "abc"], "--qn must be an integer or 'half', got 'abc'"),
+    ], ids=[f"{command}-alpha-{alpha}" for command in ("screen", "simulate")
+            for alpha in ("0", "1", "-0.1", "1.5")] + ["screen-qn-abc"])
+    def test_a_value_the_option_does_not_take_exits_2(self, capsys, argv, message):
+        if argv[0] == "screen":
+            argv = argv[:1] + [TOY] + argv[1:]
         with pytest.raises(SystemExit) as exc:
-            main(argv + ["--alpha", alpha, "--seed", "1"])
+            main(argv + ["--seed", "1"])
         assert exc.value.code == 2
-        assert "--alpha must be a number in (0, 1)" in capsys.readouterr().err
+        assert message in capsys.readouterr().err
 
 
 class TestSimulateCommand:

@@ -2,8 +2,6 @@
 and choices the same way: a bad value raises InputError naming the argument,
 and an integral value of another numeric type gives the plain-int result."""
 
-from dataclasses import fields, is_dataclass
-
 import numpy as np
 import pytest
 
@@ -24,7 +22,7 @@ from survscreen import (
 )
 from survscreen.errors import InputError
 
-from conftest import random_dataset, same_bits
+from conftest import assert_same, random_dataset
 
 N, P = 20, 3
 
@@ -130,29 +128,16 @@ def test_name_of_no_predictor_raises_unknown_predictor(data, name):
     assert str(caught.value) == f"unknown predictor {name!r}"
 
 
-@pytest.mark.parametrize("rows", [
-    [["a", 1, 2], [1, 0, 3]],
-    [[1, 0, 2], [1, 0]],
-    [[1 + 1j, 0, 2], [2, 1, 3]],
-    np.array([[1 + 1j, 0, 2], [2, 1, 3]]),
-], ids=["text", "ragged", "complex-list", "complex-array"])
-def test_records_that_are_not_real_numbers_raise_input_error_naming_rows(rows):
-    with pytest.raises(InputError, match="^rows must be "):
+@pytest.mark.parametrize("rows,message", [
+    ([["a", 1, 2], [1, 0, 3]], "^rows must be "),
+    ([[1, 0, 2], [1, 0]], "^rows must be "),
+    ([[1 + 1j, 0, 2], [2, 1, 3]], "^rows must be "),
+    (np.array([[1 + 1j, 0, 2], [2, 1, 3]]), "^rows must be "),
+    ([[1, 0], [2, 1]], r"^need columns \(time, status, u1, \.\.\.\) with at least one predictor$"),
+], ids=["text", "ragged", "complex-list", "complex-array", "no-predictor"])
+def test_records_that_are_not_real_numbers_raise_input_error_naming_rows(rows, message):
+    with pytest.raises(InputError, match=message):
         ingest(rows)
-
-
-def assert_same(a, b):
-    """Results equal field by field, to the type and the bits."""
-    assert type(a) is type(b)
-    if is_dataclass(a):
-        for field in fields(a):
-            assert_same(getattr(a, field.name), getattr(b, field.name))
-    elif isinstance(a, tuple):
-        assert len(a) == len(b)
-        for x, y in zip(a, b):
-            assert_same(x, y)
-    else:
-        assert same_bits(a, b)
 
 
 @pytest.mark.parametrize("entry,same,plain", [
