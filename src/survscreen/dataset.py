@@ -301,8 +301,7 @@ def _middle(body: int, size: int) -> int:
 
 def _body_chunks(fh, body: int, size: int):
     """(starts, lines, split) of the body [body, size) of a binary file, or
-    None if it holds a '"', since a quoted field may span lines, or a blank
-    line, which the serial parse skips.
+    None if it holds a '"', since a quoted field may span lines.
 
     ``starts`` are line starts from ``body`` to ``size`` that cut the body
     into chunks of about SPLIT_CHUNK_BYTES, ``lines[i]`` counts the lines
@@ -314,32 +313,21 @@ def _body_chunks(fh, body: int, size: int):
     starts, lines, split = [body], [0], 0 if mid == body else None
     buf = bytearray(SPLIT_CHUNK_BYTES)
     pos, count = body, 0
-    last, tail = body - 1, 0  # the last newline seen (the header's) and the last byte read
     fh.seek(body)
     while got := fh.readinto(buf):
         if buf.find(b'"', 0, got) >= 0:
             return None
-        text = np.frombuffer(buf, np.uint8, got)
-        ends = np.flatnonzero(text == ord("\n"))
-        # a blank line, "\n" or "\r\n", ends one byte past the newline before
-        # it, or two with a "\r" between
-        gaps = np.diff(ends, prepend=last - pos)
-        cr = np.where(ends > 0, text[ends - 1], tail) == ord("\r")
-        if np.any((gaps == 1) | (gaps == 2) & cr):
-            return None
         if split is None and pos + got >= mid:  # the newline ending the line at mid - 1
-            i = int(np.searchsorted(ends, mid - 1 - pos))
-            if i < len(ends):
-                starts.append(pos + int(ends[i]) + 1)
-                lines.append(count + i + 1)
+            i = buf.find(b"\n", max(mid - 1 - pos, 0), got)
+            if i >= 0:
+                starts.append(pos + i + 1)
+                lines.append(count + buf.count(b"\n", 0, i + 1))
                 split = len(starts) - 1
-        count += len(ends)
-        if len(ends):
-            last = pos + int(ends[-1])
-        if last + 1 > starts[-1]:
-            starts.append(last + 1)
+        count += int(np.count_nonzero(np.frombuffer(buf, np.uint8, got) == ord("\n")))
+        end = buf.rfind(b"\n", 0, got) + 1
+        if end and pos + end > starts[-1]:
+            starts.append(pos + end)
             lines.append(count)
-        tail = text[-1]
         pos += got
     if starts[-1] < size:  # a last line with no newline
         starts.append(size)
@@ -350,8 +338,8 @@ def _body_chunks(fh, body: int, size: int):
 def _parse_chunks(path: str, starts, lines, chunks, table) -> None:
     """Parse the chunks ``chunks`` (indices into ``starts``) of the body
     into their rows of ``table``.  Raises if a chunk is not UTF-8, does not
-    parse, or parses to another row count or width than its lines: a line
-    holding a lone carriage return, say."""
+    parse, or parses to another row count or width than its lines: a blank
+    line, say."""
     with open(path, "rb") as fh:
         fh.seek(starts[chunks.start])
         for i in chunks:
@@ -369,11 +357,11 @@ def _split_parse(path: str, raw_header):
 
     ``raw_header`` is the header's fields as the csv module read them.  The
     split runs on a plain regular file of at least SPLIT_MIN_BYTES whose
-    first line is the header alone and whose body holds no '"' and no blank
-    line, on a platform with fork and in a process that may run on two
-    cores.  The child parses the chunks from the split on and leaves with
-    ``os._exit``, so it never flushes the parent's stdio buffers or runs its
-    exit handlers.  Every failure (a half does not read or parse, or its rows are
+    first line is the header alone and whose body holds no '"', on a
+    platform with fork and in a process that may run on two cores.  The
+    child parses the chunks from the split on and leaves with ``os._exit``,
+    so it never flushes the parent's stdio buffers or runs its exit
+    handlers.  Every failure (a half does not read or parse, or its rows are
     not its lines; the child exits non-zero or is killed) gives None, and
     the child is reaped on every path.
     """

