@@ -9,13 +9,16 @@ which is what makes screens over very large predictor counts feasible.
 
 Every per-step quantity is an array.  The selection weights
 w_j = (y_j - mean(y_j)) / j depend on the ordering and the prefix censoring
-fit, never on the predictors, so one call builds the weights of every
-ordering, one n x (n - q_n) matrix each, from all prefix Kaplan-Meier fits
-at once, in a few full-array passes per ordering.  A prefix mean sums
-[0.0, y[:j]] by reduceat, which is y[:j].sum() bit for bit.
-Selection for every step of every ordering is then one pass over the predictors
-in column blocks: one matrix product per block and ordering gives the slope
-numerators, and a running maximum per step carries the selection.  A certified
+fit, never on the predictors.  An ordering's weights, one n x (n - q_n)
+matrix, come from all its prefix Kaplan-Meier fits at once, in a few
+full-array passes over a frame built once per screen.  A prefix mean sums
+[0.0, y[:j]] by reduceat, which is y[:j].sum() bit for bit.  The orderings
+are selected in consecutive groups, each as many orderings as U's own bytes
+hold weights and at least one, so the weights take no more memory than U or
+one ordering's matrix, whichever is larger.  Selection for every step of a
+group's orderings is one pass over the predictors in column blocks: one
+matrix product per block and ordering gives the slope numerators, and a
+running maximum per step carries the selection.  A certified
 lower bound on each column's prefix variances, from a few checkpoint prefix
 sums, drops the columns whose slopes stay below every step's near-tie cut; only
 the others get the exact cumulative prefix moments.  The increments use the
@@ -84,70 +87,78 @@ def default_qn(n: int) -> int:
     return n // 2
 
 
-def _selection_weights(x, delta, perms, first, last):
-    """Selection weights of the prefix sizes first..last of every ordering.
+class _Weights:
+    """Selection weights of the prefix sizes first..last, one ordering at a time.
 
-    Returns one F-order n x steps matrix per ordering, whose column i holds
-    w = (y - mean(y)) / j for prefix size j = first + i at the data rows
-    perm[:j], and 0 at the other rows; y are the IPCW responses of the prefix
-    under the prefix's own censoring fit.  Censoring and at-risk counts of
-    every prefix at the sample's censoring times are cumulative sums over
-    the ordered rows.  A time with no censoring in a prefix has hazard 0 and
-    contributes the exact factor 1.0, so each prefix's G equals
+    The frame holds what every ordering shares: the censoring times, each
+    row's G(x-) slot, the staircase mask, the reduceat segments and one
+    steps x (n + 1) work buffer in ordered layout.  fill() writes one
+    ordering's weights into the caller's buffer; column i of its n x steps
+    result holds w = (y - mean(y)) / j for prefix size j = first + i at the
+    data rows perm[:j], and 0 at the other rows; y are the IPCW responses of
+    the prefix under the prefix's own censoring fit.  Censoring and at-risk
+    counts of every prefix at the sample's censoring times are cumulative
+    sums over the ordered rows.  A time with no censoring in a prefix has
+    hazard 0 and contributes the exact factor 1.0, so each prefix's G equals
     fit_censoring_km and survival_at on that prefix, bit for bit.  At an
     event x of a prefix of j rows, j G(x-) >= Y(x) >= 1, so every response is
     finite and needs no floor.
-
-    Each ordering is worked in one steps x (n + 1) buffer in ordered layout.
-    Each ordering's matrix is its own array: freeing one R-sized array raises
-    glibc's dynamic mmap threshold above a CSV table's size, and the heap then
-    keeps the tables of later reads (2.7 MB more peak RSS at n=500, p=2000).
     """
-    n, steps = len(x), last - first + 1
-    sizes = np.arange(first, last + 1, dtype=np.float64)
-    times = np.unique(x[delta == 0])
-    # work column 0 is a row with response 0.0 / G(-inf) = 0.0 / 1.0, and
-    # columns 1..n are the data rows in the ordering
-    x0 = np.concatenate(([0.0], x))
-    slots = np.concatenate(([0], np.searchsorted(times, x, side="left")))  # G(x-) column
-    outside = np.arange(n + 1) > sizes[:, None]  # row i: the columns past prefix i
-    # reduceat over row i's columns 0..j sums [0.0, y[:j]]; the trailing 0.0
-    # keeps the end index of the last segment in range when j = n
-    work = np.zeros(steps * (n + 1) + 1)
-    w = work[:-1].reshape(steps, n + 1)
-    starts = np.arange(steps) * (n + 1)
-    segments = np.column_stack((starts, starts + np.arange(first + 1, last + 2))).ravel()
-    weights = []
-    for perm in perms:
-        xp, dp = x[perm], delta[perm]
-        cols = np.concatenate(([0], perm + 1))
-        censored = _prefix_counts((dp[:, None] == 0) & (xp[:, None] == times), first, last)
-        at_risk = _prefix_counts(xp[:, None] >= times, first, last)
-        # censored rows are at risk, so a time with no row at risk has 0 / 1
-        hazard = censored / np.maximum(at_risk, 1)
-        survival = np.ones((steps, len(times) + 1))
-        np.cumprod(1.0 - hazard, axis=1, out=survival[:, 1:])
 
-        np.take(survival, slots[cols], axis=1, out=w, mode="clip")
+    def __init__(self, x, delta, first, last):
+        n, steps = len(x), last - first + 1
+        self.x, self.delta, self.first, self.last = x, delta, first, last
+        self.sizes = np.arange(first, last + 1, dtype=np.float64)
+        self.times = np.unique(x[delta == 0])
+        # work column 0 is a row with response 0.0 / G(-inf) = 0.0 / 1.0, and
+        # columns 1..n are the data rows in the ordering
+        self.x0 = np.concatenate(([0.0], x))
+        # each row's G(x-) column
+        self.slots = np.concatenate(([0], np.searchsorted(self.times, x, side="left")))
+        self.outside = np.arange(n + 1) > self.sizes[:, None]  # row i: the columns past prefix i
+        # reduceat over row i's columns 0..j sums [0.0, y[:j]]; the trailing 0.0
+        # keeps the end index of the last segment in range when j = n
+        self.work = np.zeros(steps * (n + 1) + 1)
+        self.w = self.work[:-1].reshape(steps, n + 1)
+        starts = np.arange(steps) * (n + 1)
+        self.segments = np.column_stack((starts, starts + np.arange(first + 1, last + 2))).ravel()
+
+    def fill(self, perm, out):
+        """Ordering ``perm``'s weights written into the C-order steps x n
+        ``out``; returns its transpose, the n x steps matrix."""
+        first, last, times, w = self.first, self.last, self.times, self.w
+        xp, dp = self.x[perm], self.delta[perm]
+        cols = np.concatenate(([0], perm + 1))
+        survival = np.empty((len(w), len(times) + 1))
+        survival[:, 0] = 1.0
+        hazard = _prefix_counts((dp[:, None] == 0) & (xp[:, None] == times), first, last,
+                                survival[:, 1:])
+        at_risk = _prefix_counts(xp[:, None] >= times, first, last, np.empty(hazard.shape))
+        # censored rows are at risk, so a time with no row at risk has 0 / 1
+        hazard /= np.maximum(at_risk, 1.0, out=at_risk)
+        np.cumprod(np.subtract(1.0, hazard, out=hazard), axis=1, out=hazard)
+
+        np.take(survival, self.slots[cols], axis=1, out=w, mode="clip")
         # columns past a prefix may hold inf or nan; only the staircase is read
         with np.errstate(all="ignore"):
-            np.divide(x0[cols], w, out=w)
+            np.divide(self.x0[cols], w, out=w)
             w[:, 1 + np.flatnonzero(dp == 0)] = 0.0
-            means = np.add.reduceat(work, segments)[::2] / sizes
+            means = np.add.reduceat(self.work, self.segments)[::2] / self.sizes
             w -= means[:, None]
-            w /= sizes[:, None]
-        w[outside] = 0.0
-        out = np.empty((steps, n))
+            w /= self.sizes[:, None]
+        w[self.outside] = 0.0
         np.take(w, np.argsort(perm) + 1, axis=1, out=out, mode="clip")
-        weights.append(out.T)
-    return weights
+        return out.T
 
 
-def _prefix_counts(indicator, first, last):
-    """Column sums of the (n x T) indicator over rows :j for j = first..last."""
-    counts = np.cumsum(indicator[first - 1:last], axis=0)
-    counts += indicator[:first - 1].sum(axis=0)
-    return counts
+def _prefix_counts(indicator, first, last, out):
+    """Column sums of the (n x T) indicator over rows :j for j = first..last,
+    written into the steps x T float64 ``out``; the sums are exact integers.
+    A cumsum of the 0/1 rows cast to float64 on the fly would allocate two
+    such tables, so the rows are copied into ``out`` and summed there."""
+    out[0] = indicator[:first].sum(axis=0)
+    out[1:] = indicator[first:last]
+    return np.cumsum(out, axis=0, out=out)
 
 
 class _RunningSelection:
@@ -374,16 +385,17 @@ def _select_steps(U, perms, weights, first):
     """Selected (ks, ms) of every prefix step of every ordering, orderings x steps.
 
     ``weights[r]`` is ordering r's n x steps matrix, its column i being
-    prefix size first + i; one _selection_weights call builds those of all
-    orderings.  U is read once, in blocks of BLOCK_COLUMNS columns that every
-    ordering visits while the block is in cache; no permuted copy of U is
-    made.  Per block and ordering, one product gives every step's slope
-    numerators.  Once an ordering has a nonzero best, a column whose slope
-    provably stays below every step's near-tie cut is dropped (_WindowBound);
-    only the columns left get the exact prefix moments (_prefix_variance) and
-    their slopes.  A dropped slope is below the cut before the block, so it
-    could be neither a step's best nor a near-tie candidate, and the
-    selections are those of the exact pass on every column.
+    prefix size first + i, as _Weights.fill returns it.  U is read once per
+    call, which is once per group of orderings in _select_orderings, in
+    blocks of BLOCK_COLUMNS columns that every ordering visits while the
+    block is in cache; no permuted copy of U is made.  Per block and
+    ordering, one product gives every step's slope numerators.  Once an
+    ordering has a nonzero best, a column whose slope provably stays below
+    every step's near-tie cut is dropped (_WindowBound); only the columns
+    left get the exact prefix moments (_prefix_variance) and their slopes.
+    A dropped slope is below the cut before the block, so it could be
+    neither a step's best nor a near-tie candidate, and the selections are
+    those of the exact pass on every column.
     """
     n, p = U.shape
     steps = weights[0].shape[1]
@@ -429,13 +441,34 @@ def _select_steps(U, perms, weights, first):
     return np.array(ks), np.array(ms)
 
 
+def _select_orderings(data, perms, first, last):
+    """Selected (ks, ms) of the prefix sizes first..last of every ordering,
+    orderings x steps.
+
+    The orderings are selected in consecutive groups, each of as many
+    orderings as U's own bytes hold weights (all of them when U is at least
+    R weight matrices), and every group's weights are filled into one buffer
+    made once.  An ordering's selection does not depend on the orderings
+    that share its group, so every group size gives the same bits.
+    """
+    U, n, steps = data.predictors, data.n, last - first + 1
+    frame = _Weights(data.x, data.delta, first, last)
+    group = min(len(perms), max(1, U.size // (n * steps)))
+    buffer = np.empty((group, steps, n))
+    ks = np.empty((len(perms), steps), dtype=np.intp)
+    ms = np.empty((len(perms), steps), dtype=np.int64)
+    for g in range(0, len(perms), group):
+        chunk = perms[g:g + group]
+        weights = [frame.fill(perm, out) for perm, out in zip(chunk, buffer)]
+        ks[g:g + group], ms[g:g + group] = _select_steps(U, chunk, weights, first)
+    return ks, ms
+
+
 def select_predictor(data: SurvivalDataset, j: Optional[int] = None):
     """Most associated predictor (index, sign) from the first j rows."""
     _instance("data", data, SurvivalDataset)
     j = _integer("j", data.n if j is None else j, 2, data.n)
-    perms = [np.arange(data.n)]
-    weights = _selection_weights(data.x, data.delta, perms, j, j)
-    ks, ms = _select_steps(data.predictors, perms, weights, j)
+    ks, ms = _select_orderings(data, [np.arange(data.n)], j, j)
     return int(ks[0, 0]), int(ms[0, 0])
 
 
@@ -479,8 +512,7 @@ def _screen(data, q, variant, perms, alpha):
     n, steps = data.n, data.n - q
     km = fit_censoring_km(data.x, data.delta)
     y = synthetic_response(data, km)
-    ks, ms = _select_steps(data.predictors, perms,
-                           _selection_weights(data.x, data.delta, perms, q, n - 1), q)
+    ks, ms = _select_orderings(data, perms, q, n - 1)
     sig2, raws, u_var = (np.empty(ks.shape) for _ in range(3))
     (_full_sample_steps if variant == "full" else _prefix_steps)(
         data, km, y, perms, ks, q, sig2, raws, u_var)
@@ -598,7 +630,9 @@ def multi_ordering_test(
 
     Ordering r draws its permutation from the counter-based stream
     (seed, r), and each ordering equals stabilized_estimate under that
-    permutation.  Selection for all orderings shares one pass over U.
+    permutation.  Selection reads U once per group of orderings whose
+    weights together fit in U's size, so once when U is at least R weight
+    matrices.
     """
     _instance("data", data, SurvivalDataset)
     orderings, seed = _integer("orderings", orderings, 1), _integer("seed", seed)

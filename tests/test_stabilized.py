@@ -1,5 +1,6 @@
 import math
 import re
+import tracemalloc
 from dataclasses import fields
 
 import numpy as np
@@ -18,10 +19,10 @@ from survscreen.censoring import _weighted_response, fit_censoring_km, survival_
 from survscreen.dataset import ingest
 from survscreen.errors import DegeneracyError, InputError, SurvScreenError
 from survscreen.onestep import BLOCK_COLUMNS, _Kernel, normal_interval, plugin_slope
-from survscreen.stabilized import (StabilizedResult, _prefix_variance, _selection_weights,
-                                   _WindowBound, default_qn)
+from survscreen.stabilized import (StabilizedResult, _prefix_variance, _Weights, _WindowBound,
+                                   default_qn)
 
-from conftest import random_dataset, run_python, same_bits
+from conftest import assert_same, random_dataset, run_python, same_bits
 
 
 def fixed_example():
@@ -336,6 +337,50 @@ class TestMultiOrdering:
         assert len(calls) == 1
         assert len(out.p_values) == 10
 
+    @pytest.mark.parametrize("p,orderings,groups", [(120, 7, [3, 3, 1]), (280, 10, [7, 3])])
+    @pytest.mark.parametrize("case", ["random", "tied pair", "near-constant"])
+    def test_groups_of_orderings_keep_every_bit(self, rng, monkeypatch, p, orderings, groups, case):
+        # n = 80 and q_n = 40: U holds the weights of p // 40 orderings, so
+        # selection runs in groups; at p = 280 over two column blocks
+        n = 80
+        if case == "random":
+            data = random_dataset(rng, n=n, p=p, censor=0.4)
+        elif case == "tied pair":  # across the block boundary when p > BLOCK_COLUMNS
+            low = min(p - 1, BLOCK_COLUMNS) - 1
+            data = signal_with_noise_columns(rng, n, p, (low, -(low + 1)))
+        else:  # TestBlockedSelection's column, floored at every step
+            data = signal_with_noise_columns(rng, n, p, (40,))
+            table = np.column_stack((data.x, data.delta, data.predictors))
+            table[:, 2 + p - 7] = 1e-6 * (data.x + rng.standard_normal(n))
+            data = ingest(table, standardize=False)
+        sizes = []
+        select = stabilized._select_steps
+
+        def counted(U, perms, *args):
+            sizes.append(len(perms))
+            return select(U, perms, *args)
+
+        monkeypatch.setattr(stabilized, "_select_steps", counted)
+        out = multi_ordering_test(data, orderings=orderings, seed=21)
+        assert sizes == groups
+        for r, got in enumerate(out.results):
+            assert_same(got, stabilized_estimate(data, ordering=stream(21, r).permutation(n)))
+
+    def test_weights_in_memory_stay_below_U_plus_four_tables(self):
+        # numpy reports its array data to tracemalloc, so the peak repeats
+        # exactly; each of the 10 orderings' weights is one n x (n - q_n) table
+        n = 400
+        data = random_dataset(np.random.default_rng(3), n=n, p=40)
+        table = 8 * n * (n - default_qn(n))
+        multi_ordering_test(data, orderings=10)  # numpy's first-call allocations
+        tracemalloc.start()
+        try:
+            multi_ordering_test(data, orderings=10)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= data.predictors.nbytes + 4 * table
+
 
 def signal_with_noise_columns(rng, n, p, columns):
     """Survival times driven exactly by one signal v, written into the given
@@ -486,6 +531,12 @@ class TestCertifiedSelection:
             assert all(result.k == p - 1) and all(result.m == -1)
 
 
+def selection_weights(x, delta, perms, first, last):
+    """Every ordering's n x steps weights from one frame, each in its own buffer."""
+    frame = _Weights(x, delta, first, last)
+    return [frame.fill(perm, np.empty((last - first + 1, len(x)))) for perm in perms]
+
+
 class TestPrefixWeights:
     @staticmethod
     def loop_weights(x, delta, perm, first, last):
@@ -520,7 +571,7 @@ class TestPrefixWeights:
             perms = [rng.permutation(n) for _ in range(int(rng.integers(1, 4)))]
             first = int(rng.integers(2, n))
             last = n - 1 if n > 100 else n  # the screen's last step, or select_predictor's j = n
-            got = _selection_weights(x, delta, perms, first, last)
+            got = selection_weights(x, delta, perms, first, last)
             for w, perm in zip(got, perms, strict=True):
                 want = self.loop_weights(x, delta, perm, first, last)
                 assert w.flags.f_contiguous
@@ -537,12 +588,12 @@ class TestPrefixWeights:
                 x, delta = self.sample(rng, case, n)
                 perms = [rng.permutation(n) for _ in range(3)]
                 first = int(rng.integers(2, n // 2))
-                want = _selection_weights(x, delta, perms, first, n - 1)
+                want = selection_weights(x, delta, perms, first, n - 1)
                 samples.append((x, delta, perms, first, want))
         monkeypatch.setattr(censoring, "EPS_G", eps_g)
         loop_failures = 0
         for x, delta, perms, first, want in samples:
-            got = _selection_weights(x, delta, perms, first, len(x) - 1)
+            got = selection_weights(x, delta, perms, first, len(x) - 1)
             for w, v, perm in zip(got, want, perms, strict=True):
                 assert np.array_equal(w.view(np.int64), v.view(np.int64))
                 try:
