@@ -6,10 +6,12 @@ Usage, with two checkouts (the parent commit and the change) side by side:
         --n 4000 --p 5000 --orderings 10 --pairs 3 --out BENCH_<topic>.json
 
 Each run is a fresh process that imports survscreen from its checkout's
-``src``, draws N/heavy data with ``generate_scenario`` (``--seed``, default
-1) and times ``multi_ordering_test(data, orderings=R, seed=0)``.  It reports
-the screen's wall time, the process's peak RSS before and after the screen
-(``ru_maxrss``), and every ordering's p-value in hex.  The pairs alternate
+``src``, draws N/heavy data of ``--n`` rows and ``--p`` predictors with
+``generate_scenario`` (``--seed``, default 1) and times
+``multi_ordering_test(data, orderings=R, seed=0)``.  It reports the screen's
+wall time, the part of it spent selecting (every call of
+``stabilized._select_orderings``), the process's peak RSS before and after
+the screen (``ru_maxrss``), and every ordering's p-value in hex.  The pairs alternate
 which side runs first.  If ``--out`` already holds a JSON object (say, the
 record of ``scripts/bench_compare.py``), the runs are added to it under
 ``one_off``; otherwise the file holds them alone.
@@ -24,15 +26,23 @@ import sys
 
 CHILD = """
 import json, resource, sys, time
-from survscreen import ScenarioSpec, generate_scenario, multi_ordering_test
+from survscreen import ScenarioSpec, generate_scenario, multi_ordering_test, stabilized
 n, p, orderings, seed = (int(v) for v in sys.argv[1:5])
 data, _ = generate_scenario(ScenarioSpec(model="N", censoring="heavy", n=n, p=p, seed=seed))
+select, spent = stabilized._select_orderings, []
+def timed(*args):
+    start = time.perf_counter()
+    out = select(*args)
+    spent.append(time.perf_counter() - start)
+    return out
+stabilized._select_orderings = timed
 before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
 start = time.perf_counter()
 out = multi_ordering_test(data, orderings=orderings, seed=0)
 wall = time.perf_counter() - start
 peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
-print(json.dumps({"screen_wall_s": wall, "peak_rss_mb": peak, "peak_rss_mb_before_screen": before,
+print(json.dumps({"screen_wall_s": wall, "selection_s": sum(spent), "peak_rss_mb": peak,
+                  "peak_rss_mb_before_screen": before,
                   "p_values": [float(v).hex() for v in out.p_values]}))
 """
 
@@ -67,7 +77,7 @@ def main(argv=None):
                 f"multi_ordering_test orderings={args.orderings} seed=0",
         "same_p_values": len(p_values) == 1,
         "median": {side: {key: statistics.median(r[key] for r in rs)
-                          for key in ("screen_wall_s", "peak_rss_mb")}
+                          for key in ("screen_wall_s", "selection_s", "peak_rss_mb")}
                    for side, rs in runs.items()},
         "runs": runs,
     }

@@ -14,14 +14,18 @@ matrix, come from all its prefix Kaplan-Meier fits at once, in a few
 full-array passes over a frame built once per screen.  A prefix mean sums
 [0.0, y[:j]] by reduceat, which is y[:j].sum() bit for bit.  The orderings
 are selected in consecutive groups, each as many orderings as U's own bytes
-hold weights and at least one, so the weights take no more memory than U or
-one ordering's matrix, whichever is larger.  Selection for every step of a
-group's orderings is one pass over the predictors in column blocks: one
-matrix product per block and ordering gives the slope numerators, and a
-running maximum per step carries the selection.  A certified
-lower bound on each column's prefix variances, from a few checkpoint prefix
-sums, drops the columns whose slopes stay below every step's near-tie cut; only
-the others get the exact cumulative prefix moments.  The increments use the
+hold selection buffers for (the float64 weights, their float32 copy and the
+float32 screening products) and at least one, so these take no more memory
+than U or one ordering's buffers, whichever is larger.  Selection for every
+step of a group's orderings is one pass over the predictors in column
+blocks, and a running maximum per step carries the selection.  In the first
+block one float64 matrix product per ordering gives every step's slope
+numerators.  From then on a float32 screen certifies which columns can
+still reach a step's near-tie cut: one float32 product of the group's
+stacked weights bounds every numerator, and a few float32 checkpoint prefix
+sums bound every prefix variance from below.  Only the columns left get
+float64 numerators, one matrix-vector product each, and the exact
+cumulative prefix moments.  The increments use the
 full-sample censoring fit and either prefix ("prefix" variant, refitted at
 each step) or full-sample ("full" variant) regression moments.  With
 full-sample moments each distinct selected predictor is fitted once, in
@@ -226,6 +230,19 @@ class _RunningSelection:
 # c = 250, while the checkpoint product stays about 2 / L of the slope product
 _WINDOW = 16
 _UNIT_ROUNDOFF = np.finfo(np.float64).eps / 2
+_SINGLE_ROUNDOFF = np.finfo(np.float32).eps / 2
+# float32's smallest normal number: a float32 result below it is off by at
+# most this much, also where the CPU flushes subnormals to zero or reads them
+# as zero
+_SINGLE_UNDERFLOW = 2.0 ** -126
+# the float32 screen takes a block whose values, and a group whose weights,
+# are at most _SINGLE_RANGE in size, with n at most _SINGLE_ROWS: then no
+# float32 cast, product or sum can overflow (n 2**51 2**51 < 2**128), and the
+# float32 error factors below stay under 1/4
+_SINGLE_RANGE = 2.0 ** 50
+_SINGLE_ROWS = 2 ** 20
+# covers the float64 roundings of the screen's error terms, each a few dozen
+_ROUNDING = 1.0 + 2.0 ** -20
 
 
 def _prefix_variance(rows, first, steps, m1, m2):
@@ -252,133 +269,235 @@ def _prefix_variance(rows, first, steps, m1, m2):
     return np.subtract(m2, np.square(m1, out=m1), out=m2)
 
 
+def _numerators(w, rows, out):
+    """Slope numerators of the predictors in ``rows`` (one per C-contiguous
+    row, in data order) under the C-order steps x n weights ``w``, one row of
+    ``out`` per predictor.  Each is its own matrix-vector product in numpy's
+    einsum loop, not BLAS, so its bits depend neither on the predictor's row,
+    nor on the other rows, nor on the thread count."""
+    for row, numerator in zip(rows, out):
+        np.einsum("jn,n->j", w, row, out=numerator)
+    return out
+
+
 class _WindowBound:
-    """Certified lower bounds on the computed prefix variances of a block's
-    columns, one per window of _WINDOW consecutive steps and ordering.
+    """The float32 screen of a group of orderings: per column block, the
+    columns whose float64 slope can reach an ordering's cut at some step.
+
+    Built once per group, at the first block where a cut is nonzero, it holds
+    the group's weights as one float32 stack, every ordering's checkpoint
+    indicator, and per step the error terms of a float32 numerator.  lower()
+    casts a block to float32 once and centres it; one float32 product of the
+    indicator gives every ordering's checkpoint sums, and survivors() one
+    float32 product of the stack every ordering's screening numerators.
 
     Window w covers the prefix sizes c..e, c = points[w] and e = ends[w]; its
     bound comes from the prefix sums of the centred column and of its square
-    at c and at next = points[w + 1], which is e + 1 capped at n.  The 0/1
-    matrix of those prefixes, every ordering's rows stacked, times the centred
-    block and times its square gives every sum.
+    at c and at next = points[w + 1], which is e + 1 except for the last
+    window, whose next is n: the last sums are over the whole column.
     """
 
-    def __init__(self, perms, first, steps, width):
-        n = len(perms[0])
+    def __init__(self, perms, weights, first, steps, width):
+        n, count = len(perms[0]), len(perms)
         self.windows = np.arange(0, steps, _WINDOW)  # each window's first step
-        self.points = np.append(first + self.windows, min(first + steps, n))
+        self.points = np.append(first + self.windows, n)
         self.ends = np.minimum(self.points[:-1] + _WINDOW - 1, first + steps - 1)
-        self.indicator = np.concatenate(
-            [np.argsort(perm) < self.points[:, None] for perm in perms]).astype(np.float64)
-        self.sums = np.empty((len(self.indicator), 2 * width))
-        self.peak = np.empty((len(self.windows), width))
         self.steps = steps
+        self.stacked = None  # None: the weights are outside float32's range
+        size = max(max(w.max(), -w.min()) for w in weights)
+        if n > _SINGLE_ROWS or not size <= _SINGLE_RANGE:
+            return
+        self.stacked = np.empty((count * steps, n), dtype=np.float32)
+        for r, w in enumerate(weights):
+            self.stacked[r * steps:(r + 1) * steps] = w.T
+        # n x (orderings x points), in Fortran order, which BLAS multiplies fastest here
+        self.indicator = np.asfortranarray(np.concatenate(
+            [np.argsort(perm) < self.points[:, None] for perm in perms]).T, dtype=np.float32)
+        self.ones = np.ones(n, dtype=np.float32)
+        self.centred = np.empty((2 * width, n), dtype=np.float32).T  # the block, then its square
+        self.sums = np.empty((2 * width, self.indicator.shape[1]), dtype=np.float32)
+        self.products = np.empty((count * steps, width), dtype=np.float32)
+
+        # a float32 numerator's error terms per step (see survivors())
+        u, v, t = _UNIT_ROUNDOFF, _SINGLE_ROUNDOFF, _SINGLE_UNDERFLOW
+        g32, g64, root = (n + 5) * v / (1 - (n + 5) * v), n * u / (1 - n * u), np.sqrt(n)
+        norms = np.sqrt([np.einsum("nj,nj->j", w, w) for w in weights])
+        self.terms = _ROUNDING * np.stack((
+            (g32 + g64) * norms + 3 * root * t,
+            (v + 2 * g64) * root * norms + np.abs([w.sum(axis=0) for w in weights]),
+            4 * root * t * norms + 3 * n * t,
+        ))
+
         # the constants of lower(), per window where they vary; derived there
-        u, c, e = _UNIT_ROUNDOFF, self.points[:-1, None] * 1.0, self.ends[:, None] * 1.0
-        self.eta = 2.0 * (n + 3) * u
+        c, e = self.points[:-1, None] * 1.0, self.ends[:, None] * 1.0
+        self.eta = 2.0 * (n + 3) * v
+        self.nu = 4 * n * t
         self.head_factor = (1.0 - self.eta) / e * (1.0 - 64 * u)
         self.span = e - c
         self.sum_error = 4.0 * self.eta ** 2 * c  # (2 eta)**2 c
         self.drift_factor = (1.0 + 32 * u) / c
-        self.kernel_error = 16.0 * n * u
-        self.scale_factor = self.kernel_error / c
+        self.inverse_c = _ROUNDING / c
+        self.kernel_error = _ROUNDING * 16.0 * n * u
+        self.root_n = root
 
-    def load(self, block, centred):
-        """Checkpoint sums of ``block`` centred by its column means, and of
-        its square; ``centred`` is an n x b F-order scratch buffer.
+    def lower(self, block):
+        """orderings x windows x b lower bounds on the computed prefix variances
+        of ``block``'s columns, or None when the block or the group's weights
+        are outside float32's range.  Leaves the centred float32 block, and
+        the column terms survivors() reads, in place.
 
-        The bound holds for any shift of the columns.  When no column mean
-        exceeds 1e-12 (standardized columns), the shift is 0 and the
-        subtraction is skipped: for a column whose variance reaches EPS_VAR,
-        centring would then move its bound by a relative 1e-8 at most.
-        """
-        b = block.shape[1]
-        offsets = block.mean(axis=0)
-        if np.abs(offsets).max() > 1e-12:
-            shifted = np.subtract(block, offsets, out=centred)
-        else:
-            offsets[:] = 0.0
-            shifted = block
-        self.offset_term = self.kernel_error * np.square(offsets)
-        np.matmul(self.indicator, shifted, out=self.sums[:, :b])
-        np.matmul(self.indicator, np.square(shifted, out=centred), out=self.sums[:, b:2 * b])
-
-    def lower(self, r):
-        """windows x b lower bounds on ordering r's computed prefix variances.
-
-        Notation: u is the unit roundoff, g(k) = k u / (1 - k u), x a
-        column's values in the ordering, a its shift from load(), Z = x - a
-        exactly, and S1_j, S2_j the exact sums of Z and Z**2 over the first j
-        rows.
+        Notation: u is float64's unit roundoff and v = 2**-24 float32's, t =
+        2**-126, g(k) = k v / (1 - k v), x a column's values in the ordering,
+        x' = fl32(x) its float32 copy, a a float32 mean of x' (any float32
+        shift will do) and z = fl32(x' - a) the centred float32 column.
+        S1_j, S2_j are the exact sums of z and z**2 over the first j rows;
+        V_j(y) is the prefix variance of y over rows :j.
 
         1. Exact arithmetic.  A variance is shift-invariant, so
-           V_j = S2_j / j - (S1_j / j)**2.  For c <= j <= e, S2_j >= S2_c,
+           V_j(z) = S2_j / j - (S1_j / j)**2.  For c <= j <= e, S2_j >= S2_c,
            and by Cauchy-Schwarz over the j - c <= e - c added rows,
            |S1_j - S1_c| <= sqrt((e - c) (S2_next - S2_c)), hence
-           V_j >= S2_c / e - ((|S1_c| + sqrt((e - c) (S2_next - S2_c))) / c)**2.
-        2. The checkpoint sums.  The centred values are fl(x - a) =
-           Z (1 + d), |d| <= u, and their squares carry g(3).  A dot product
-           of n terms with 0/1 weights is off by at most g(n) times the sum of
-           the terms' magnitudes, in any summation order, so with
-           eta = 2 (n + 3) u >= g(n + 3) the computed sums satisfy
-           |^S1_c - S1_c| <= eta sqrt(c S2_c) and |^S2_c - S2_c| <= eta S2_c.
-           The bound of 1 then holds with S2_c >= ^S2_c (1 - eta),
-           |S1_c| <= |^S1_c| + 2 eta sqrt(c ^S2_c) and
-           S2_next - S2_c <= max(^S2_next - ^S2_c, 0) + 3 eta ^S2_next.
-        3. The exact pass (_prefix_variance) computes V_j as m2 - m1**2 from
+           V_j(z) >= S2_c / e - ((|S1_c| + sqrt((e - c) (S2_next - S2_c))) / c)**2.
+        2. The checkpoint sums, float32 products of the 0/1 indicator.  A
+           square fl32(z**2) carries one rounding; below float32's normal
+           range a result, or an input the CPU reads as zero, is off by at
+           most t.  A dot product of n terms with 0/1 weights is off by at
+           most g(n) times the sum of the terms' magnitudes, in any summation
+           order, plus t per term for each of these.  So with
+           eta = 2 (n + 3) v >= g(n + 1) and nu = 4 n t, the computed sums
+           satisfy |^S1_c - S1_c| <= g(n) sqrt(c S2_c) + nu and
+           |^S2_c - S2_c| <= eta S2_c + nu.  The bound of 1 then holds with
+           S2_c >= (^S2_c - nu) (1 - eta),
+           |S1_c| <= |^S1_c| + 2 eta sqrt(c (^S2_c + nu)) + nu and
+           S2_next - S2_c <= max(^S2_next - ^S2_c, 0) + 3 eta ^S2_next + 4 nu,
+           for eta <= 1/4, which n <= _SINGLE_ROWS gives.
+        3. From z to x.  sqrt(V_j) is a seminorm and V_j(x) = V_j(x - a), so
+           sqrt(V_j(x)) >= sqrt(V_j(z)) - |z - (x - a)| / sqrt(c), |.| the
+           2-norm over all n rows; squaring, with sqrt(V_j(z)) <= Z / sqrt(c),
+           V_j(x) >= V_j(z) - 2 Z |z - (x - a)| / c.  Here Z =
+           sqrt((^S2_n + nu) (1 + 2 eta)) >= |z|, from the last checkpoint.
+           Each z_i - (x_i - a) is the rounding of the cast, of at most
+           v |x_i| + t, plus that of the subtraction, at most
+           v |z_i| / (1 - v) + t, so
+           |z - (x - a)| <= 3 v D + v sqrt(n) |a| + 2 sqrt(n) t, where
+           D = (Z + sqrt(n) (v |a| + 2 t)) (1 + 3 v) >= |x - a|.
+        4. The exact pass (_prefix_variance) computes V_j(x) as m2 - m1**2 from
            uncentred sums of j terms in some order; with m2_j = sum(x**2) / j
-           it is off by at most g(3 j + 6) m2_j.  As x = Z + a,
-           m2_j <= 2 S2_j / j + 2 a**2 <= 2 (1 + 2 eta) (^S2_next / c + a**2),
-           and 2 (1 + 2 eta) g(3 n + 6) <= 16 n u for n >= 2.
-        4. Evaluating the bound of 2 takes at most a dozen roundings per
-           term, which the factors 1 - 64 u and (1 + 32 u)**2 >= 1 + 64 u
-           cover.
+           it is off by at most g64(3 j + 6) m2_j, g64 the g of float64's u,
+           plus far less than nu for float64's own underflow, and
+           m2_j <= 2 |x - a|**2 / c + 2 a**2 <= 2 D**2 / c + 2 a**2, so by at
+           most 16 n u (D**2 / c + a**2) + nu.
+        5. Evaluating the bound in float64 takes at most a dozen roundings per
+           term of 2, which the factors 1 - 64 u and (1 + 32 u)**2 >= 1 + 64 u
+           cover, and a few per term of 3 and 4, which _ROUNDING covers.
 
-        So with A = ^S2_c (1 - eta) (1 - 64 u) / e,
-        B = (|^S1_c| + 2 eta sqrt(c ^S2_c) + sqrt((e - c) D)) (1 + 32 u) / c,
-        D = max(^S2_next - ^S2_c, 0) + 3 eta ^S2_next and
-        M = 16 n u (^S2_next / c + a**2), lb = A - B**2 - M is at most every
-        computed variance of the window.  Centring keeps lb close to the
-        variance for columns with large means; a near-constant column gets
+        So with A = (^S2_c - nu) (1 - eta) (1 - 64 u) / e,
+        B = (|^S1_c| + 2 eta sqrt(c (^S2_c + nu)) + nu + sqrt((e - c) D'))
+        (1 + 32 u) / c, D' = max(^S2_next - ^S2_c, 0) + 3 eta ^S2_next + 4 nu
+        and M = (2 Z (3 v D + v sqrt(n) |a| + 2 sqrt(n) t) + 16 n u D**2) / c
+        + 16 n u a**2 + nu, lb = A - B**2 - M is at most every computed
+        variance of the window.
+        Centring keeps lb close to the variance for columns with large means;
+        a near-constant column, or one whose squares underflow float32, gets
         lb <= 0.
         """
-        k, b = len(self.points), len(self.offset_term)
-        sums = self.sums[r * k:(r + 1) * k]
-        s1, s2, s2_next = sums[:-1, :b], sums[:-1, b:2 * b], sums[1:, b:2 * b]
-        spread = np.subtract(s2_next, s2)  # sqrt((e - c) D)
+        if self.stacked is None or not max(block.max(), -block.min()) <= _SINGLE_RANGE:
+            return None
+        n, b = block.shape
+        k = len(self.points)
+        centred = self.centred[:, :2 * b]
+        single = centred[:, :b]
+        np.copyto(single, block, casting="same_kind")
+        self.offset = np.matmul(self.ones, single)  # float32, any shift will do
+        self.offset /= n
+        single -= self.offset
+        np.square(single, out=centred[:, b:])
+        sums = np.matmul(centred.T, self.indicator, out=self.sums[:2 * b])
+        sums = sums.T.astype(np.float64, order="C").reshape(-1, k, 2 * b)
+        s1, s2, s2_next = sums[:, :-1, :b], sums[:, :-1, b:], sums[:, 1:, b:]
+
+        u, v, t, nu, root = _UNIT_ROUNDOFF, _SINGLE_ROUNDOFF, _SINGLE_UNDERFLOW, self.nu, self.root_n
+        offset = np.abs(self.offset, dtype=np.float64)
+        z = np.sqrt((sums[:, -1:, b:] + nu) * (1.0 + 2.0 * self.eta)) * _ROUNDING  # Z
+        self.norm = (z + root * (v * offset + 2 * t)) * ((1.0 + 3.0 * v) * _ROUNDING)  # D
+        carry = z * (3.0 * v * self.norm + v * root * offset + 2 * root * t)  # M, per 1 / c
+        carry *= 2.0
+        carry += self.kernel_error * np.square(self.norm)
+
+        spread = np.subtract(s2_next, s2)  # sqrt((e - c) D')
         np.maximum(spread, 0.0, out=spread)
         spread += 3.0 * self.eta * s2_next
+        spread += 4.0 * nu
         spread *= self.span
         np.sqrt(spread, out=spread)
-        drift = np.sqrt(self.sum_error * s2)  # B
-        drift += np.abs(s1)
+        drift = np.sqrt(self.sum_error * (s2 + nu))  # B
+        drift += np.abs(s1) + nu
         drift += spread
         drift *= self.drift_factor
-        lb = s2 * self.head_factor  # A - B**2 - M
+        lb = np.subtract(s2, nu) * self.head_factor  # A - B**2 - M
         lb -= np.square(drift, out=drift)
-        lb -= s2_next * self.scale_factor
-        lb -= self.offset_term
+        lb -= carry * self.inverse_c
+        lb -= self.kernel_error * np.square(offset) + nu
         return lb
 
-    def survivors(self, r, cov, cut, scratch):
-        """Columns of ordering r whose slope can reach ``cut`` at some step.
+    def survivors(self, block, cuts):
+        """Per ordering, the columns of ``block`` whose float64 slope can reach
+        the ordering's ``cuts`` row at some step; None for an ordering whose
+        cut is 0 at every step, and for every ordering when the block is
+        outside float32's range, so that the unpruned pass runs.
 
-        A column is dropped when, in every window, its largest |cov| / cut
-        over the window's steps is below its variance bound lb: then
-        |cov| / var < cut at each step.  Against the roundings of 1 / cut,
-        of the product and of the computed slope fl(cov / var), the test is
-        against lb (1 - 8 u); a step whose cut is 0 keeps every column.
+        Notation as in lower(), with w the float64 weights of a step, w' =
+        fl32(w), N the float32 product w'^T z and ^N it computed.  A float64
+        product of w and x, in any summation order, is
+        w^T x = w^T (x - a) + a sum(w) up to g64(n) |w| (D + sqrt(n) |a|)
+        and float64's underflow.  |^N - w'^T z| <= g(n) |w'| Z + 2 n t
+        + sqrt(n) t (|w'| + Z), for the underflows and the inputs a CPU may
+        read as zero, and w'^T z - w^T (x - a) comes from the cast of w and
+        step 3's |z - (x - a)|; with |.| <= |w| D and sum(w) computed within
+        g64(n) sqrt(n) |w|, the float64 numerator is at most
+        |^N| + alpha D + beta |a| + tau, where
+        alpha = (g(n + 5) + g64(n)) |w| + 3 sqrt(n) t,
+        beta = (v + 2 g64(n)) sqrt(n) |w| + |sum(w)| and
+        tau = 4 sqrt(n) t |w| + 3 n t, each times _ROUNDING.
+
+        A column is dropped when, in every window, its largest
+        (|^N| + alpha D + beta |a| + tau) / cut over the window's steps is
+        below lb: then |numerator| / var < cut at each step.  Each term's
+        window maximum is taken after dividing by the cut.  |^N| / cut is
+        formed in float32 from 1 / cut rounded up, off by at most v or t,
+        which the factor 1 + 2**-21 and the added 2 t cover; against the
+        float64 roundings of the other terms and of the computed slope, the
+        test is against lb (1 - 16 u).  A step whose cut is 0 keeps every
+        column.
         """
-        u = _UNIT_ROUNDOFF
-        inverse = np.divide(1.0, cut, out=np.zeros_like(cut), where=cut > 0.0)
-        ratio = np.multiply(np.abs(cov, out=scratch), inverse[:, None], out=scratch)
-        ratio[cut == 0.0] = np.inf
-        full, b = self.steps // _WINDOW, cov.shape[1]
-        peak = self.peak[:, :b]
-        np.max(ratio[:full * _WINDOW].reshape(full, _WINDOW, b), axis=1, out=peak[:full])
-        if full < len(peak):
-            np.max(ratio[full * _WINDOW:], axis=0, out=peak[full])
-        return np.flatnonzero(~(peak < self.lower(r) * (1.0 - 8 * u)).all(axis=0))
+        lb = self.lower(block)
+        if lb is None:
+            return [None] * len(cuts)
+        count, steps, b = len(cuts), self.steps, block.shape[1]
+        inverse = np.divide(1.0, cuts, out=np.full(cuts.shape, np.inf), where=cuts > 0.0)
+        # rounded up into float32, flushing CPUs included; inf where it would overflow
+        single = inverse * (1.0 + 2.0 ** -22) + _SINGLE_UNDERFLOW
+        single = np.where(single <= np.finfo(np.float32).max, single, np.inf).astype(np.float32)
+        ratio = np.matmul(self.stacked, self.centred[:, :b], out=self.products[:, :b])
+        np.abs(ratio, out=ratio)
+        ratio *= single.reshape(-1, 1)
+        ratio = ratio.reshape(count, steps, b)
+        full = steps // _WINDOW
+        peak = np.empty((count, len(self.windows), b), dtype=np.float32)
+        np.max(ratio[:, :full * _WINDOW].reshape(count, full, _WINDOW, b), axis=2,
+               out=peak[:, :full])
+        if full < len(self.windows):
+            np.max(ratio[:, full * _WINDOW:], axis=1, out=peak[:, full])
+        # a zero term at a step whose cut is 0 gives nan, which keeps every
+        # column, as inf does
+        alpha, beta, tau = np.maximum.reduceat(self.terms * inverse, self.windows, axis=2)
+        left = peak.astype(np.float64)
+        left *= 1.0 + 2.0 ** -21
+        left += alpha[:, :, None] * self.norm
+        left += beta[:, :, None] * np.abs(self.offset, dtype=np.float64)
+        left += tau[:, :, None] + 2 * _SINGLE_UNDERFLOW
+        kept = ~(left < lb * (1.0 - 16 * _UNIT_ROUNDOFF)).all(axis=1)
+        return [np.flatnonzero(keep) if cut.any() else None for keep, cut in zip(kept, cuts)]
 
 
 def _select_steps(U, perms, weights, first):
@@ -388,14 +507,18 @@ def _select_steps(U, perms, weights, first):
     prefix size first + i, as _Weights.fill returns it.  U is read once per
     call, which is once per group of orderings in _select_orderings, in
     blocks of BLOCK_COLUMNS columns that every ordering visits while the
-    block is in cache; no permuted copy of U is made.  Per block and
-    ordering, one product gives every step's slope numerators.  Once an
-    ordering has a nonzero best, a column whose slope provably stays below
-    every step's near-tie cut is dropped (_WindowBound); only the columns
-    left get the exact prefix moments (_prefix_variance) and their slopes.
-    A dropped slope is below the cut before the block, so it could be
-    neither a step's best nor a near-tie candidate, and the selections are
-    those of the exact pass on every column.
+    block is in cache; no permuted copy of U is made.  Until an ordering has
+    a nonzero best, one float64 product per block gives every step's slope
+    numerators, and every column gets the exact prefix moments
+    (_prefix_variance) and its slopes.  From then on the block is screened
+    in float32 (_WindowBound): a column whose float64 slope provably stays
+    below every step's near-tie cut is dropped, and each column left gets
+    float64 numerators from its own matrix-vector product (_numerators), the
+    exact prefix moments and its slopes.  A block or a group of weights
+    outside float32's range takes the unpruned float64 pass instead.  A
+    dropped slope is below the cut before the block, so it could be neither
+    a step's best nor a near-tie candidate; a kept column's slopes do not
+    depend on the other columns kept.
     """
     n, p = U.shape
     steps = weights[0].shape[1]
@@ -409,30 +532,29 @@ def _select_steps(U, perms, weights, first):
     for c0 in range(0, p, BLOCK_COLUMNS):
         block = U[:, c0:c0 + BLOCK_COLUMNS]
         b = block.shape[1]
-        cuts = [run.cut() for run in running]
-        pruning = any(cut.any() for cut in cuts)
-        if pruning:
-            if bound is None:
-                bound = _WindowBound(perms, first, steps, width)
-                gathered = np.empty((width, n))
-            bound.load(block, permuted[:b].T)
-        for r, (perm, w, run, cut) in enumerate(zip(perms, weights, running, cuts)):
-            cov = np.matmul(w.T, block, out=slopes[:, :b])
-            if cut.any():
-                cols = bound.survivors(r, cov, cut, s1[:steps * b].reshape(steps, b))
-                if len(cols) == 0:
-                    continue
+        cuts = np.array([run.cut() for run in running])
+        kept = [None] * len(perms)
+        if cuts.any():
+            with np.errstate(all="ignore"):  # float32 underflows, which the bound covers
+                if bound is None:
+                    bound = _WindowBound(perms, weights, first, steps, width)
+                    gathered, numerators = np.empty((width, n)), np.empty((width, steps))
+                kept = bound.survivors(block, cuts)
+        for perm, w, run, cols in zip(perms, weights, running, kept):
+            if cols is None:
+                cols, source = np.arange(b), block.T
+                slope = np.matmul(w.T, block, out=slopes[:, :b])
+            elif len(cols) == 0:
+                continue
+            else:
                 # "clip" lets take write into `out` directly; every index is valid
                 source = np.take(block.T, cols, axis=0, out=gathered[:len(cols)], mode="clip")
-            else:
-                cols, source = np.arange(b), block.T
+                slope = _numerators(w.T, source, numerators[:len(cols)]).T
             m = len(cols)
             m1, m2 = s1[:steps * m].reshape(steps, m), s2[:steps * m].reshape(steps, m)
             # the columns' rows in the ordering, one predictor per row
             rows = np.take(source, perm, axis=1, out=permuted[:m], mode="clip")
             var = _prefix_variance(rows, first, steps, m1, m2)
-            # m1 is free once var is formed
-            slope = cov if m == b else np.take(cov, cols, axis=1, out=m1, mode="clip")
             floored = var < EPS_VAR
             np.divide(slope, var, out=slope, where=~floored)
             slope[floored] = 0.0
@@ -446,14 +568,17 @@ def _select_orderings(data, perms, first, last):
     orderings x steps.
 
     The orderings are selected in consecutive groups, each of as many
-    orderings as U's own bytes hold weights (all of them when U is at least
-    R weight matrices), and every group's weights are filled into one buffer
-    made once.  An ordering's selection does not depend on the orderings
-    that share its group, so every group size gives the same bits.
+    orderings as U's own bytes hold selection buffers for (all of them when
+    U is at least R sets): an ordering's float64 weights, their float32 copy
+    in the screen's stack and its float32 screening products.  Every group's
+    weights are filled into one buffer made once.  An ordering's selection
+    does not depend on the orderings that share its group, so every group
+    size gives the same bits.
     """
     U, n, steps = data.predictors, data.n, last - first + 1
     frame = _Weights(data.x, data.delta, first, last)
-    group = min(len(perms), max(1, U.size // (n * steps)))
+    per_ordering = steps * (12 * n + 4 * min(data.p, BLOCK_COLUMNS))
+    group = min(len(perms), max(1, U.nbytes // per_ordering))
     buffer = np.empty((group, steps, n))
     ks = np.empty((len(perms), steps), dtype=np.intp)
     ms = np.empty((len(perms), steps), dtype=np.int64)

@@ -13,7 +13,9 @@ from survscreen.simulate import (
     A2_BETAS,
     BLAS_THREAD_ENV,
     CENSORING_TARGETS,
+    ERRORS,
     METHODS,
+    MODELS,
     MonteCarloReport,
     ScenarioSpec,
     _calibrated_rate,
@@ -189,6 +191,15 @@ class TestCalibration:
     def test_bad_targets_rejected(self):
         with pytest.raises(InputError):
             calibrate_censoring_rate("N", "independent", 0.0)
+
+    @pytest.mark.parametrize("error", ERRORS)
+    @pytest.mark.parametrize("model", MODELS)
+    def test_every_model_calibrates_to_the_same_dyadic_midpoints(self, model, error):
+        # the bisection from (-60, 60) stops at the first midpoint within
+        # CALIBRATION_TOL, and these two fall inside every model's band; the
+        # rate is math.exp of that midpoint, so the host's libm cancels out
+        assert calibrate_censoring_rate(model, error, 0.10) == math.exp(-2.6953125)
+        assert calibrate_censoring_rate(model, error, 0.30) == math.exp(-1.2890625)
 
 
 class TestMonteCarlo:

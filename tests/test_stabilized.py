@@ -1,6 +1,8 @@
+import itertools
 import math
 import re
 import tracemalloc
+import warnings
 from dataclasses import fields
 
 import numpy as np
@@ -337,11 +339,13 @@ class TestMultiOrdering:
         assert len(calls) == 1
         assert len(out.p_values) == 10
 
-    @pytest.mark.parametrize("p,orderings,groups", [(120, 7, [3, 3, 1]), (280, 10, [7, 3])])
+    @pytest.mark.parametrize("p,orderings,groups", [
+        (120, 7, [1] * 7), (280, 10, [2] * 5), (480, 7, [3, 3, 1])])
     @pytest.mark.parametrize("case", ["random", "tied pair", "near-constant"])
     def test_groups_of_orderings_keep_every_bit(self, rng, monkeypatch, p, orderings, groups, case):
-        # n = 80 and q_n = 40: U holds the weights of p // 40 orderings, so
-        # selection runs in groups; at p = 280 over two column blocks
+        # n = 80 and q_n = 40: an ordering's selection buffers take 40 steps x
+        # (12 n + 4 min(p, 256)) bytes, so U, 640 p bytes, holds those of 1, 2
+        # and 3 orderings at p = 120, 280 and 480, the last two over two blocks
         n = 80
         if case == "random":
             data = random_dataset(rng, n=n, p=p, censor=0.4)
@@ -434,7 +438,7 @@ def bound_columns(rng, n, case):
         u[:, 20:25] = 0.1 * rng.integers(1, 9, 5)  # constant, and not exact in binary
     elif case == "large means":  # standardize=False columns
         u = u * 10.0 ** rng.uniform(-3, 1, 40) + rng.uniform(-1e3, 1e3, 40)
-    elif case == "standardized":  # means within 1e-12 of 0: shifted by 0
+    elif case == "standardized":  # means within rounding of 0
         u = (u - u.mean(axis=0)) / u.std(axis=0)
     elif case == "ties":
         u = np.round(u, 0)
@@ -456,25 +460,143 @@ class TestCertifiedSelection:
     @pytest.mark.parametrize("case", BOUND_CASES)
     def test_bound_is_below_every_computed_variance(self, rng, case):
         checked = 0
-        for n in (7, 40, 137, 300):
+        for n, scale in itertools.product((7, 40, 137, 300), (1.0, 2.0 ** 40, 2.0 ** -40)):
             for first, last in ((2, n - 1), (n // 2, n - 1), (n - 20, n - 1), (n, n)):
                 first = max(first, 2)
                 if first > last:
                     continue
                 steps = last - first + 1  # mostly not a multiple of the window
-                U = bound_columns(rng, n, case)
+                U = np.asfortranarray(scale * bound_columns(rng, n, case))
                 perms = [rng.permutation(n) for _ in range(3)] if last < n else [np.arange(n)]
-                bound = _WindowBound(perms, first, steps, U.shape[1])
-                bound.load(U, np.empty_like(U, order="F"))
+                weights = [rng.standard_normal((steps, n)).T for _ in perms]
+                bound = _WindowBound(perms, weights, first, steps, U.shape[1])
+                lower = bound.lower(U)
                 m1, m2 = np.empty((steps, U.shape[1])), np.empty((steps, U.shape[1]))
                 for r, perm in enumerate(perms):
                     var = _prefix_variance(ordered_rows(U, perm), first, steps, m1, m2)
-                    lower = bound.lower(r)[np.arange(steps) // stabilized._WINDOW]
-                    assert np.all(var >= lower)
+                    lower_r = lower[r][np.arange(steps) // stabilized._WINDOW]
+                    assert np.all(var >= lower_r)
                     checked += 1
                     if case in ("normal", "standardized") and first >= 100:  # tight enough
-                        assert np.all(lower > 0.5 * var)
-        assert checked >= 36
+                        assert np.all(lower_r > 0.5 * var)
+        assert checked >= 108
+
+    @pytest.mark.parametrize("where", ["block", "weights"])
+    def test_magnitudes_beyond_float32s_range_take_the_float64_pass(self, rng, where):
+        n, steps = 40, 20
+        perms = [rng.permutation(n) for _ in range(2)]
+        U = bound_columns(rng, n, "normal")
+        weights = [rng.standard_normal((steps, n)).T for _ in perms]
+        limit = stabilized._SINGLE_RANGE
+        if where == "block":
+            U[3, 7] = 2 * limit
+        else:
+            weights[1][5, 2] = -2 * limit
+        bound = _WindowBound(perms, weights, n - steps, steps, U.shape[1])
+        assert bound.lower(U) is None
+        cuts = np.ones((2, steps))
+        assert bound.survivors(U, cuts) == [None, None]
+        if where == "block":  # a block at the limit is screened
+            U[3, 7] = limit
+            assert bound.lower(U) is not None
+
+    @pytest.mark.parametrize("case", BOUND_CASES + ["scaled"])
+    def test_every_column_whose_slope_reaches_the_cut_survives(self, rng, case):
+        # float64 slopes from the full-block product, as the unpruned pass
+        # forms them.  A cut at the 4th largest slope drops most columns; at a
+        # single step the variance bound is within float32 rounding of the
+        # variance, so a cut at the median slope leans on the error terms
+        dropped = 0
+        for n, first, rank in ((9, 4, -4), (60, 30, -4), (203, 101, -4), (60, 59, 20), (203, 202, 20)):
+            steps = n - first
+            data = random_dataset(rng, n=n, p=1, censor=0.4)
+            U = bound_columns(rng, n, "normal" if case == "scaled" else case)
+            if case == "scaled":
+                U *= 2.0 ** rng.integers(-40, 41, U.shape[1])
+            perms = [rng.permutation(n) for _ in range(3)]
+            weights = selection_weights(data.x, data.delta, perms, first, n - 1)
+            bound = _WindowBound(perms, weights, first, steps, U.shape[1])
+            slopes = []
+            for perm, w in zip(perms, weights):
+                var = _prefix_variance(ordered_rows(U, perm), first, steps,
+                                       np.empty((steps, U.shape[1])), np.empty((steps, U.shape[1])))
+                floored = var < stabilized.EPS_VAR
+                slopes.append(np.abs(np.divide(w.T @ U, var, out=np.zeros(var.shape),
+                                               where=~floored)))
+            # the cut at a column's own slope, which that column reaches
+            # exactly; over several steps, the first step's cut is 0 in one
+            # ordering, which keeps every column
+            cuts = np.array([np.sort(s, axis=1)[:, rank] for s in slopes])
+            if steps > 1:
+                cuts[2, 0] = 0.0
+            with np.errstate(all="ignore"):
+                kept = bound.survivors(U, cuts)
+            for cols, s, cut in zip(kept, slopes, cuts):
+                if cols is None:  # a cut that is 0 at every step: the unpruned pass
+                    assert not cut.any()
+                    continue
+                reach = np.flatnonzero((s >= cut[:, None]).any(axis=0))
+                assert np.isin(reach, cols).all()
+                dropped += U.shape[1] - len(cols)
+            if steps > 1:
+                assert len(kept[2]) == U.shape[1]
+        assert dropped > 0
+
+    @pytest.mark.parametrize("mean", [0.0, 1e5])
+    def test_a_column_at_the_cut_survives_whatever_its_float32_error(self, rng, mean):
+        # columns nearly orthogonal to the weights: their float64 numerators
+        # are a tiny fraction of |w| |x|, so float32 gets them wrong by far
+        # more than the single-step variance bound's slack, and only the
+        # error terms keep each column when the cut is its own slope
+        n = 203
+        data = random_dataset(rng, n=n, p=1, censor=0.3)
+        perm = rng.permutation(n)
+        (w,) = selection_weights(data.x, data.delta, [perm], n - 1, n - 1)
+        g = rng.standard_normal((n, 40))
+        g -= np.outer(w[:, 0], w[:, 0] @ g) / (w[:, 0] @ w[:, 0])
+        U = np.asfortranarray(mean + g + 10.0 ** rng.uniform(-7, -1, 40) * w)
+        bound = _WindowBound([perm], [w], n - 1, 1, U.shape[1])
+        var = _prefix_variance(ordered_rows(U, perm), n - 1, 1, np.empty((1, 40)), np.empty((1, 40)))
+        slopes = np.abs((w.T @ U) / var)[0]
+        for c in range(U.shape[1]):
+            with np.errstate(all="ignore"):
+                (cols,) = bound.survivors(U, slopes[c:c + 1, None])
+            assert c in cols
+
+    def test_kept_numerators_do_not_depend_on_the_other_columns(self, rng):
+        n, first = 203, 101
+        data = random_dataset(rng, n=n, p=1, censor=0.3)
+        (w,) = selection_weights(data.x, data.delta, [rng.permutation(n)], first, n - 1)
+        steps = n - first
+        block = np.ascontiguousarray(rng.standard_normal((BLOCK_COLUMNS, n)))
+        whole = stabilized._numerators(w.T, block, np.empty((BLOCK_COLUMNS, steps)))
+        for c in (0, 1, 77, BLOCK_COLUMNS - 1):
+            alone = stabilized._numerators(w.T, block[c:c + 1], np.empty((1, steps)))
+            moved = np.roll(block, 5 + c, axis=0)  # column c in another slot
+            elsewhere = stabilized._numerators(w.T, moved, np.empty((BLOCK_COLUMNS, steps)))
+            assert same_bits(alone[0], whole[c])
+            assert same_bits(elsewhere[(c + 5 + c) % BLOCK_COLUMNS], whole[c])
+
+    def test_blocks_at_extreme_scales_select_the_oracles_predictor(self, rng):
+        # a block x1e30 is outside float32's range and takes the float64 pass;
+        # a block x1e-30, the last, is screened in float32, where its squares
+        # underflow to 0, so every one of its columns is kept.  Neither wins:
+        # x1e30 divides a slope by 1e30, and x1e-30 puts the variance below EPS_VAR
+        n, p = 50, 3 * BLOCK_COLUMNS + 20
+        data = signal_with_noise_columns(rng, n, p, (40,))
+        table = np.column_stack((data.x, data.delta, data.predictors))
+        table[:, 2 + BLOCK_COLUMNS:2 + 2 * BLOCK_COLUMNS] *= 1e30
+        table[:, 2 + 3 * BLOCK_COLUMNS:] *= 1e-30
+        data = ingest(table, standardize=False)
+        U = [list(r) for r in data.predictors]
+        for state in ({}, {"all": "raise"}):
+            with np.errstate(**state), warnings.catch_warnings():
+                warnings.simplefilter("error")
+                for j in (5, 30, 50):
+                    got = select_predictor(data, j)
+                    assert got == oracles.select(list(data.x), list(data.delta), U, j)
+                out = multi_ordering_test(data, orderings=2, seed=6)
+                assert all(all(r.k == 40) for r in out.results)
 
     @pytest.mark.parametrize("case", BOUND_CASES)
     def test_column_variances_are_the_same_alone_and_in_a_block(self, rng, case):
