@@ -269,14 +269,19 @@ def _prefix_variance(rows, first, steps, m1, m2):
     return np.subtract(m2, np.square(m1, out=m1), out=m2)
 
 
-def _numerators(w, rows, out):
+def _numerators(w, rows, windows, out):
     """Slope numerators of the predictors in ``rows`` (one per C-contiguous
     row, in data order) under the C-order steps x n weights ``w``, one row of
-    ``out`` per predictor.  Each is its own matrix-vector product in numpy's
-    einsum loop, not BLAS, so its bits depend neither on the predictor's row,
-    nor on the other rows, nor on the thread count."""
-    for row, numerator in zip(rows, out):
-        np.einsum("jn,n->j", w, row, out=numerator)
+    ``out`` per predictor, from the first to the last window that
+    ``windows`` (windows x predictors) marks for it, and 0 outside.  Each is
+    its own matrix-vector product in numpy's einsum loop, not BLAS, so a
+    step's bits depend neither on the predictor's row, nor on the other
+    rows, nor on the thread count."""
+    out[:] = 0.0
+    starts = windows.argmax(axis=0) * _WINDOW
+    stops = (len(windows) - windows[::-1].argmax(axis=0)) * _WINDOW
+    for row, numerator, start, stop in zip(rows, out, starts, stops):
+        np.einsum("jn,n->j", w[start:stop], row, out=numerator[start:stop])
     return out
 
 
@@ -441,10 +446,11 @@ class _WindowBound:
         return lb
 
     def survivors(self, block, cuts):
-        """Per ordering, the columns of ``block`` whose float64 slope can reach
-        the ordering's ``cuts`` row at some step; None for an ordering whose
-        cut is 0 at every step, and for every ordering when the block is
-        outside float32's range, so that the unpruned pass runs.
+        """Per ordering, a windows x b mask of where a column of ``block`` may
+        reach the ordering's ``cuts`` row: False only in a window where its
+        float64 slope provably stays below the cut at every step.  None for an
+        ordering whose cut is 0 at every step, and for every ordering when
+        the block is outside float32's range, so that the unpruned pass runs.
 
         Notation as in lower(), with w the float64 weights of a step, w' =
         fl32(w), N the float32 product w'^T z and ^N it computed.  A float64
@@ -460,15 +466,15 @@ class _WindowBound:
         beta = (v + 2 g64(n)) sqrt(n) |w| + |sum(w)| and
         tau = 4 sqrt(n) t |w| + 3 n t, each times _ROUNDING.
 
-        A column is dropped when, in every window, its largest
+        A column's window is dropped when its largest
         (|^N| + alpha D + beta |a| + tau) / cut over the window's steps is
         below lb: then |numerator| / var < cut at each step.  Each term's
         window maximum is taken after dividing by the cut.  |^N| / cut is
         formed in float32 from 1 / cut rounded up, off by at most v or t,
         which the factor 1 + 2**-21 and the added 2 t cover; against the
         float64 roundings of the other terms and of the computed slope, the
-        test is against lb (1 - 16 u).  A step whose cut is 0 keeps every
-        column.
+        test is against lb (1 - 16 u).  A step whose cut is 0 keeps its
+        window for every column.
         """
         lb = self.lower(block)
         if lb is None:
@@ -496,8 +502,8 @@ class _WindowBound:
         left += alpha[:, :, None] * self.norm
         left += beta[:, :, None] * np.abs(self.offset, dtype=np.float64)
         left += tau[:, :, None] + 2 * _SINGLE_UNDERFLOW
-        kept = ~(left < lb * (1.0 - 16 * _UNIT_ROUNDOFF)).all(axis=1)
-        return [np.flatnonzero(keep) if cut.any() else None for keep, cut in zip(kept, cuts)]
+        kept = ~(left < lb * (1.0 - 16 * _UNIT_ROUNDOFF))
+        return [keep if cut.any() else None for keep, cut in zip(kept, cuts)]
 
 
 def _select_steps(U, perms, weights, first):
@@ -512,9 +518,11 @@ def _select_steps(U, perms, weights, first):
     numerators, and every column gets the exact prefix moments
     (_prefix_variance) and its slopes.  From then on the block is screened
     in float32 (_WindowBound): a column whose float64 slope provably stays
-    below every step's near-tie cut is dropped, and each column left gets
-    float64 numerators from its own matrix-vector product (_numerators), the
-    exact prefix moments and its slopes.  A block or a group of weights
+    below the near-tie cut at every step of a window is dropped there.  Each
+    column left in some window gets the exact prefix moments, float64
+    numerators from its first to its last such window from its own
+    matrix-vector product (_numerators), and its slopes, 0 outside those
+    windows, where they are below the cut.  A block or a group of weights
     outside float32's range takes the unpruned float64 pass instead.  A
     dropped slope is below the cut before the block, so it could be neither
     a step's best nor a near-tie candidate; a kept column's slopes do not
@@ -540,16 +548,17 @@ def _select_steps(U, perms, weights, first):
                     bound = _WindowBound(perms, weights, first, steps, width)
                     gathered, numerators = np.empty((width, n)), np.empty((width, steps))
                 kept = bound.survivors(block, cuts)
-        for perm, w, run, cols in zip(perms, weights, running, kept):
-            if cols is None:
+        for perm, w, run, windows in zip(perms, weights, running, kept):
+            if windows is None:
                 cols, source = np.arange(b), block.T
                 slope = np.matmul(w.T, block, out=slopes[:, :b])
-            elif len(cols) == 0:
-                continue
             else:
+                cols = np.flatnonzero(windows.any(axis=0))
+                if len(cols) == 0:
+                    continue
                 # "clip" lets take write into `out` directly; every index is valid
                 source = np.take(block.T, cols, axis=0, out=gathered[:len(cols)], mode="clip")
-                slope = _numerators(w.T, source, numerators[:len(cols)]).T
+                slope = _numerators(w.T, source, windows[:, cols], numerators[:len(cols)]).T
             m = len(cols)
             m1, m2 = s1[:steps * m].reshape(steps, m), s2[:steps * m].reshape(steps, m)
             # the columns' rows in the ordering, one predictor per row

@@ -531,15 +531,15 @@ class TestCertifiedSelection:
                 cuts[2, 0] = 0.0
             with np.errstate(all="ignore"):
                 kept = bound.survivors(U, cuts)
-            for cols, s, cut in zip(kept, slopes, cuts):
-                if cols is None:  # a cut that is 0 at every step: the unpruned pass
+            for windows, s, cut in zip(kept, slopes, cuts):
+                if windows is None:  # a cut that is 0 at every step: the unpruned pass
                     assert not cut.any()
                     continue
-                reach = np.flatnonzero((s >= cut[:, None]).any(axis=0))
-                assert np.isin(reach, cols).all()
-                dropped += U.shape[1] - len(cols)
+                step, col = np.nonzero(s >= cut[:, None])
+                assert windows[step // stabilized._WINDOW, col].all()
+                dropped += (~windows).sum()
             if steps > 1:
-                assert len(kept[2]) == U.shape[1]
+                assert kept[2][0].all()
         assert dropped > 0
 
     @pytest.mark.parametrize("mean", [0.0, 1e5])
@@ -560,22 +560,31 @@ class TestCertifiedSelection:
         slopes = np.abs((w.T @ U) / var)[0]
         for c in range(U.shape[1]):
             with np.errstate(all="ignore"):
-                (cols,) = bound.survivors(U, slopes[c:c + 1, None])
-            assert c in cols
+                (windows,) = bound.survivors(U, slopes[c:c + 1, None])
+            assert windows[0, c]
 
     def test_kept_numerators_do_not_depend_on_the_other_columns(self, rng):
         n, first = 203, 101
         data = random_dataset(rng, n=n, p=1, censor=0.3)
         (w,) = selection_weights(data.x, data.delta, [rng.permutation(n)], first, n - 1)
         steps = n - first
+        every = np.ones((-(-steps // stabilized._WINDOW), BLOCK_COLUMNS), dtype=bool)
         block = np.ascontiguousarray(rng.standard_normal((BLOCK_COLUMNS, n)))
-        whole = stabilized._numerators(w.T, block, np.empty((BLOCK_COLUMNS, steps)))
+        whole = stabilized._numerators(w.T, block, every, np.empty((BLOCK_COLUMNS, steps)))
         for c in (0, 1, 77, BLOCK_COLUMNS - 1):
-            alone = stabilized._numerators(w.T, block[c:c + 1], np.empty((1, steps)))
+            alone = stabilized._numerators(w.T, block[c:c + 1], every[:, :1], np.empty((1, steps)))
             moved = np.roll(block, 5 + c, axis=0)  # column c in another slot
-            elsewhere = stabilized._numerators(w.T, moved, np.empty((BLOCK_COLUMNS, steps)))
+            elsewhere = stabilized._numerators(w.T, moved, every, np.empty((BLOCK_COLUMNS, steps)))
             assert same_bits(alone[0], whole[c])
             assert same_bits(elsewhere[(c + 5 + c) % BLOCK_COLUMNS], whole[c])
+            # windows 2 and 4 marked: steps from window 2 to 4 keep their
+            # bits, and the others are 0
+            some = np.zeros((len(every), 1), dtype=bool)
+            some[[2, 4]] = True
+            part = stabilized._numerators(w.T, block[c:c + 1], some, np.empty((1, steps)))
+            span = slice(2 * stabilized._WINDOW, 5 * stabilized._WINDOW)
+            assert same_bits(part[0][span], whole[c][span])
+            assert not part[0][:span.start].any() and not part[0][span.stop:].any()
 
     def test_blocks_at_extreme_scales_select_the_oracles_predictor(self, rng):
         # a block x1e30 is outside float32's range and takes the float64 pass;
