@@ -12,7 +12,12 @@ pair, alternating which side runs first.  For every (end-to-end metric,
 workload) pair it records each side's quartiles and applies the win rule:
 the change is better in at least MIN_WINS of the pairs, ties counting for
 neither, and the gap between the medians is larger than the parent's
-interquartile range.  The machine fingerprint (cores, CPU, L3, BLAS and its
+interquartile range.  It also gives a no-regression verdict against the
+metric's relative ``bound`` in BENCHMARK.json: ``unresolved`` when the
+parent's interquartile range is more than the bound times its median, unless
+every change run beats every parent run; otherwise ``regressed`` when the
+change's median is worse than the parent's by more than the bound times the
+parent's median, and ``holds`` when it is not.  The machine fingerprint (cores, CPU, L3, BLAS and its
 pool size, library versions, thread variables) is the one perfbench wrote
 for the change's last run, under its ``.perfbench/results/``.  Each run also
 records the host's load read from /proc just before and after it: the 1-,
@@ -75,20 +80,30 @@ def perfbench(root, workload, seed, seconds):
             **{k: v["value"] for k, v in result["metrics"].items()}}
 
 
-def compare(parent, change, better):
-    """Both sides' quartiles and the win rule for one metric on one workload."""
+def compare(parent, change, better, bound):
+    """Both sides' quartiles, the win rule and the no-regression verdict for
+    one metric on one workload."""
     sign = 1.0 if better == "lower" else -1.0  # positive gap: the change is better
     wins = sum(p is not None and c is not None and sign * (p - c) > 0
                for p, c in zip(parent, change))
     parent_q, change_q = quartiles(parent), quartiles(change)
     if parent_q["median"] is None or change_q["median"] is None:
         gap = iqr = None
+        verdict = "unresolved"
     else:
         gap = sign * (parent_q["median"] - change_q["median"])
         iqr = parent_q["q3"] - parent_q["q1"]
+        allowed = bound * abs(parent_q["median"])
+        ran = [v for v in parent if v is not None], [v for v in change if v is not None]
+        beats_all = all(sign * (p - c) > 0 for p in ran[0] for c in ran[1])
+        if iqr > allowed and not beats_all:
+            verdict = "unresolved"
+        else:
+            verdict = "regressed" if -gap > allowed else "holds"
     return {"parent": parent_q, "change": change_q, "better": better,
             "change_better_in": f"{wins} of {len(parent)} pairs", "median_gap": gap,
-            "parent_iqr": iqr, "win": wins >= MIN_WINS and gap is not None and gap > iqr}
+            "parent_iqr": iqr, "win": wins >= MIN_WINS and gap is not None and gap > iqr,
+            "bound": bound, "verdict": verdict}
 
 
 def main(argv=None):
@@ -119,7 +134,8 @@ def main(argv=None):
         for metric in spec["end_to_end"]:
             name = metric["name"]
             row[name] = compare([r.get(name) for r in runs["parent"]],
-                                [r.get(name) for r in runs["change"]], metric["better"])
+                                [r.get(name) for r in runs["change"]], metric["better"],
+                                metric["bound"])
         end_to_end[workload] = row
     # perfbench/run.py records the fingerprint of every run it completes
     machine = None
@@ -138,6 +154,10 @@ def main(argv=None):
                        "even seeds change first",
             "win_rule": f"change better in at least {MIN_WINS} of {PAIRS} pairs, and the median "
                         "gap larger than the parent's interquartile range",
+            "verdict": "unresolved if the parent's IQR exceeds bound x its median, unless "
+                       "every change run beats every parent run; else regressed if the "
+                       "change's median is worse by more than bound x the parent's median, "
+                       "else holds",
             "host_load": "per run, in seed order: /proc/loadavg's 1-, 5- and 15-minute load "
                          "averages and /proc/stat's cumulative steal time (s) just before "
                          "and just after it",

@@ -18,16 +18,17 @@ hold selection buffers for (the float64 weights, their float32 copy and the
 float32 screening products) and at least one, so these take no more memory
 than U or one ordering's buffers, whichever is larger.  Selection for every
 step of a group's orderings is one pass over the predictors in column
-blocks, and a running maximum per step carries the selection.  In the first
-block one float64 matrix product per ordering gives every step's slope
-numerators.  From then on a float32 screen certifies which columns can
-still reach a step's near-tie cut: one float32 product of the group's
-stacked weights bounds every numerator, and a few float32 checkpoint prefix
-sums bound every prefix variance from below.  Only the columns left get
-float64 numerators, one matrix-vector product each, and the exact
-cumulative prefix moments.  The increments use the
-full-sample censoring fit and either prefix ("prefix" variant, refitted at
-each step) or full-sample ("full" variant) regression moments.  With
+blocks, and a running maximum per step carries the selection.  One float64
+matrix product per ordering and block gives every step's slope numerators:
+in the first block, of all its columns.  From then on a float32 screen
+certifies which columns can still reach a step's near-tie cut: one float32
+product of the group's stacked weights bounds every numerator, and a few
+float32 checkpoint prefix sums bound every prefix variance from below.  Only
+the columns left are gathered for that float64 product and get the exact
+cumulative prefix moments; near-tied candidates are re-evaluated one column
+at a time, so a column's slot in a product decides nothing.  The increments
+use the full-sample censoring fit and either prefix ("prefix" variant,
+refitted at each step) or full-sample ("full" variant) regression moments.  With
 full-sample moments each distinct selected predictor is fitted once, in
 column blocks, and a step reads its fixed influence values: their
 dispersion over the prefix by cumulative sums, and the value at the next row.
@@ -87,8 +88,8 @@ class StabilizedResult:
 
 
 def default_qn(n: int) -> int:
-    """Recommended smallest prefix size: half the sample."""
-    return n // 2
+    """Recommended smallest prefix size: half the sample, and at least 2."""
+    return max(2, n // 2)
 
 
 class _Weights:
@@ -198,9 +199,10 @@ class _RunningSelection:
     def finish(self, U, perm, weights, first):
         """(ks, ms): a step with best 0 selects (0, +1); a single candidate
         takes the sign of its blocked slope; near-tied candidates are
-        re-evaluated with one per-column dot product, because blocked
-        products can differ in the last ulp between column slots, and the
-        first maximum (smallest index) wins."""
+        re-evaluated with one per-column dot product, and the first maximum
+        (smallest index) wins.  A blocked product, of the full block or of
+        gathered columns, can differ in the last ulp between column slots;
+        this re-check is why those bits decide no selection."""
         steps = len(self.best)
         ks = np.zeros(steps, dtype=np.intp)
         ms = np.ones(steps, dtype=np.int64)
@@ -267,22 +269,6 @@ def _prefix_variance(rows, first, steps, m1, m2):
     m1 /= sizes
     m2 /= sizes
     return np.subtract(m2, np.square(m1, out=m1), out=m2)
-
-
-def _numerators(w, rows, windows, out):
-    """Slope numerators of the predictors in ``rows`` (one per C-contiguous
-    row, in data order) under the C-order steps x n weights ``w``, one row of
-    ``out`` per predictor, from the first to the last window that
-    ``windows`` (windows x predictors) marks for it, and 0 outside.  Each is
-    its own matrix-vector product in numpy's einsum loop, not BLAS, so a
-    step's bits depend neither on the predictor's row, nor on the other
-    rows, nor on the thread count."""
-    out[:] = 0.0
-    starts = windows.argmax(axis=0) * _WINDOW
-    stops = (len(windows) - windows[::-1].argmax(axis=0)) * _WINDOW
-    for row, numerator, start, stop in zip(rows, out, starts, stops):
-        np.einsum("jn,n->j", w[start:stop], row, out=numerator[start:stop])
-    return out
 
 
 class _WindowBound:
@@ -513,25 +499,24 @@ def _select_steps(U, perms, weights, first):
     prefix size first + i, as _Weights.fill returns it.  U is read once per
     call, which is once per group of orderings in _select_orderings, in
     blocks of BLOCK_COLUMNS columns that every ordering visits while the
-    block is in cache; no permuted copy of U is made.  Until an ordering has
-    a nonzero best, one float64 product per block gives every step's slope
-    numerators, and every column gets the exact prefix moments
-    (_prefix_variance) and its slopes.  From then on the block is screened
-    in float32 (_WindowBound): a column whose float64 slope provably stays
-    below the near-tie cut at every step of a window is dropped there.  Each
-    column left in some window gets the exact prefix moments, float64
-    numerators from its first to its last such window from its own
-    matrix-vector product (_numerators), and its slopes, 0 outside those
-    windows, where they are below the cut.  A block or a group of weights
-    outside float32's range takes the unpruned float64 pass instead.  A
+    block is in cache; no permuted copy of U is made.  One float64 matrix
+    product per ordering and block gives every step's slope numerators of
+    its source columns, which also get the exact prefix moments
+    (_prefix_variance).  The source is the whole block until the ordering
+    has a nonzero best, and where the block or the group's weights are
+    outside float32's range.  Otherwise the block is screened in float32
+    (_WindowBound), which drops a column in a window where its float64
+    slope, in any summation order, provably stays below the near-tie cut at
+    every step; the source is the columns left in some window, gathered.  A
     dropped slope is below the cut before the block, so it could be neither
-    a step's best nor a near-tie candidate; a kept column's slopes do not
-    depend on the other columns kept.
+    a step's best nor a near-tie candidate; _RunningSelection.finish
+    re-checks near-ties, so a kept column's slot in the product decides
+    nothing.
     """
     n, p = U.shape
     steps = weights[0].shape[1]
     width = min(p, BLOCK_COLUMNS)
-    permuted = np.empty((width, n))
+    permuted, gathered = np.empty((width, n)), np.empty((width, n))
     s1 = np.empty(steps * width)  # viewed as steps x m for the m columns at hand
     s2 = np.empty(steps * width)
     slopes = np.empty((steps, width))
@@ -546,20 +531,18 @@ def _select_steps(U, perms, weights, first):
             with np.errstate(all="ignore"):  # float32 underflows, which the bound covers
                 if bound is None:
                     bound = _WindowBound(perms, weights, first, steps, width)
-                    gathered, numerators = np.empty((width, n)), np.empty((width, steps))
                 kept = bound.survivors(block, cuts)
         for perm, w, run, windows in zip(perms, weights, running, kept):
             if windows is None:
                 cols, source = np.arange(b), block.T
-                slope = np.matmul(w.T, block, out=slopes[:, :b])
             else:
                 cols = np.flatnonzero(windows.any(axis=0))
                 if len(cols) == 0:
                     continue
                 # "clip" lets take write into `out` directly; every index is valid
                 source = np.take(block.T, cols, axis=0, out=gathered[:len(cols)], mode="clip")
-                slope = _numerators(w.T, source, windows[:, cols], numerators[:len(cols)]).T
             m = len(cols)
+            slope = np.matmul(w.T, source.T, out=slopes[:, :m])
             m1, m2 = s1[:steps * m].reshape(steps, m), s2[:steps * m].reshape(steps, m)
             # the columns' rows in the ordering, one predictor per row
             rows = np.take(source, perm, axis=1, out=permuted[:m], mode="clip")
@@ -608,6 +591,8 @@ def select_predictor(data: SurvivalDataset, j: Optional[int] = None):
 
 def _check_settings(n: int, q_n: Optional[int], variant: str, alpha: float):
     """The checked (q_n, alpha); q_n defaults to default_qn(n)."""
+    if n < 3:  # no q_n in [2, n - 1]
+        raise InputError(f"the stabilized screen needs at least 3 observations, got {n}")
     q = _integer("q_n", default_qn(n) if q_n is None else q_n, 2, n - 1)
     _choice("variant", variant, VARIANTS)
     return q, _level(alpha)

@@ -163,6 +163,18 @@ class TestScreen:
         assert out == ""
         assert f"{path}: predictor columns 1 and 2 are both named 'u'" in err
 
+    def test_default_qn_runs_from_three_rows(self, capsys, tmp_path):
+        path = tmp_path / "three.csv"
+        path.write_text("time,status,u1,u2\n1.0,1,0.5,1.2\n2.0,1,0.1,-0.3\n3.0,1,0.7,0.4\n")
+        rc, out, _ = run_cli(capsys, ["screen", str(path), "--seed", "1"])
+        assert rc == 0
+        assert json.loads(out)["config"]["qn"] == "half"
+        path.write_text("time,status,u1\n1.0,1,0.5\n2.0,1,0.1\n")
+        rc, out, err = run_cli(capsys, ["screen", str(path), "--seed", "1"])
+        assert (rc, out) == (2, "")
+        assert err == ("survscreen: error: the stabilized screen needs at least 3 "
+                       "observations, got 2\n")
+
     def test_degenerate_input_exits_3(self, capsys, tmp_path):
         path = tmp_path / "cens.csv"
         rows = [f"{0.5 + 0.1 * i},0,{(-1) ** i * (1 + i)}" for i in range(12)]
@@ -288,8 +300,8 @@ class TestSimulateCommand:
         assert exc.value.code == 2
 
     @pytest.mark.parametrize("argv,code,message", [
-        (["--method", "stabilized_full", "--n", "3", "--p", "2"], 2,
-         "error: replicate 0 (seed 1) failed: q_n must be in [2, 2], got 1"),
+        (["--method", "stabilized_full", "--n", "2", "--p", "2"], 2,
+         "error: replicate 0 (seed 1) failed: the stabilized screen needs at least 3 observations"),
         (["--method", "oracle", "--n", "2", "--p", "2"], 3,
          "numerical degeneracy: replicate 0 (seed 1) failed"),
         (["--p", "0"], 2, "error: p must be >= 1"),

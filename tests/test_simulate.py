@@ -264,15 +264,15 @@ class TestMonteCarlo:
         assert 'if __name__ == "__main__":' in done.stderr
 
     def test_failed_replicate_aborts_with_seed(self):
-        spec = ScenarioSpec(model="N", n=3, p=2, seed=12)  # q_n=1 is invalid
+        spec = ScenarioSpec(model="N", n=2, p=2, seed=12)  # too few rows for any q_n
         with pytest.raises(SurvScreenError, match="replicate 0 .seed 12."):
             monte_carlo_rejection(spec, "stabilized_full", reps=2)
 
     @pytest.mark.parametrize("parallelism", [1, 2])
     def test_failed_replicate_keeps_error_class(self, parallelism):
         # with two workers the error crosses the process boundary
-        spec = ScenarioSpec(model="N", n=3, p=2, seed=1)
-        with pytest.raises(InputError, match="replicate 0 .seed 1. failed: q_n"):
+        spec = ScenarioSpec(model="N", n=2, p=2, seed=1)
+        with pytest.raises(InputError, match="replicate 0 .seed 1. failed: the stabilized screen"):
             monte_carlo_rejection(spec, "stabilized_full", reps=parallelism,
                                   parallelism=parallelism)
         spec = ScenarioSpec(model="N", n=2, p=2, seed=1)

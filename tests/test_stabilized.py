@@ -168,6 +168,15 @@ class TestStabilizedEstimate:
         with pytest.raises(InputError, match="permutation"):
             stabilized_estimate(data, ordering=np.zeros(10, dtype=int))
 
+    def test_default_qn_is_accepted_from_three_observations(self, rng):
+        data = random_dataset(rng, n=3, censor=0.0)
+        assert stabilized_estimate(data).q_n == default_qn(3) == 2
+        two = random_dataset(rng, n=2, censor=0.0)
+        for q_n in (None, 2):
+            with pytest.raises(InputError, match=r"^the stabilized screen needs at least 3 "
+                                                 r"observations, got 2$"):
+                stabilized_estimate(two, q_n=q_n)
+
 
 class TestOrderingSemantics:
     def test_explicit_ordering_equals_oracle_on_permuted_rows(self, rng):
@@ -563,28 +572,52 @@ class TestCertifiedSelection:
                 (windows,) = bound.survivors(U, slopes[c:c + 1, None])
             assert windows[0, c]
 
-    def test_kept_numerators_do_not_depend_on_the_other_columns(self, rng):
-        n, first = 203, 101
-        data = random_dataset(rng, n=n, p=1, censor=0.3)
-        (w,) = selection_weights(data.x, data.delta, [rng.permutation(n)], first, n - 1)
-        steps = n - first
-        every = np.ones((-(-steps // stabilized._WINDOW), BLOCK_COLUMNS), dtype=bool)
-        block = np.ascontiguousarray(rng.standard_normal((BLOCK_COLUMNS, n)))
-        whole = stabilized._numerators(w.T, block, every, np.empty((BLOCK_COLUMNS, steps)))
-        for c in (0, 1, 77, BLOCK_COLUMNS - 1):
-            alone = stabilized._numerators(w.T, block[c:c + 1], every[:, :1], np.empty((1, steps)))
-            moved = np.roll(block, 5 + c, axis=0)  # column c in another slot
-            elsewhere = stabilized._numerators(w.T, moved, every, np.empty((BLOCK_COLUMNS, steps)))
-            assert same_bits(alone[0], whole[c])
-            assert same_bits(elsewhere[(c + 5 + c) % BLOCK_COLUMNS], whole[c])
-            # windows 2 and 4 marked: steps from window 2 to 4 keep their
-            # bits, and the others are 0
-            some = np.zeros((len(every), 1), dtype=bool)
-            some[[2, 4]] = True
-            part = stabilized._numerators(w.T, block[c:c + 1], some, np.empty((1, steps)))
-            span = slice(2 * stabilized._WINDOW, 5 * stabilized._WINDOW)
-            assert same_bits(part[0][span], whole[c][span])
-            assert not part[0][:span.start].any() and not part[0][span.stop:].any()
+    @pytest.mark.parametrize("case", ["tied pair", "duplicate", "scaled", "near-duplicate"])
+    def test_pruning_changes_no_selection(self, rng, monkeypatch, case):
+        # the unpruned float64 pass on every column, where survivors() keeps
+        # everything, against the float32 screen with its gathered products
+        p = 3 * BLOCK_COLUMNS + 59
+        dropped = []
+        survivors = _WindowBound.survivors
+
+        def keep_all(self, block, cuts):
+            return [None] * len(cuts)
+
+        def counted(self, block, cuts):
+            kept = survivors(self, block, cuts)
+            dropped.extend((~windows).sum() for windows in kept if windows is not None)
+            return kept
+
+        pair = (207, 2 * BLOCK_COLUMNS + 54)
+        selected = []
+        for n in (37, 120):
+            if case == "tied pair":  # across the boundary of the first two blocks
+                data = signal_with_noise_columns(rng, n, p, (BLOCK_COLUMNS - 1, -BLOCK_COLUMNS))
+            elif case == "duplicate":
+                data = signal_with_noise_columns(rng, n, p, (10, 2 * BLOCK_COLUMNS + 3))
+            else:
+                data = signal_with_noise_columns(rng, n, p, (207,))
+                table = np.column_stack((data.x, data.delta, data.predictors))
+                if case == "scaled":
+                    table[:, 2:] *= 2.0 ** rng.choice([-40, 0, 40], p)
+                else:  # equal to 207 within a few ulps once standardized
+                    table[:, 2 + pair[1]] = table[:, 2 + pair[0]] * (1.0 + 2.0 ** -45)
+                data = ingest(table, standardize=case == "near-duplicate")
+            perms = [rng.permutation(n) for _ in range(3)]
+            with monkeypatch.context() as patch:
+                patch.setattr(_WindowBound, "survivors", counted)
+                pruned = [stabilized._select_orderings(data, perms, first, n - 1)
+                          for first in (3, n // 2)]
+            with monkeypatch.context() as patch:
+                patch.setattr(_WindowBound, "survivors", keep_all)
+                unpruned = [stabilized._select_orderings(data, perms, first, n - 1)
+                            for first in (3, n // 2)]
+            for (ks, ms), (want_ks, want_ms) in zip(pruned, unpruned):
+                assert same_bits(ks, want_ks) and same_bits(ms, want_ms)
+                selected.extend(ks.ravel())
+        assert sum(dropped) > 0
+        if case == "near-duplicate":  # both of the pair win some steps
+            assert set(pair) <= set(selected)
 
     def test_blocks_at_extreme_scales_select_the_oracles_predictor(self, rng):
         # a block x1e30 is outside float32's range and takes the float64 pass;
