@@ -17,8 +17,11 @@ matrix and its standardization all run while the block is in cache, so the
 matrix is the only n-by-p array made.
 
 ``read_csv`` parses a plain CSV body of at least ``SPLIT_MIN_BYTES`` on two
-cores: a forked child parses the lines past the body's middle while the
-caller parses those before it, both into one shared table (``_split_parse``).
+cores.  The body is cut at line starts into chunks of about
+``SPLIT_CHUNK_BYTES``; a forked child parses the chunks from the first chunk
+start at or past the body's middle while the caller parses those before it,
+both into one shared table (``_split_parse``), so the halves differ by at
+most one chunk.
 Any body the split cannot parse as the serial parser would, and any failure,
 falls back to the serial parse, so every table and every error is the
 serial one's.
@@ -52,8 +55,9 @@ BLOCK_COLUMNS = 256
 # a smaller body's parse.
 SPLIT_MIN_BYTES = 1 << 20
 # Each np.loadtxt call of a split parse takes whole lines of about this many
-# bytes, so the text and its lines held at once stay small.
-SPLIT_CHUNK_BYTES = 1 << 20
+# bytes, so the text and its lines held at once stay small, and the two
+# processes' halves, which differ by at most one chunk, stay balanced.
+SPLIT_CHUNK_BYTES = 1 << 18
 
 # comments=None: a row starting with '#' is malformed, not skipped
 _LOADTXT = dict(delimiter=",", comments=None, quotechar='"', ndmin=2)
@@ -294,35 +298,21 @@ def _undecodable(path: str, exc: UnicodeDecodeError) -> str:
     return str(exc)
 
 
-def _middle(body: int, size: int) -> int:
-    """The byte offset the body [body, size) is split at, or just past."""
-    return body + (size - body) // 2
-
-
 def _body_chunks(fh, body: int, size: int):
-    """(starts, lines, split) of the body [body, size) of a binary file, or
-    None if it holds a '"', since a quoted field may span lines.
+    """(starts, lines) of the body [body, size) of a binary file, or None if
+    it holds a '"', since a quoted field may span lines.
 
     ``starts`` are line starts from ``body`` to ``size`` that cut the body
-    into chunks of about SPLIT_CHUNK_BYTES, ``lines[i]`` counts the lines
-    before ``starts[i]``, and ``starts[split]`` is the first line start at
-    or past ``_middle`` (``size`` if none is).  The body is read once, a
-    buffer at a time.
+    into chunks of about SPLIT_CHUNK_BYTES, and ``lines[i]`` counts the
+    lines before ``starts[i]``.  The body is read once, a buffer at a time.
     """
-    mid = max(_middle(body, size), body)
-    starts, lines, split = [body], [0], 0 if mid == body else None
+    starts, lines = [body], [0]
     buf = bytearray(SPLIT_CHUNK_BYTES)
     pos, count = body, 0
     fh.seek(body)
     while got := fh.readinto(buf):
         if buf.find(b'"', 0, got) >= 0:
             return None
-        if split is None and pos + got >= mid:  # the newline ending the line at mid - 1
-            i = buf.find(b"\n", max(mid - 1 - pos, 0), got)
-            if i >= 0:
-                starts.append(pos + i + 1)
-                lines.append(count + buf.count(b"\n", 0, i + 1))
-                split = len(starts) - 1
         count += int(np.count_nonzero(np.frombuffer(buf, np.uint8, got) == ord("\n")))
         end = buf.rfind(b"\n", 0, got) + 1
         if end and pos + end > starts[-1]:
@@ -332,7 +322,7 @@ def _body_chunks(fh, body: int, size: int):
     if starts[-1] < size:  # a last line with no newline
         starts.append(size)
         lines.append(count + 1)
-    return starts, lines, len(starts) - 1 if split is None else split
+    return starts, lines
 
 
 def _parse_chunks(path: str, starts, lines, chunks, table) -> None:
@@ -359,11 +349,12 @@ def _split_parse(path: str, raw_header):
     split runs on a plain regular file of at least SPLIT_MIN_BYTES whose
     first line is the header alone and whose body holds no '"', on a
     platform with fork and in a process that may run on two cores.  The
-    child parses the chunks from the split on and leaves with ``os._exit``,
-    so it never flushes the parent's stdio buffers or runs its exit
-    handlers.  Every failure (a half does not read or parse, or its rows are
-    not its lines; the child exits non-zero or is killed) gives None, and
-    the child is reaped on every path.
+    child parses the chunks from the first chunk start at or past the
+    body's middle on, the caller those before it.  The child leaves with
+    ``os._exit``, so it never flushes the parent's stdio buffers or runs
+    its exit handlers.  Every failure (a half does not read or parse, or
+    its rows are not its lines; the child exits non-zero or is killed)
+    gives None, and the child is reaped on every path.
     """
     if str(path).endswith(".gz") or not hasattr(os, "fork") or _cores() < 2:
         return None
@@ -381,10 +372,12 @@ def _split_parse(path: str, raw_header):
             chunks = _body_chunks(fh, len(first), info.st_size)
         if chunks is None or chunks[1][-1] == 0:
             return None
-        import gc  # only a split parse loads these, as the serial path needs none
+        import bisect  # only a split parse loads these, as the serial path needs none
+        import gc
         import mmap
         import signal
-        starts, lines, split = chunks
+        starts, lines = chunks
+        split = bisect.bisect_left(starts, (starts[0] + starts[-1]) // 2)
         table = np.ndarray((lines[-1], len(raw_header)),
                            buffer=mmap.mmap(-1, lines[-1] * len(raw_header) * 8))
         with warnings.catch_warnings():

@@ -60,7 +60,9 @@ EPS_SIGMA = 1e-8
 DUAL_FORM_TOL = 1e-8
 
 # The 95% normal quantile is used as the literal constant 1.96; other levels
-# go through the exact quantile function.  ndtr and ndtri are ports of the
+# go through the exact quantile function, taken in the lower tail as
+# -ndtri(alpha / 2), since 1 - alpha / 2 drops alpha's digits and rounds to 1.0
+# (an infinite quantile) below alpha = 2.2e-16.  ndtr and ndtri are ports of the
 # Cephes code behind scipy's normal sf and ppf: the same bits, without
 # loading scipy, which was over half of the package's import time.
 Z_95 = 1.96
@@ -69,7 +71,7 @@ Z_95 = 1.96
 def z_value(alpha: float) -> float:
     if alpha == 0.05:
         return Z_95
-    return ndtri(1.0 - alpha / 2.0)
+    return -ndtri(alpha / 2.0)
 
 
 def two_sided_p(z):

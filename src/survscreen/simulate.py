@@ -118,8 +118,11 @@ def _survival_times(rng, spec: ScenarioSpec, n: int, p: int) -> tuple:
         t = eps
     elif spec.model == "A1":
         t = u[:, 0] / 4.0 + eps
-    else:
-        t = u[:, :10] @ A2_BETAS + eps
+    else:  # ten multiply-adds in column order: a BLAS gemv's order depends on its kernel
+        t = u[:, 0] * A2_BETAS[0]
+        for k in range(1, 10):
+            t += u[:, k] * A2_BETAS[k]
+        t += eps
     return u, t
 
 

@@ -36,6 +36,7 @@ From selection to the results the steps are orderings x steps arrays, so one
 check, one inverse-dispersion aggregate and one normal calibration serve all.
 """
 
+import math
 from dataclasses import dataclass
 from typing import Optional
 
@@ -199,14 +200,15 @@ class _RunningSelection:
     def finish(self, U, perm, weights, first):
         """(ks, ms): a step with best 0 selects (0, +1); a single candidate
         takes the sign of its blocked slope; near-tied candidates are
-        re-evaluated with one per-column dot product, and the first maximum
+        re-evaluated with exactly rounded numerators, and the first maximum
         (smallest index) wins.  A blocked product, of the full block or of
-        gathered columns, can differ in the last ulp between column slots;
-        this re-check is why those bits decide no selection."""
+        gathered columns, can differ in the last ulp between column slots
+        and between BLAS kernels; this re-check is why those bits decide no
+        selection."""
         steps = len(self.best)
         ks = np.zeros(steps, dtype=np.intp)
         ms = np.ones(steps, dtype=np.int64)
-        order = np.argsort(self.step, kind="stable")
+        order = np.lexsort((self.col, self.step))
         step, col, slope, var = self.step[order], self.col[order], self.slope[order], self.var[order]
         counts = np.bincount(step, minlength=steps)
         single = counts[step] == 1
@@ -215,16 +217,30 @@ class _RunningSelection:
         starts = np.concatenate(([0], np.cumsum(counts)))
         for i in np.flatnonzero(counts > 1):
             j = first + i
-            w = weights[perm[:j], i]
             cand = slice(starts[i], starts[i + 1])
-            exact = np.array([
-                float(np.dot(U[perm[:j], k], w)) / v for k, v in zip(col[cand], var[cand])
-            ])
+            terms = np.concatenate(_two_product(U[np.ix_(perm[:j], col[cand])],
+                                                weights[perm[:j], i, None]))
+            exact = np.array([math.fsum(t) for t in terms.T.tolist()]) / var[cand]
             pos = int(np.argmax(np.abs(exact)))
             s = float(exact[pos])
             if s != 0.0:
                 ks[i], ms[i] = col[cand][pos], (1 if s > 0 else -1)
         return ks, ms
+
+
+_SPLIT = 2.0 ** 27 + 1  # Veltkamp's splitter: a float64 is the sum of two 26-bit halves
+
+
+def _two_product(a, b):
+    """(p, e) with p = fl(a * b) and p + e = a * b exactly (Dekker), where no
+    product or split underflows or overflows."""
+    p = a * b
+    a1 = a * _SPLIT
+    a1 -= a1 - a
+    b1 = b * _SPLIT
+    b1 -= b1 - b
+    a2, b2 = a - a1, b - b1
+    return p, a2 * b2 - (((p - a1 * b1) - a2 * b1) - a1 * b2)
 
 
 # steps per window of the certified bound: a window of L steps at prefix sizes

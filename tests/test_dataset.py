@@ -463,40 +463,61 @@ def _line_starts(raw):
     return [body] + [i + 1 for i in range(body, len(raw)) if raw[i] == ord("\n")]
 
 
+def _parses_at_every_split(path, want):
+    """Parse the body's chunks into one table at every split index, the two
+    ranges one after the other in this process, and check each table is
+    ``want``; the count of split indices."""
+    with open(path, "rb") as fh:
+        starts, lines = dataset._body_chunks(fh, len(fh.readline()), path.stat().st_size)
+    for split in range(len(starts)):
+        table = np.full(want.shape, np.nan)
+        dataset._parse_chunks(str(path), starts, lines, range(split), table)
+        dataset._parse_chunks(str(path), starts, lines, range(split, len(starts) - 1), table)
+        assert same_bits(table, want)
+    return len(starts)
+
+
+def _serial_table(path):
+    """The table the serial parse reads from a CSV whose header is plain."""
+    with open(path, encoding="utf-8") as fh:
+        next(fh)
+        return np.loadtxt(fh, **dataset._LOADTXT)
+
+
 @pytest.mark.parametrize("form", ["as is", "CRLF", "no trailing newline"])
 @pytest.mark.parametrize("chunk", [1, 7, 1 << 20])
-def test_split_parse_is_the_serial_table_at_every_line_start(tmp_path, monkeypatch, split,
-                                                            form, chunk):
+def test_split_parse_is_the_serial_table_at_every_chunk_start(tmp_path, monkeypatch, split,
+                                                             form, chunk):
     raw = _toy_bytes(form)
     path = tmp_path / "toy.csv"
     path.write_bytes(raw)
-    want = _serial(path, standardize=False)
     monkeypatch.setattr(dataset, "SPLIT_CHUNK_BYTES", chunk)  # chunk edges in every line
-    starts = _line_starts(raw)
-    for start in starts:
-        monkeypatch.setattr(dataset, "_middle", lambda body, size: start)
-        _assert_same(read_csv(str(path), standardize=False), want)
-    assert split.ran == [True] * len(starts) and len(split.pids) == len(starts)
+    splits = _parses_at_every_split(path, _serial_table(path))
+    if chunk == 1:  # every line start is a chunk start
+        assert splits == len(set(_line_starts(raw) + [len(raw)]))
+    _assert_same(read_csv(str(path), standardize=False), _serial(path, standardize=False))
+    assert split.ran == [True] and len(split.pids) == 1
 
 
 @pytest.mark.parametrize("form", ["as is", "CRLF", "no trailing newline"])
 @pytest.mark.parametrize("chunk", [1, 7, 1 << 20])
-def test_body_chunks_split_at_the_first_line_start_past_the_middle(monkeypatch, tmp_path, form,
-                                                                  chunk):
+def test_body_chunks_cut_the_body_at_the_last_line_start_of_each_buffer(monkeypatch, tmp_path,
+                                                                        form, chunk):
     raw = _toy_bytes(form)
     monkeypatch.setattr(dataset, "SPLIT_CHUNK_BYTES", chunk)
     path = tmp_path / "toy.csv"
     path.write_bytes(raw)
     line_starts = _line_starts(raw)
     body = line_starts[0]
-    for mid in range(body, len(raw) + 1):
-        monkeypatch.setattr(dataset, "_middle", lambda body, size: mid)
-        with open(path, "rb") as fh:
-            starts, lines, split = dataset._body_chunks(fh, body, len(raw))
-        assert starts[split] == min([s for s in line_starts if s >= mid] + [len(raw)])
-        assert starts[0] == body and starts[-1] == len(raw) and starts == sorted(set(starts))
-        assert set(starts) <= set(line_starts) | {len(raw)}
-        assert lines == [raw[body:s].count(b"\n") for s in starts[:-1]] + [16]
+    want = [body]
+    for a in range(body, len(raw), chunk):
+        want += [s for s in line_starts if a < s <= a + chunk][-1:]
+    if want[-1] < len(raw):  # a last line with no newline
+        want.append(len(raw))
+    with open(path, "rb") as fh:
+        starts, lines = dataset._body_chunks(fh, body, len(raw))
+    assert starts == want
+    assert lines == [raw[body:s].count(b"\n") for s in starts[:-1]] + [16]
 
 
 def test_split_parse_is_the_serial_table_on_random_tables(tmp_path, monkeypatch, split):
@@ -511,10 +532,10 @@ def test_split_parse_is_the_serial_table_on_random_tables(tmp_path, monkeypatch,
                    header="time,status," + ",".join(f"u{k + 1}" for k in range(p)))
         if i % 4 == 0:
             path.write_bytes(path.read_bytes().rstrip(b"\r\n"))
-        size = path.stat().st_size
-        at = int(rng.integers(0, size + 1))  # any byte: the split moves to a line start
-        monkeypatch.setattr(dataset, "_middle", lambda body, size: at)
-        monkeypatch.setattr(dataset, "SPLIT_CHUNK_BYTES", int(rng.integers(1, 2 * size)))
+        monkeypatch.setattr(dataset, "SPLIT_CHUNK_BYTES",
+                            int(rng.integers(1, 2 * path.stat().st_size)))
+        assert same_bits(_serial_table(path), table)
+        _parses_at_every_split(path, table)
         got = read_csv(str(path), standardize=False)
         assert split.ran[-1]
         _assert_same(got, _serial(path, standardize=False))

@@ -123,18 +123,25 @@ class TestTailFunctions:
         assert got.dtype == want.dtype and np.shape(got) == np.shape(want)
         assert np.array_equal(got, want)
 
-    def test_z_value_equals_norm_ppf(self):
-        # levels on both sides of ndtri's branch point 1 - exp(-2), and
-        # alpha < 2.5e-14, where sqrt(-2 log(alpha / 2)) >= 8
+    def test_z_value_equals_norm_isf(self):
+        # levels on both sides of ndtri's branch point exp(-2), alpha < 2.5e-14,
+        # where sqrt(-2 log(alpha / 2)) >= 8, and levels down to 1e-300
         rng = np.random.default_rng(11)
         alphas = np.concatenate((10.0 ** rng.uniform(-15.9, 0.0, 10000), rng.uniform(0.2, 0.35, 2000),
+                                 10.0 ** rng.uniform(-300.0, -15.9, 1000),
                                  neighbours(2.0 * math.exp(-2.0), 200), [0.01, 0.1, 1e-6, 0.5]))
-        levels = 1.0 - alphas / 2.0
-        assert (levels > 1.0 - math.exp(-2.0)).any() and (levels <= 1.0 - math.exp(-2.0)).any()
+        assert (alphas / 2.0 > math.exp(-2.0)).any() and (alphas / 2.0 <= math.exp(-2.0)).any()
         assert (alphas < 2.5e-14).sum() > 100
         got = [z_value(float(a)) for a in alphas]
         assert all(type(v) is float for v in got)
-        assert np.array_equal(got, norm.ppf(1.0 - alphas / 2.0))
+        assert np.array_equal(got, norm.isf(alphas / 2.0))
+
+    @pytest.mark.parametrize("alpha", [1e-15, 1e-16, 1e-17, 1e-100, 1e-300])
+    def test_z_value_keeps_the_tail_of_tiny_levels(self, alpha):
+        # 1 - alpha / 2 rounds to 1.0 below alpha = 2.2e-16, whose quantile is inf
+        z = z_value(alpha)
+        assert math.isfinite(z) and z > 8.0
+        assert z == norm.isf(alpha / 2.0)
 
     def test_z_value_keeps_the_literal_at_five_percent(self):
         assert z_value(0.05) == Z_95 == 1.96

@@ -125,7 +125,7 @@ def _generate_out_of_place(spec, rep):
     eps = rng.standard_normal(spec.n) * _noise_sd(spec.error, u[:, 0])
     t = {"N": eps, "A1": u[:, 0] / 4.0 + eps}.get(spec.model)
     if t is None:
-        t = u[:, :10] @ A2_BETAS + eps
+        t = sum((u[:, k] * A2_BETAS[k] for k in range(1, 10)), u[:, 0] * A2_BETAS[0]) + eps
     if spec.censoring == "none":
         x, status = t, np.ones(spec.n)
     else:

@@ -4,6 +4,7 @@ import re
 import tracemalloc
 import warnings
 from dataclasses import fields
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -693,6 +694,58 @@ class TestCertifiedSelection:
         out = multi_ordering_test(data, orderings=3, seed=4)
         for result in out.results:
             assert all(result.k == p - 1) and all(result.m == -1)
+
+
+def exact_pick(U, perm, w, first, i, cols, var):
+    """(k, m) of the largest exact |slope| among ``cols`` at step i, in
+    fractions; the smallest index wins a tie, and a best of 0 gives (0, +1)."""
+    best, pick = Fraction(0), (0, 1)
+    for k in sorted(cols):
+        num = sum(Fraction(float(U[r, k])) * Fraction(float(w[r, i])) for r in perm[:first + i])
+        slope = num / Fraction(var)
+        if abs(slope) > abs(best):
+            best, pick = slope, (k, 1 if slope > 0 else -1)
+    return pick
+
+
+class TestExactNearTies:
+    @pytest.mark.parametrize("seed", range(6))
+    def test_finish_picks_the_exact_argmax_of_near_duplicates(self, seed):
+        # each step's candidates are copies of one column, mirrored or not, one
+        # entry moved so that the numerators lie 2^-40 to 2^-52 apart, plus an
+        # exact copy; each step's variance is a power of two, so the slopes
+        # order as their numerators, which a dot product can misorder
+        rng = np.random.default_rng(seed)
+        n, first, steps, g = 120, 80, 20, 7
+        perm = rng.permutation(n)
+        w = rng.standard_normal((n, steps))
+        w[:, 0] = 0.0  # every slope of step 0 is exactly 0
+        t = perm[0]  # a row of every prefix
+        U = np.empty((n, steps * g), order="F")
+        var = 2.0 ** rng.integers(-3, 4, steps)
+        for i in range(steps):
+            base = rng.standard_normal(n)
+            num = math.fsum(base[perm[:first + i]] * w[perm[:first + i], i])
+            group = [base]
+            for d in rng.integers(40, 53, g - 2):
+                copy = base.copy()
+                if i:  # the numerator moves by 1 to 2 times 2^-d of itself
+                    copy[t] += rng.choice([-1.0, 1.0]) * rng.uniform(1.0, 2.0) * 2.0 ** -d * num \
+                        / w[t, i]
+                group.append(copy * rng.choice([-1.0, 1.0]))
+            group.append(group[rng.integers(g - 1)].copy())
+            U[:, i * g:(i + 1) * g] = np.column_stack([group[c] for c in rng.permutation(g)])
+        run = stabilized._RunningSelection(steps)
+        order = rng.permutation(steps * g)  # candidates in no particular order
+        run.step = np.repeat(np.arange(steps), g)[order]
+        run.col = np.arange(steps * g)[order]
+        run.slope = np.zeros(steps * g)
+        run.var = var[run.step]
+        ks, ms = run.finish(U, perm, w, first)
+        assert ks[0] == 0 and ms[0] == 1
+        for i in range(steps):
+            assert (ks[i], ms[i]) == exact_pick(U, perm, w, first, i, range(i * g, (i + 1) * g),
+                                                var[i])
 
 
 def selection_weights(x, delta, perms, first, last):
